@@ -25,6 +25,7 @@ from .qoperator import (
     TensorTerm,
     c_q,
     d_q,
+    norm_bound,
     norm_estimate,
     residual_on_window,
     shift,

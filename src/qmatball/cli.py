@@ -153,14 +153,21 @@ def _perturbed(g: matrixball.GeneratorImages, eps: float) -> matrixball.Generato
 
 
 def cmd_verify(cfg: CommandConfig) -> int:
-    if cfg.fock is not None:
+    is_fock = cfg.fock is not None
+    if is_fock:
         string = AdmissibleString(cfg.fock, (cfg.fock,) * cfg.fock)
-        g = matrixball.fock_rep(cfg.fock, cfg.q, cfg.trunc)
-        is_fock = True
     else:
         string = _load_string(cfg.string_path)
+    if string.n >= 2 and cfg.trunc <= matrixball.A_M_DEPTH:
+        raise ValueError(
+            f"--trunc {cfg.trunc} is too small at n={string.n}: the A_m commutation "
+            f"families (words of length {matrixball.A_M_DEPTH}) would have an empty "
+            f"window; use --trunc {matrixball.A_M_DEPTH + 1} or more"
+        )
+    if is_fock:
+        g = matrixball.fock_rep(cfg.fock, cfg.q, cfg.trunc)
+    else:
         g = matrixball.rep_from_string(string, cfg.q, cfg.trunc)
-        is_fock = False
     if cfg.perturb:
         g = _perturbed(g, cfg.perturb)
 
@@ -198,7 +205,7 @@ def cmd_verify(cfg: CommandConfig) -> int:
                 "relation": r.relation,
                 "indices": list(r.indices),
                 "residual": r.residual,
-                "window": r.window,
+                "depth": r.depth,
             }
             for r in reports
         ],

@@ -23,12 +23,8 @@ __all__ = [
     "c_q",
     "d_q",
     "t_block",
-    "apply",
-    "mul",
-    "add",
-    "adjoint",
-    "scale",
     "residual_on_window",
+    "norm_bound",
     "norm_estimate",
     "vacuum_matrix_element",
     "operator_to_json",
@@ -297,26 +293,6 @@ class StateVector:
         return StateVector(self.f, self.dim, complex(c) * self.amplitudes)
 
 
-def apply(op: TensorOperator, v: StateVector) -> StateVector:
-    return op.apply(v)
-
-
-def mul(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    return a * b
-
-
-def add(a: TensorOperator, b: TensorOperator) -> TensorOperator:
-    return a + b
-
-
-def adjoint(op: TensorOperator) -> TensorOperator:
-    return op.adjoint()
-
-
-def scale(op: TensorOperator, c: complex) -> TensorOperator:
-    return op.scale(c)
-
-
 def vacuum_matrix_element(op: TensorOperator) -> complex:
     """<op e_0, e_0> without applying the operator: product of (0,0) entries."""
     total = 0.0 + 0.0j
@@ -447,6 +423,24 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     return worst
 
 
+def norm_bound(op: TensorOperator) -> float:
+    """Upper bound on the operator norm: sum over terms of
+    ``|c_t| * prod_i ||F_{t,i}||_2``, identity factors counting 1.
+
+    The norm of a Kronecker product is the product of the factor norms, so
+    the bound is exact for a single elementary tensor; for a sum it follows
+    from the triangle inequality.  No state vector is built.
+    """
+    total = 0.0
+    for term in op.terms:
+        value = abs(term.scalar)
+        for F in term.factors:
+            if F is not None:
+                value *= float(np.linalg.norm(F.entries, 2))
+        total += value
+    return total
+
+
 def norm_estimate(op: TensorOperator, iters: int = 60, seed: int = 7) -> float:
     """Power-iteration lower bound on the operator norm via op* op.
 
@@ -545,7 +539,3 @@ def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:
         ):
             return False
     return True
-
-
-def assert_contraction(value: float, slack: float = 1e-9) -> bool:
-    return value <= 1.0 + slack

@@ -151,6 +151,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--string", path, "--trunc", "5")
         assert code == 0
 
+    def test_trunc_too_small_for_a_m_families(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--fock", "2", "--trunc", "3")
+        assert code == 2
+        assert out == ""
+        assert "A_m" in err and "--trunc 4" in err
+        path = write_string(tmp_path, AdmissibleString(2, (2, 1), (0.0, 0.5)))
+        code, _, err = run(capsys, "verify", "--string", path, "--trunc", "3")
+        assert code == 2
+        assert "--trunc 4" in err
+        # n = 1 has no A_m families, and build has no window at all
+        assert run(capsys, "verify", "--fock", "1", "--trunc", "3")[0] == 0
+        assert run(capsys, "build", "--string", path, "--trunc", "3")[0] == 0
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")
         assert code == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmatball.matrixball import (
+    GeneratorImages,
     MonomialExponent,
     a_m_checks,
     classify_case,
@@ -346,6 +347,40 @@ class TestContractions:
         g = rep_from_string(s, Q, 6)
         for _, norm in contraction_check(g):
             assert norm <= 1.0 + 1e-9
+
+
+class TestContractionCertificate:
+    @pytest.mark.parametrize("n, trunc", [(1, 12), (2, 4), (2, 5), (2, 7)])
+    def test_fock_norms_match_dense_oracle(self, n, trunc):
+        from test_qoperator import dense_norm
+
+        g = fock_rep(n, Q, trunc)
+        checks = contraction_check(g)
+        targets = [(k, n) for k in range(1, n + 1)] + [(n, j) for j in range(n - 1, 0, -1)]
+        assert [kj for kj, _ in checks] == targets
+        # C_q S, the widest factor, has norm sqrt(1 - q^{2(N-1)})
+        closed_form = math.sqrt(1.0 - Q ** (2 * (trunc - 1)))
+        for kj, norm in checks:
+            assert norm == pytest.approx(dense_norm(g.gen(*kj)), abs=1e-12)
+            assert norm == pytest.approx(closed_form, abs=1e-12)
+
+    def test_string_norms_match_dense_oracle(self):
+        from test_qoperator import dense_norm
+
+        g = rep_from_string(AdmissibleString(2, (2, 1), (0.0, 0.5)), Q, 5)
+        for kj, norm in contraction_check(g):
+            assert norm == pytest.approx(dense_norm(g.gen(*kj)), abs=1e-12)
+
+    def test_scaled_generator_fails(self):
+        # the true norm of 1.001 z_2^2 is 1.001 sqrt(1 - q^12) = 1.000878; a
+        # lower bound such as 40 steps of norm_estimate (0.99941) passes it
+        g = fock_rep(2, Q, 7)
+        table = [[g.gen(k, j) for j in (1, 2)] for k in (1, 2)]
+        table[1][1] = table[1][1].scale(1.001)
+        damaged = GeneratorImages(2, Q, 7, tuple(map(tuple, table)), g.provenance)
+        norms = dict(contraction_check(damaged))
+        assert norms[(2, 2)] == pytest.approx(1.001 * math.sqrt(1.0 - Q**12), abs=1e-12)
+        assert norms[(2, 2)] > 1.0 + 1e-9
 
 
 class TestStructuralInvariants:

@@ -14,6 +14,7 @@ from qmatball.qoperator import (
     c_q,
     d_q,
     is_exact_zero_on_vacuum,
+    norm_bound,
     norm_estimate,
     operator_from_json,
     operator_to_json,
@@ -289,6 +290,62 @@ def dense_matrix(op):
             block = np.kron(block, entries)
         mat += block
     return mat
+
+
+def dense_norm(op):
+    """Spectral norm of the dense Kronecker matrix over the axes some term
+    acts on.  Axes where every factor is the identity are dropped, since
+    ||A (x) I|| = ||A||; this keeps the oracle small (f = 4, N = 7 would
+    otherwise be a 2401 x 2401 SVD)."""
+    kept = [
+        axis for axis in range(op.f) if any(t.factors[axis] is not None for t in op.terms)
+    ]
+    reduced = TensorOperator(
+        len(kept),
+        op.dim,
+        tuple(TensorTerm(t.scalar, tuple(t.factors[a] for a in kept)) for t in op.terms),
+    )
+    return float(np.linalg.norm(dense_matrix(reduced), 2))
+
+
+def weighted_shift(rng, dim):
+    """Random complex amplitudes on one random diagonal of a dim x dim matrix."""
+    delta = int(rng.integers(-(dim - 1), dim))
+    size = dim - abs(delta)
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return FactorMatrix(np.diag(amps, k=delta))
+
+
+class TestNormBound:
+    def test_identity_and_zero(self):
+        assert norm_bound(TensorOperator.identity(3, N)) == 1.0
+        assert norm_bound(TensorOperator.zero(3, N)) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)
+    )
+    def test_sandwiches_dense_norm(self, seed, f, dim, n_terms):
+        # norm_estimate <= ||op|| <= norm_bound, with equality on the right
+        # for one elementary tensor
+        rng = np.random.default_rng(seed)
+        terms = tuple(
+            TensorTerm(
+                complex(rng.standard_normal(), rng.standard_normal()),
+                tuple(
+                    None if rng.random() < 0.25 else weighted_shift(rng, dim)
+                    for _ in range(f)
+                ),
+            )
+            for _ in range(n_terms)
+        )
+        op = TensorOperator(f, dim, terms)
+        exact = float(np.linalg.norm(dense_matrix(op), 2))
+        bound = norm_bound(op)
+        assert norm_estimate(op) <= exact * (1.0 + 1e-9)
+        assert exact <= bound * (1.0 + 1e-12)
+        if n_terms == 1:
+            assert bound == pytest.approx(exact, rel=1e-12)
 
 
 class TestResidualDenseOracle:
