@@ -2,18 +2,15 @@
 building, relation verification, and grid rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.  All output
-goes to stdout (JSON or plain text); ``--out FILE`` redirects it.  The
-environment variable ``QMATBALL_THREADS`` caps worker parallelism; the
-library is sequential, so any positive cap is honored trivially.
+goes to stdout (JSON or plain text); ``--out FILE`` redirects it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import diagramcalc, matrixball, permgroup
 from .permgroup import AdmissibleString, Permutation
@@ -40,7 +37,6 @@ class CommandConfig:
     j: int | None = None
     perturb: float = 0.0
     oracle: bool = False
-    threads: int = field(default=1)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.q < 1.0:
@@ -49,16 +45,6 @@ class CommandConfig:
             raise ValueError(f"truncation level must be at least 3, got {self.trunc}")
         if self.tol <= 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.threads < 1:
-            raise ValueError("QMATBALL_THREADS must be a positive integer")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("QMATBALL_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"QMATBALL_THREADS is not an integer: {raw!r}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -152,6 +138,17 @@ def _perturbed(g: matrixball.GeneratorImages, eps: float) -> matrixball.Generato
     )
 
 
+def _warn_vacuum_window(reports: list[matrixball.RelationReport], trunc: int) -> None:
+    """One stderr line when the families of depth trunc - 1 were checked on a
+    window that keeps only the vacuum."""
+    depth = trunc - 1
+    families = list(dict.fromkeys(r.relation for r in reports if r.depth == depth))
+    if families:
+        print(f"warning: at --trunc {trunc} the window of depth {depth} holds only the "
+              f"vacuum for {', '.join(families)}; use --trunc {trunc + 1} or more",
+              file=sys.stderr)
+
+
 def cmd_verify(cfg: CommandConfig) -> int:
     is_fock = cfg.fock is not None
     if is_fock:
@@ -189,6 +186,7 @@ def cmd_verify(cfg: CommandConfig) -> int:
                     )
                 )
     max_residual = max(r.residual for r in reports)
+    _warn_vacuum_window(reports, cfg.trunc)
 
     contraction = matrixball.contraction_check(g)
     contraction_ok = all(norm <= 1.0 + 1e-9 for _, norm in contraction)
@@ -306,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             for key, value in vars(args).items()
             if key in CommandConfig.__dataclass_fields__
         }
-        cfg = CommandConfig(threads=_thread_cap(), **fields)
+        cfg = CommandConfig(**fields)
         if cfg.subcommand == "verify" and (cfg.string_path is None) == (cfg.fock is None):
             raise ValueError("verify needs exactly one of --string or --fock")
         return _HANDLERS[cfg.subcommand](cfg)

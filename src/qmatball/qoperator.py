@@ -1,11 +1,12 @@
 """Truncated shift-operator engine on (C^N)^{tensor f}.
 
-Operators are kept as sums of scalar-weighted elementary tensors of N x N
-factor matrices; application, products and adjoints act factor-wise and the
-full N^f x N^f matrix is never materialized.  Identities of the untruncated
-algebra are certified on a truncation-safe window: a word of d generators
-moves any occupation index by at most d, so basis vectors whose indices do
-not exceed N-1-d see the exact infinite-dimensional action.
+Operators are kept as sums of scalar-weighted elementary tensors of
+weighted-shift factors (`delta`, amplitudes); application, products, adjoints
+and norms act on the amplitudes, and dense matrices appear only at the JSON
+boundary.  Identities of the untruncated algebra are certified on a
+truncation-safe window: a word of d generators moves any occupation index by
+at most d, so basis vectors whose indices do not exceed N-1-d see the exact
+infinite-dimensional action.
 """
 
 from __future__ import annotations
@@ -40,36 +41,82 @@ _ADJOINT_TAG = {"I": "I", "T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"
 
 @dataclass(frozen=True)
 class FactorMatrix:
-    """One N x N tensor factor, optionally tagged with how it was built.
+    """One N x N tensor factor, a weighted shift: column c is
+    ``amps[c] * e_{c+delta}``, with ``amps[c] = 0`` wherever c + delta falls
+    outside 0..N-1.  The corner operators and all their products have this
+    shape, so products, adjoints and norms act on the amplitude vector.
 
     The provenance tuple lists primitive tags ("T11", "T12", "T21", "T22",
     "I") in product order; scalar evaluation of a factor multiplies the
     character values of its tags.
     """
 
-    entries: np.ndarray
+    delta: int
+    amps: np.ndarray
     provenance: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=np.complex128)
+        amps = np.array(self.amps, dtype=np.complex128)
+        if amps.ndim != 1 or amps.size == 0:
+            raise ValueError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise ValueError("factor entries must be finite")
+        delta = int(self.delta)
+        # columns whose image would leave the truncation
+        outside = amps[max(amps.size - delta, 0):] if delta > 0 else amps[:-delta]
+        if np.count_nonzero(outside):
+            raise ValueError(f"amplitudes beyond the truncation for shift {delta}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "amps", amps)
+        if self.provenance is not None:
+            object.__setattr__(self, "provenance", tuple(self.provenance))
+
+    @classmethod
+    def from_dense(
+        cls, entries: np.ndarray, provenance: tuple[str, ...] | None = None
+    ) -> "FactorMatrix":
+        """Factor from a square matrix whose nonzeros lie on one diagonal."""
+        entries = np.asarray(entries, dtype=np.complex128)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"factor must be square, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("factor entries must be finite")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        if self.provenance is not None:
-            object.__setattr__(self, "provenance", tuple(self.provenance))
+        rows, cols = np.nonzero(entries)
+        deltas = set((rows - cols).tolist())
+        if len(deltas) > 1:
+            raise ValueError(f"factor has nonzeros on {len(deltas)} diagonals, not one")
+        delta = deltas.pop() if deltas else 0
+        size = entries.shape[0]
+        amps = np.zeros(size, dtype=np.complex128)
+        amps[max(-delta, 0) : size - max(delta, 0)] = np.diagonal(entries, -delta)
+        return cls(delta, amps, provenance)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.amps.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense N x N matrix, read-only; for output and oracles."""
+        if abs(self.delta) >= self.dim:
+            out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        else:
+            inside = self.amps[max(-self.delta, 0) : self.dim - max(self.delta, 0)]
+            out = np.diag(inside, -self.delta)
+        out.setflags(write=False)
+        return out
+
+    def norm(self) -> float:
+        """Exact spectral norm: the nonzero columns are orthogonal."""
+        return float(np.abs(self.amps).max())
 
     def adjoint(self) -> "FactorMatrix":
         prov = None
         if self.provenance is not None and all(t in _ADJOINT_TAG for t in self.provenance):
             prov = tuple(_ADJOINT_TAG[t] for t in reversed(self.provenance))
-        return FactorMatrix(self.entries.conj().T, prov)
+        # column c of the adjoint is row c of self, hit by column c - delta
+        return FactorMatrix(-self.delta, _rolled(self.amps, -self.delta).conj(), prov)
 
     def matmul(self, other: "FactorMatrix") -> "FactorMatrix":
         if self.dim != other.dim:
@@ -77,17 +124,31 @@ class FactorMatrix:
         prov = None
         if self.provenance is not None and other.provenance is not None:
             prov = self.provenance + other.provenance
-        return FactorMatrix(self.entries @ other.entries, prov)
+        # column c of other lands on row c + other.delta, where self's column
+        # amplitude applies
+        amps = other.amps * _rolled(self.amps, other.delta)
+        return FactorMatrix(self.delta + other.delta, amps, prov)
+
+
+def _rolled(amps: np.ndarray, k: int) -> np.ndarray:
+    """``amps[(c + k) mod N]`` for every column c.  Wherever c + k wraps
+    around, the caller's column c leaves the truncation, so its own zero
+    amplitude cancels the wrapped entry."""
+    k %= amps.size
+    return np.concatenate((amps[k:], amps[:k]))
+
+
+def _check_dim(N: int) -> None:
+    if N < 2:
+        raise ValueError("truncation level must be at least 2")
 
 
 def shift(N: int) -> FactorMatrix:
     """Isometric shift truncated to N levels: e_k -> e_{k+1}, e_{N-1} -> 0."""
-    if N < 2:
-        raise ValueError("truncation level must be at least 2")
-    entries = np.zeros((N, N), dtype=np.complex128)
-    for k in range(N - 1):
-        entries[k + 1, k] = 1.0
-    return FactorMatrix(entries)
+    _check_dim(N)
+    amps = np.ones(N)
+    amps[-1] = 0.0
+    return FactorMatrix(1, amps)
 
 
 def _check_q(q: float) -> float:
@@ -97,22 +158,26 @@ def _check_q(q: float) -> float:
     return q
 
 
+def _c_amps(q: float, N: int) -> np.ndarray:
+    return np.sqrt(1.0 - q ** (2.0 * np.arange(N)))
+
+
+def _d_amps(q: float, N: int) -> np.ndarray:
+    return q ** np.arange(N, dtype=np.float64)
+
+
 def c_q(q: float, N: int) -> FactorMatrix:
     """Diagonal operator e_m -> sqrt(1 - q^{2m}) e_m; kills e_0."""
     q = _check_q(q)
-    if N < 2:
-        raise ValueError("truncation level must be at least 2")
-    diag = np.sqrt(1.0 - q ** (2.0 * np.arange(N)))
-    return FactorMatrix(np.diag(diag.astype(np.complex128)))
+    _check_dim(N)
+    return FactorMatrix(0, _c_amps(q, N))
 
 
 def d_q(q: float, N: int) -> FactorMatrix:
     """Diagonal operator e_m -> q^m e_m."""
     q = _check_q(q)
-    if N < 2:
-        raise ValueError("truncation level must be at least 2")
-    diag = q ** np.arange(N, dtype=np.float64)
-    return FactorMatrix(np.diag(diag.astype(np.complex128)))
+    _check_dim(N)
+    return FactorMatrix(0, _d_amps(q, N))
 
 
 def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
@@ -122,18 +187,19 @@ def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
     """
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"block index ({i}, {j}) outside {{1,2}}^2")
-    S = shift(N).entries
-    C = c_q(q, N).entries
-    D = d_q(q, N).entries
+    q = _check_q(q)
+    _check_dim(N)
     if (i, j) == (1, 1):
-        entries = S.conj().T @ C
+        # S* C_q sends e_m to sqrt(1 - q^{2m}) e_{m-1}; the e_0 amplitude is 0
+        delta, amps = -1, _c_amps(q, N)
     elif (i, j) == (1, 2):
-        entries = -q * D
+        delta, amps = 0, -q * _d_amps(q, N)
     elif (i, j) == (2, 1):
-        entries = D
+        delta, amps = 0, _d_amps(q, N)
     else:
-        entries = C @ S
-    return FactorMatrix(entries, provenance=(f"T{i}{j}",))
+        # C_q S sends e_m to sqrt(1 - q^{2(m+1)}) e_{m+1}
+        delta, amps = 1, np.append(_c_amps(q, N)[1:], 0.0)
+    return FactorMatrix(delta, amps, provenance=(f"T{i}{j}",))
 
 
 @dataclass(frozen=True)
@@ -246,7 +312,10 @@ class TensorOperator:
             for axis, F in enumerate(term.factors):
                 if F is None:
                     continue
-                w = np.moveaxis(np.tensordot(F.entries, w, axes=([1], [axis])), 0, axis)
+                # scale along the axis, then move index c to c + delta; the
+                # entries that wrap around were scaled by zero amplitudes
+                along = F.amps.reshape((-1,) + (1,) * (self.f - axis - 1))
+                w = np.roll(along * w, F.delta, axis=axis)
             out = out + term.scalar * w
         return StateVector(self.f, self.dim, out)
 
@@ -300,45 +369,9 @@ def vacuum_matrix_element(op: TensorOperator) -> complex:
         value = term.scalar
         for F in term.factors:
             if F is not None:
-                value *= F.entries[0, 0]
+                value *= F.amps[0] if F.delta == 0 else 0.0
         total += value
     return total
-
-
-def _column_shift(F: FactorMatrix, window: int):
-    """Decompose a factor as columns ``F[:, c] = amps[c] * e_{c+delta}``.
-
-    Returns (delta, amps-over-the-window) when every column has at most one
-    nonzero entry at a common diagonal offset, else None.  The corner
-    operators and all their products are of this shape.
-    """
-    entries = F.entries
-    rows, cols = np.nonzero(entries)
-    if len(rows) == 0:
-        return 0, np.zeros(window, dtype=np.complex128)
-    if len(set(cols.tolist())) != len(cols):
-        return None
-    deltas = rows - cols
-    if deltas.min() != deltas.max():
-        return None
-    delta = int(deltas[0])
-    amps = np.zeros(window, dtype=np.complex128)
-    for r, c in zip(rows, cols):
-        if c < window:
-            amps[c] = entries[r, c]
-    return delta, amps
-
-
-def _column_supports(F: FactorMatrix | None, window: int):
-    """Per-column nonzero (row, value) lists for the generic residual path."""
-    out = []
-    for col in range(window):
-        if F is None:
-            out.append([(col, 1.0 + 0.0j)])
-        else:
-            column = F.entries[:, col]
-            out.append([(int(r), complex(column[r])) for r in np.nonzero(column)[0]])
-    return out
 
 
 def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
@@ -367,60 +400,24 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     if not kept:
         return abs(sum(t.scalar for t in terms))
 
+    ones = np.ones(window, dtype=np.complex128)
     shifts: dict[tuple[int, ...], np.ndarray] = {}
-    structured = True
     for term in terms:
-        deltas = []
-        amp_arrays = []
-        for axis in kept:
-            F = term.factors[axis]
-            if F is None:
-                deltas.append(0)
-                amp_arrays.append(np.ones(window, dtype=np.complex128))
-                continue
-            decomposition = _column_shift(F, window)
-            if decomposition is None:
-                structured = False
-                break
-            deltas.append(decomposition[0])
-            amp_arrays.append(decomposition[1])
-        if not structured:
-            break
+        factors = [term.factors[axis] for axis in kept]
         block = np.array(term.scalar, dtype=np.complex128)
-        for vec in amp_arrays:
-            block = np.multiply.outer(block, vec)
-        key = tuple(deltas)
+        for F in factors:
+            block = np.multiply.outer(block, ones if F is None else F.amps[:window])
+        key = tuple(0 if F is None else F.delta for F in factors)
         if key in shifts:
             shifts[key] = shifts[key] + block
         else:
             shifts[key] = block
-    if structured:
-        # distinct shift vectors hit distinct basis vectors, so the squared
-        # column norm splits as a sum of |amplitude|^2 over shift classes
-        total = np.zeros((window,) * len(kept), dtype=np.float64)
-        for block in shifts.values():
-            total += np.abs(block) ** 2
-        return float(np.sqrt(total.max()))
-
-    # generic fallback for factors without the single-diagonal structure
-    supports = [
-        [_column_supports(t.factors[axis], window) for axis in kept]
-        for t in terms
-    ]
-    worst = 0.0
-    for m in np.ndindex(*(window,) * len(kept)):
-        bucket: dict[tuple[int, ...], complex] = {}
-        for t_idx, term in enumerate(terms):
-            partial = [(term.scalar, ())]
-            for axis_pos in range(len(kept)):
-                entries = supports[t_idx][axis_pos][m[axis_pos]]
-                partial = [
-                    (val * v, idx + (r,)) for val, idx in partial for r, v in entries
-                ]
-            for val, idx in partial:
-                bucket[idx] = bucket.get(idx, 0.0) + val
-        worst = max(worst, float(np.sqrt(sum(abs(v) ** 2 for v in bucket.values()))))
-    return worst
+    # distinct shift vectors hit distinct basis vectors, so the squared
+    # column norm splits as a sum of |amplitude|^2 over shift classes
+    total = np.zeros((window,) * len(kept), dtype=np.float64)
+    for block in shifts.values():
+        total += np.abs(block) ** 2
+    return float(np.sqrt(total.max()))
 
 
 def norm_bound(op: TensorOperator) -> float:
@@ -436,7 +433,7 @@ def norm_bound(op: TensorOperator) -> float:
         value = abs(term.scalar)
         for F in term.factors:
             if F is not None:
-                value *= float(np.linalg.norm(F.entries, 2))
+                value *= F.norm()
         total += value
     return total
 
@@ -506,7 +503,7 @@ def operator_from_json(data: dict) -> TensorOperator:
                     [[complex(z[0], z[1]) for z in row] for row in entry],
                     dtype=np.complex128,
                 )
-                factors.append(FactorMatrix(entries))
+                factors.append(FactorMatrix.from_dense(entries))
         terms.append(TensorTerm(scalar, tuple(factors)))
     return TensorOperator(f, dim, tuple(terms))
 
@@ -535,7 +532,7 @@ def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:
         if term.scalar == 0:
             continue
         if not any(
-            F is not None and not np.any(F.entries[:, 0]) for F in term.factors
+            F is not None and F.amps[0] == 0 for F in term.factors
         ):
             return False
     return True

@@ -164,6 +164,19 @@ class TestVerify:
         assert run(capsys, "verify", "--fock", "1", "--trunc", "3")[0] == 0
         assert run(capsys, "build", "--string", path, "--trunc", "3")[0] == 0
 
+    def test_vacuum_only_window_warned(self, capsys):
+        code, _, err = run(capsys, "verify", "--fock", "1", "--trunc", "3")
+        assert code == 0
+        assert err.count("\n") == 1
+        assert "depth 2" in err and "zaa44" in err and "--trunc 4" in err
+        code, _, err = run(capsys, "verify", "--fock", "2", "--trunc", "4")
+        assert code == 0
+        assert err.count("\n") == 1
+        assert "depth 3" in err and "A_m-comm" in err and "--trunc 5" in err
+        code, _, err = run(capsys, "verify", "--fock", "2", "--trunc", "5")
+        assert code == 0
+        assert err == ""
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")
         assert code == 2
@@ -201,18 +214,6 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().strip() == "7 7 OK"
-
-
-class TestThreadCap:
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMATBALL_THREADS", "many")
-        code, _, err = run(capsys, "count", "--n", "1")
-        assert code == 2
-
-    def test_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMATBALL_THREADS", "4")
-        code, out, _ = run(capsys, "count", "--n", "1")
-        assert code == 0
 
 
 class TestOracleFlag:

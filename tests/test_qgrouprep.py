@@ -176,7 +176,7 @@ class TestApplyTau:
         assert tau_factor_value(F, 0.9) == pytest.approx(1.0)
 
     def test_untagged_factor_rejected(self):
-        raw = FactorMatrix(np.eye(N))
+        raw = FactorMatrix.from_dense(np.eye(N))
         op = TensorOperator(1, N, (TensorTerm(1.0, (raw,)),))
         with pytest.raises(ValueError):
             apply_tau(op, FactorEvaluation(((1, 0.0),)))

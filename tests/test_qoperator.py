@@ -201,20 +201,6 @@ class TestResidualWindow:
         with pytest.raises(ValueError):
             residual_on_window(op, op, 3)
 
-    def test_generic_fallback_agrees_with_structured(self, rng):
-        dense = FactorMatrix(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        a = single(1.0, [dense, t_block(2, 2, Q, N)])
-        b = single(0.5, [dense, t_block(2, 2, Q, N)])
-        # brute: 0.5 * ||dense col|| * ||T22 col|| maximized over the window
-        want = 0.0
-        for m1 in range(N - 2):
-            for m2 in range(N - 2):
-                w = 0.5 * np.linalg.norm(dense.entries[:, m1]) * np.linalg.norm(
-                    t_block(2, 2, Q, N).entries[:, m2]
-                )
-                want = max(want, w)
-        assert residual_on_window(a, b, 2) == pytest.approx(want, rel=1e-12)
-
     def test_scalar_operators(self):
         a = TensorOperator(0, N, (TensorTerm(1.25, ()),))
         b = TensorOperator(0, N, (TensorTerm(1.0, ()),))
@@ -313,7 +299,95 @@ def weighted_shift(rng, dim):
     delta = int(rng.integers(-(dim - 1), dim))
     size = dim - abs(delta)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return FactorMatrix(np.diag(amps, k=delta))
+    return FactorMatrix.from_dense(np.diag(amps, k=delta))
+
+
+def random_operator(rng, f, dim, n_terms):
+    """Sum of random complex multiples of elementary tensors of random
+    weighted shifts, a quarter of the factors being the identity."""
+    return TensorOperator(
+        f,
+        dim,
+        tuple(
+            TensorTerm(
+                complex(rng.standard_normal(), rng.standard_normal()),
+                tuple(
+                    None if rng.random() < 0.25 else weighted_shift(rng, dim)
+                    for _ in range(f)
+                ),
+            )
+            for _ in range(n_terms)
+        ),
+    )
+
+
+class TestWeightedShiftOracle:
+    """The factor algebra in (delta, amps) form against dense matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(2, 4))
+    def test_products_match_dense(self, seed, dim, length):
+        # chains of up to four factors reach offsets beyond the truncation
+        rng = np.random.default_rng(seed)
+        chain = [weighted_shift(rng, dim) for _ in range(length)]
+        product, dense = chain[0], chain[0].entries
+        for G in chain[1:]:
+            product, dense = product.matmul(G), dense @ G.entries
+            assert np.allclose(product.entries, dense, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 5))
+    def test_adjoint_norm_and_round_trip(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        delta = int(rng.integers(-(dim - 1), dim))
+        diagonal = rng.standard_normal(dim - abs(delta)) + 1j * rng.standard_normal(
+            dim - abs(delta)
+        )
+        dense = np.diag(diagonal, k=-delta)
+        F = FactorMatrix.from_dense(dense)
+        assert F.delta == delta
+        assert np.array_equal(F.entries, dense)
+        assert np.array_equal(F.adjoint().entries, dense.conj().T)
+        assert F.norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+        back = FactorMatrix.from_dense(F.entries)
+        assert back.delta == F.delta and np.array_equal(back.amps, F.amps)
+
+    def test_primitives_in_closed_form(self):
+        # the corner blocks against their defining dense products
+        S = np.diag(np.ones(N - 1), k=-1)
+        C = np.diag(np.sqrt(1 - Q ** (2.0 * np.arange(N))))
+        D = np.diag(Q ** np.arange(N, dtype=float))
+        assert np.array_equal(shift(N).entries, S)
+        assert np.array_equal(t_block(1, 1, Q, N).entries, S.T @ C)
+        assert np.array_equal(t_block(1, 2, Q, N).entries, -Q * D)
+        assert np.array_equal(t_block(2, 1, Q, N).entries, D)
+        assert np.array_equal(t_block(2, 2, Q, N).entries, C @ S)
+
+    def test_amplitudes_beyond_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            FactorMatrix(1, [1.0, 1.0, 1.0])  # e_2 would map to e_3
+        with pytest.raises(ValueError):
+            FactorMatrix(-1, [1.0, 1.0, 0.0])  # e_0 would map to e_{-1}
+        with pytest.raises(ValueError):
+            FactorMatrix(0, [1.0, np.inf])
+        assert not np.any(FactorMatrix(5, np.zeros(3)).entries)
+
+    def test_entries_read_only(self):
+        with pytest.raises(ValueError):
+            t_block(1, 1, Q, N).entries[0, 1] = 2.0
+
+    def test_non_weighted_shift_input_rejected(self):
+        two_diagonals = np.eye(3) + np.diag([1.0, 1.0], k=1)
+        not_finite = np.diag([1.0, np.nan, 1.0])
+        for dense in (two_diagonals, not_finite):
+            with pytest.raises(ValueError):
+                FactorMatrix.from_dense(dense)
+            data = operator_to_json(single(1.0, [t_block(2, 1, Q, 3)], dim=3))
+            data["terms"][0]["factors"][0] = [
+                [[z.real, z.imag] for z in row] for row in dense.astype(complex)
+            ]
+            with pytest.raises(ValueError):
+                operator_from_json(data)
 
 
 class TestNormBound:
@@ -328,18 +402,7 @@ class TestNormBound:
     def test_sandwiches_dense_norm(self, seed, f, dim, n_terms):
         # norm_estimate <= ||op|| <= norm_bound, with equality on the right
         # for one elementary tensor
-        rng = np.random.default_rng(seed)
-        terms = tuple(
-            TensorTerm(
-                complex(rng.standard_normal(), rng.standard_normal()),
-                tuple(
-                    None if rng.random() < 0.25 else weighted_shift(rng, dim)
-                    for _ in range(f)
-                ),
-            )
-            for _ in range(n_terms)
-        )
-        op = TensorOperator(f, dim, terms)
+        op = random_operator(np.random.default_rng(seed), f, dim, n_terms)
         exact = float(np.linalg.norm(dense_matrix(op), 2))
         bound = norm_bound(op)
         assert norm_estimate(op) <= exact * (1.0 + 1e-9)
@@ -398,14 +461,17 @@ class TestResidualDenseOracle:
         assert got == pytest.approx(want, abs=1e-13)
         assert got < 1e-12
 
-    def test_dense_fallback_path(self, rng):
-        dense = FactorMatrix(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        a = single(0.9, [dense, t_block(2, 2, Q, N)]) + single(
-            -0.4j, [t_block(1, 1, Q, N), dense]
-        )
-        b = single(0.2, [dense, dense])
-        assert residual_on_window(a, b, 2) == pytest.approx(
-            self._window_max(a, b, 2), abs=1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)
+    )
+    def test_random_weighted_shifts(self, seed, f, dim, d):
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, f, dim, int(rng.integers(1, 4)))
+        b = random_operator(rng, f, dim, int(rng.integers(1, 4)))
+        d = min(d, dim - 1)
+        assert residual_on_window(a, b, d) == pytest.approx(
+            self._window_max(a, b, d), rel=1e-12, abs=1e-13
         )
 
 
@@ -420,3 +486,15 @@ class TestApplyDenseOracle:
         got = op.apply(state).amplitudes.reshape(-1)
         want = dense_matrix(op) @ v.reshape(-1)
         assert np.allclose(got, want, atol=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 4), st.integers(1, 3)
+    )
+    def test_random_weighted_shifts(self, seed, f, dim, n_terms):
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, f, dim, n_terms)
+        shape = (dim,) * f
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = op.apply(StateVector(f, dim, v)).amplitudes.reshape(-1)
+        assert np.allclose(got, dense_matrix(op) @ v.reshape(-1), rtol=0, atol=1e-12)
