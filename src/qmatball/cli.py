@@ -244,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--q", type=float, default=0.5)
         p.add_argument("--trunc", type=int, default=6)
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--out", dest="out_path", default=None)
 
     p_count = sub.add_parser("count", help="compare enumerated and generating-function counts")
@@ -269,6 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--fock", type=int, default=None)
     p_verify.add_argument("--perturb", type=float, default=0.0)
     p_verify.add_argument("--oracle", action="store_true")
+    p_verify.add_argument("--tol", type=float, default=1e-10)
     common(p_verify)
 
     p_render = sub.add_parser("render", help="ASCII grid for a string")

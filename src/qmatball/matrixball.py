@@ -48,9 +48,6 @@ __all__ = [
     "vacuum_annihilation_exact",
 ]
 
-# guards the size of any dense state vector a caller could build downstream
-DEFAULT_MAX_VECTOR_SIZE = 64_000_000
-
 # monomials are kept inside the exact region of the truncation
 DEFAULT_DEGREE_MARGIN = 2
 
@@ -127,9 +124,7 @@ def fock_word(n: int) -> ReducedWord:
     return ReducedWord(2 * n, tuple(letters))
 
 
-def fock_rep(
-    n: int, q: float, N: int, max_vector_size: int = DEFAULT_MAX_VECTOR_SIZE
-) -> GeneratorImages:
+def fock_rep(n: int, q: float, N: int) -> GeneratorImages:
     """Vacuum representation on n^2 truncated shift factors.
 
     z_k^j goes to (-q)^{k-n} times the (n+k, n+j) word-representation entry
@@ -138,10 +133,6 @@ def fock_rep(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if N ** (n * n) > max_vector_size:
-        raise ValueError(
-            f"state space of size {N}^{n * n} exceeds the cap {max_vector_size}"
-        )
     rep = SoibelmanRep(2 * n, fock_word(n), q, N)
     table = tuple(
         tuple(
@@ -166,16 +157,11 @@ def _string_evaluation(string: AdmissibleString) -> FactorEvaluation:
     return FactorEvaluation(tuple(assignments))
 
 
-def rep_from_string(
-    string: AdmissibleString,
-    q: float,
-    N: int,
-    max_vector_size: int = DEFAULT_MAX_VECTOR_SIZE,
-) -> GeneratorImages:
+def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImages:
     """Representation classified by an admissible string: scalar-evaluate the
     colored factors of the vacuum representation (dark at phase 0, light at
     the row phase); the result acts on the white factors only."""
-    base = fock_rep(string.n, q, N, max_vector_size=max_vector_size)
+    base = fock_rep(string.n, q, N)
     evaluation = _string_evaluation(string)
     table = tuple(
         tuple(apply_tau(base.gen(k, j), evaluation) for j in range(1, string.n + 1))

@@ -34,12 +34,16 @@ __all__ = [
     "vector_from_json",
 ]
 
+# most array elements one residual call may hold: one window-sized array per
+# shift class
+MAX_RESIDUAL_ELEMENTS = 64_000_000
+
 # self-adjointness pattern of the four corner operators: T11* = T22, the two
 # off-diagonal blocks are real diagonal
 _ADJOINT_TAG = {"I": "I", "T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorMatrix:
     """One N x N tensor factor, a weighted shift: column c is
     ``amps[c] * e_{c+delta}``, with ``amps[c] = 0`` wherever c + delta falls
@@ -49,6 +53,9 @@ class FactorMatrix:
     The provenance tuple lists primitive tags ("T11", "T12", "T21", "T22",
     "I") in product order; scalar evaluation of a factor multiplies the
     character values of its tags.
+
+    Equality and hashing are by identity: two separately built factors with
+    equal amplitudes compare unequal.
     """
 
     delta: int
@@ -212,9 +219,6 @@ class TensorTerm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "scalar", complex(self.scalar))
         object.__setattr__(self, "factors", tuple(self.factors))
-        dims = {F.dim for F in self.factors if F is not None}
-        if len(dims) > 1:
-            raise ValueError(f"factors have mixed dimensions {dims}")
 
 
 @dataclass(frozen=True)
@@ -379,7 +383,9 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
 
     The window keeps every component m_i <= N-1-d, where d bounds the length
     of the generator words involved, so an identity of the untruncated
-    algebra must come out zero up to floating point.
+    algebra must come out zero up to floating point.  Raises ``ValueError``
+    when the window-sized arrays, one per shift class, would hold more than
+    ``MAX_RESIDUAL_ELEMENTS`` elements.
     """
     a._check_compatible(b)
     dim = a.dim
@@ -401,13 +407,20 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         return abs(sum(t.scalar for t in terms))
 
     ones = np.ones(window, dtype=np.complex128)
+    size = window ** len(kept)
     shifts: dict[tuple[int, ...], np.ndarray] = {}
     for term in terms:
         factors = [term.factors[axis] for axis in kept]
+        key = tuple(0 if F is None else F.delta for F in factors)
+        if key not in shifts and (len(shifts) + 1) * size > MAX_RESIDUAL_ELEMENTS:
+            raise ValueError(
+                f"residual at N={dim}, d={d} over {len(kept)} axes would hold "
+                f"{len(shifts) + 1} x {window}^{len(kept)} elements, more than the "
+                f"limit {MAX_RESIDUAL_ELEMENTS}"
+            )
         block = np.array(term.scalar, dtype=np.complex128)
         for F in factors:
             block = np.multiply.outer(block, ones if F is None else F.amps[:window])
-        key = tuple(0 if F is None else F.delta for F in factors)
         if key in shifts:
             shifts[key] = shifts[key] + block
         else:

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from qmatball.cli import main
 from qmatball.permgroup import AdmissibleString, Permutation
+from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS
 
 
 def run(capsys, *argv):
@@ -118,6 +121,23 @@ class TestBuild:
         payload = json.loads(out)
         assert payload["factors"] == 4
 
+    def test_n4_at_trunc_4(self, capsys, tmp_path):
+        path = write_string(tmp_path, AdmissibleString(4, (4, 4, 4, 4)))
+        code, out, _ = run(
+            capsys, "build", "--string", path, "--trunc", "4",
+            "--emit", "matrix-elements",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["factors"] == 16
+        assert len(payload["matrix-elements"]) == 16
+
+    def test_tol_rejected(self, capsys, tmp_path):
+        path = write_string(tmp_path, AdmissibleString(1, (1,)))
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--string", path, "--tol", "1e-3"])
+        assert exc.value.code == 2
+
     def test_inadmissible_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 2, "pairs": [[0, 0.0], [2, 0.0]]}))
@@ -176,6 +196,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--fock", "2", "--trunc", "5")
         assert code == 0
         assert err == ""
+
+    def test_residual_memory_limit_exit_2(self, capsys):
+        # 16 axes at window 3: two 3^16 arrays would pass the limit
+        code, out, err = run(capsys, "verify", "--fock", "4", "--trunc", "5")
+        assert code == 2
+        assert out == ""
+        assert str(MAX_RESIDUAL_ELEMENTS) in err and "16 axes" in err
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")

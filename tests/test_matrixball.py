@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qmatball import matrixball
 from qmatball.matrixball import (
     GeneratorImages,
     MonomialExponent,
@@ -30,7 +31,7 @@ from qmatball.permgroup import (
     enumerate_admissible,
     l_exponent,
 )
-from qmatball.qoperator import StateVector
+from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS, StateVector, residual_on_window
 
 from conftest import random_phases_for, term_signature
 
@@ -70,9 +71,25 @@ class TestFockRep:
                 image = g.gen(k, j).adjoint().apply(vac)
                 assert np.all(image.amplitudes == 0)
 
-    def test_resource_guard(self):
-        with pytest.raises(ValueError):
-            fock_rep(3, Q, 10, max_vector_size=10**6)
+    def test_resource_guard(self, monkeypatch):
+        # building is cheap at any N; the residual refuses 8^9 window arrays
+        # before allocating the first one
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return residual_on_window(*args)
+
+        monkeypatch.setattr(matrixball, "residual_on_window", counted)
+        g = fock_rep(3, Q, 10)
+        with pytest.raises(ValueError, match=str(MAX_RESIDUAL_ELEMENTS)):
+            verify_relations(g)
+        assert len(calls) == 1
+
+    def test_n4_builds_past_the_old_state_space_cap(self):
+        g = fock_rep(4, Q, 4)
+        assert g.f == 16 and g.N == 4
+        assert vacuum_annihilation_exact(g)
 
     def test_sign_convention_at_vacuum(self):
         # through the embedding, the vacuum element of z_k^j is

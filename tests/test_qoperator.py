@@ -183,6 +183,17 @@ class TestApplyAndAlgebra:
         with pytest.raises(ValueError):
             TensorOperator.identity(2, N) * TensorOperator.identity(3, N)
 
+    def test_factor_of_wrong_size_rejected(self):
+        term = TensorTerm(1.0, (t_block(2, 1, Q, N), t_block(2, 1, Q, N + 1)))
+        with pytest.raises(ValueError, match="differs from operator dim"):
+            TensorOperator(2, N, (term,))
+
+    def test_factor_equality_is_identity(self):
+        F = t_block(1, 1, Q, 3)
+        assert F == F
+        assert (t_block(1, 1, Q, 3) == t_block(1, 1, Q, 3)) is False
+        assert F in {F}
+
 
 class TestResidualWindow:
     def test_equal_operators(self):
