@@ -32,8 +32,6 @@ __all__ = [
     "apply_tau",
     "tau_factor_value",
     "twist_check",
-    "rep_to_json",
-    "rep_from_json",
 ]
 
 
@@ -198,28 +196,6 @@ def apply_tau(op: TensorOperator, ev: FactorEvaluation) -> TensorOperator:
             continue
         new_terms.append(TensorTerm(scalar, tuple(term.factors[a] for a in keep)))
     return TensorOperator(len(keep), op.dim, tuple(new_terms))
-
-
-def rep_to_json(rep: SoibelmanRep) -> dict:
-    """Representation descriptor {"m", "word", "q", "N", "phases"}."""
-    return {
-        "m": rep.m,
-        "word": list(rep.word.letters),
-        "q": rep.q,
-        "N": rep.N,
-        "phases": list(rep.phases) if rep.phases is not None else None,
-    }
-
-
-def rep_from_json(data: dict) -> SoibelmanRep:
-    phases = data.get("phases")
-    return SoibelmanRep(
-        int(data["m"]),
-        ReducedWord(int(data["m"]), tuple(data["word"])),
-        float(data["q"]),
-        int(data["N"]),
-        tuple(float(x) for x in phases) if phases is not None else None,
-    )
 
 
 def twist_check(

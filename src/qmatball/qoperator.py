@@ -1,16 +1,17 @@
 """Truncated shift-operator engine on (C^N)^{tensor f}.
 
 Operators are kept as sums of scalar-weighted elementary tensors of
-weighted-shift factors (`delta`, amplitudes); application, products, adjoints
-and norms act on the amplitudes, and dense matrices appear only at the JSON
-boundary.  Identities of the untruncated algebra are certified on a
-truncation-safe window: a word of d generators moves any occupation index by
-at most d, so basis vectors whose indices do not exceed N-1-d see the exact
-infinite-dimensional action.
+weighted-shift factors (`delta`, amplitudes); application, products, adjoints,
+norms and the JSON form act on the amplitudes, and dense matrices appear only
+in the ``entries`` view that test oracles compare against.  Identities of the
+untruncated algebra are certified on a truncation-safe window: a word of d
+generators moves any occupation index by at most d, so basis vectors whose
+indices do not exceed N-1-d see the exact infinite-dimensional action.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,10 @@ __all__ = [
     "vacuum_matrix_element",
     "operator_to_json",
     "operator_from_json",
-    "vector_to_json",
-    "vector_from_json",
 ]
 
 # most array elements one residual call may hold: one window-sized array per
-# shift class
+# shift class, plus the term being built and the running sum of squares
 MAX_RESIDUAL_ELEMENTS = 64_000_000
 
 # self-adjointness pattern of the four corner operators: T11* = T22, the two
@@ -68,7 +67,10 @@ class FactorMatrix:
             raise ValueError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("factor entries must be finite")
-        delta = int(self.delta)
+        try:
+            delta = operator.index(self.delta)
+        except TypeError:
+            raise ValueError(f"shift must be an integer, got {self.delta!r}") from None
         # columns whose image would leave the truncation
         outside = amps[max(amps.size - delta, 0):] if delta > 0 else amps[:-delta]
         if np.count_nonzero(outside):
@@ -79,33 +81,13 @@ class FactorMatrix:
         if self.provenance is not None:
             object.__setattr__(self, "provenance", tuple(self.provenance))
 
-    @classmethod
-    def from_dense(
-        cls, entries: np.ndarray, provenance: tuple[str, ...] | None = None
-    ) -> "FactorMatrix":
-        """Factor from a square matrix whose nonzeros lie on one diagonal."""
-        entries = np.asarray(entries, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"factor must be square, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("factor entries must be finite")
-        rows, cols = np.nonzero(entries)
-        deltas = set((rows - cols).tolist())
-        if len(deltas) > 1:
-            raise ValueError(f"factor has nonzeros on {len(deltas)} diagonals, not one")
-        delta = deltas.pop() if deltas else 0
-        size = entries.shape[0]
-        amps = np.zeros(size, dtype=np.complex128)
-        amps[max(-delta, 0) : size - max(delta, 0)] = np.diagonal(entries, -delta)
-        return cls(delta, amps, provenance)
-
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense N x N matrix, read-only; for output and oracles."""
+        """The dense N x N matrix, read-only; for oracles."""
         if abs(self.delta) >= self.dim:
             out = np.zeros((self.dim, self.dim), dtype=np.complex128)
         else:
@@ -383,9 +365,10 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
 
     The window keeps every component m_i <= N-1-d, where d bounds the length
     of the generator words involved, so an identity of the untruncated
-    algebra must come out zero up to floating point.  Raises ``ValueError``
-    when the window-sized arrays, one per shift class, would hold more than
-    ``MAX_RESIDUAL_ELEMENTS`` elements.
+    algebra must come out zero up to floating point.  Raises ``ValueError``,
+    before allocating any array, when the window-sized arrays (one per shift
+    class, plus the term being built and the running sum of squares) would
+    hold more than ``MAX_RESIDUAL_ELEMENTS`` elements.
     """
     a._check_compatible(b)
     dim = a.dim
@@ -406,23 +389,23 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     if not kept:
         return abs(sum(t.scalar for t in terms))
 
+    factor_lists = [[t.factors[axis] for axis in kept] for t in terms]
+    keys = [tuple(0 if F is None else F.delta for F in fs) for fs in factor_lists]
+    classes = len(set(keys))
+    if (classes + 2) * window ** len(kept) > MAX_RESIDUAL_ELEMENTS:
+        raise ValueError(
+            f"residual at N={dim}, d={d} over {len(kept)} axes would hold "
+            f"({classes} shift classes + 2) x {window}^{len(kept)} elements, more "
+            f"than the limit {MAX_RESIDUAL_ELEMENTS}"
+        )
     ones = np.ones(window, dtype=np.complex128)
-    size = window ** len(kept)
     shifts: dict[tuple[int, ...], np.ndarray] = {}
-    for term in terms:
-        factors = [term.factors[axis] for axis in kept]
-        key = tuple(0 if F is None else F.delta for F in factors)
-        if key not in shifts and (len(shifts) + 1) * size > MAX_RESIDUAL_ELEMENTS:
-            raise ValueError(
-                f"residual at N={dim}, d={d} over {len(kept)} axes would hold "
-                f"{len(shifts) + 1} x {window}^{len(kept)} elements, more than the "
-                f"limit {MAX_RESIDUAL_ELEMENTS}"
-            )
+    for term, factors, key in zip(terms, factor_lists, keys):
         block = np.array(term.scalar, dtype=np.complex128)
         for F in factors:
             block = np.multiply.outer(block, ones if F is None else F.amps[:window])
         if key in shifts:
-            shifts[key] = shifts[key] + block
+            shifts[key] += block
         else:
             shifts[key] = block
     # distinct shift vectors hit distinct basis vectors, so the squared
@@ -487,6 +470,9 @@ def _complex_to_json(z: complex) -> list[float]:
 
 
 def operator_to_json(op: TensorOperator) -> dict:
+    """``{"f", "dim", "terms"}``; each term is ``{"scalar": [re, im],
+    "factors": [...]}``, a factor being ``"I"`` or ``{"delta": d, "amps":
+    [[re, im], ...]}`` with ``dim`` amplitude pairs."""
     terms = []
     for term in op.terms:
         factors = []
@@ -494,49 +480,36 @@ def operator_to_json(op: TensorOperator) -> dict:
             if F is None:
                 factors.append("I")
             else:
-                factors.append(
-                    [[_complex_to_json(z) for z in row] for row in F.entries.tolist()]
-                )
+                amps = [_complex_to_json(z) for z in F.amps.tolist()]
+                factors.append({"delta": F.delta, "amps": amps})
         terms.append({"scalar": _complex_to_json(term.scalar), "factors": factors})
     return {"f": op.f, "dim": op.dim, "terms": terms}
 
 
+def _complex_from_json(z) -> complex:
+    re, im = z
+    return complex(re, im)
+
+
 def operator_from_json(data: dict) -> TensorOperator:
-    f = int(data["f"])
-    dim = int(data["dim"])
-    terms = []
-    for raw in data["terms"]:
-        scalar = complex(raw["scalar"][0], raw["scalar"][1])
-        factors: list[FactorMatrix | None] = []
-        for entry in raw["factors"]:
-            if entry == "I":
-                factors.append(None)
-            else:
-                entries = np.array(
-                    [[complex(z[0], z[1]) for z in row] for row in entry],
-                    dtype=np.complex128,
-                )
-                factors.append(FactorMatrix.from_dense(entries))
-        terms.append(TensorTerm(scalar, tuple(factors)))
+    """Inverse of ``operator_to_json``; malformed input raises ``ValueError``."""
+    try:
+        f = operator.index(data["f"])
+        dim = operator.index(data["dim"])
+        terms = []
+        for raw in data["terms"]:
+            scalar = _complex_from_json(raw["scalar"])
+            factors: list[FactorMatrix | None] = []
+            for entry in raw["factors"]:
+                if entry == "I":
+                    factors.append(None)
+                else:
+                    amps = [_complex_from_json(z) for z in entry["amps"]]
+                    factors.append(FactorMatrix(entry["delta"], amps))
+            terms.append(TensorTerm(scalar, tuple(factors)))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed operator JSON: {exc!r}") from exc
     return TensorOperator(f, dim, tuple(terms))
-
-
-def vector_to_json(v: StateVector) -> dict:
-    amplitudes = []
-    for index in np.ndindex(*(v.dim,) * v.f):
-        z = v.amplitudes[index]
-        if z != 0:
-            amplitudes.append([list(index), _complex_to_json(z)])
-    return {"f": v.f, "dim": v.dim, "amplitudes": amplitudes}
-
-
-def vector_from_json(data: dict) -> StateVector:
-    f = int(data["f"])
-    dim = int(data["dim"])
-    amp = np.zeros((dim,) * f, dtype=np.complex128)
-    for index, z in data["amplitudes"]:
-        amp[tuple(index)] = complex(z[0], z[1])
-    return StateVector(f, dim, amp)
 
 
 def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from qmatball.cli import main
+from qmatball.matrixball import rep_from_string
 from qmatball.permgroup import AdmissibleString, Permutation
-from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS
+from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS, operator_from_json
 
 
 def run(capsys, *argv):
@@ -131,6 +133,29 @@ class TestBuild:
         payload = json.loads(out)
         assert payload["factors"] == 16
         assert len(payload["matrix-elements"]) == 16
+
+    def test_emit_z_round_trip(self, capsys, tmp_path):
+        string = AdmissibleString(3, (3, 3, 2), (0.0, 0.0, 1.0))
+        path = write_string(tmp_path, string)
+        code, out, _ = run(capsys, "build", "--string", path, "--trunc", "6")
+        assert code == 0
+        emitted = json.loads(out)["z"]
+        g = rep_from_string(string, 0.5, 6)
+        for k in range(1, g.n + 1):
+            for j in range(1, g.n + 1):
+                data = emitted[f"z_{k}^{j}"]
+                for term in data["terms"]:
+                    for F in term["factors"]:
+                        assert F == "I" or len(F["amps"]) == 6
+                parsed, built = operator_from_json(data), g.gen(k, j)
+                assert len(parsed.terms) == len(built.terms)
+                for p, b in zip(parsed.terms, built.terms):
+                    assert p.scalar == b.scalar
+                    for F, G in zip(p.factors, b.factors, strict=True):
+                        assert (F is None) == (G is None)
+                        if F is not None:
+                            assert F.delta == G.delta
+                            assert np.array_equal(F.amps, G.amps)
 
     def test_tol_rejected(self, capsys, tmp_path):
         path = write_string(tmp_path, AdmissibleString(1, (1,)))

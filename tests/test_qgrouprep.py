@@ -176,7 +176,7 @@ class TestApplyTau:
         assert tau_factor_value(F, 0.9) == pytest.approx(1.0)
 
     def test_untagged_factor_rejected(self):
-        raw = FactorMatrix.from_dense(np.eye(N))
+        raw = FactorMatrix(0, np.ones(N))
         op = TensorOperator(1, N, (TensorTerm(1.0, (raw,)),))
         with pytest.raises(ValueError):
             apply_tau(op, FactorEvaluation(((1, 0.0),)))
@@ -215,18 +215,3 @@ class TestTwist:
             phases = rng.uniform(0, 2 * math.pi, size=3)
             phases = list(phases) + [float(-sum(phases) % (2 * math.pi))]
             assert twist_check(s, phases) < 1e-10
-
-
-class TestDescriptorJson:
-    def test_round_trip(self):
-        from qmatball.qgrouprep import rep_from_json, rep_to_json
-
-        rep = SoibelmanRep(4, ReducedWord(4, (2, 1, 3, 2)), Q, N, (0.1, 0.2, 0.3, -0.6 + 2 * math.pi))
-        back = rep_from_json(rep_to_json(rep))
-        assert back == rep
-
-    def test_round_trip_without_phases(self):
-        from qmatball.qgrouprep import rep_from_json, rep_to_json
-
-        rep = SoibelmanRep(3, ReducedWord(3, (1, 2)), Q, N)
-        assert rep_from_json(rep_to_json(rep)) == rep

@@ -1,11 +1,13 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmatball import qoperator
 from qmatball.qoperator import (
     FactorMatrix,
     StateVector,
@@ -22,8 +24,6 @@ from qmatball.qoperator import (
     shift,
     t_block,
     vacuum_matrix_element,
-    vector_from_json,
-    vector_to_json,
 )
 
 Q, N = 0.5, 6
@@ -217,6 +217,22 @@ class TestResidualWindow:
         b = TensorOperator(0, N, (TensorTerm(1.0, ()),))
         assert residual_on_window(a, b, 2) == pytest.approx(0.25)
 
+    def test_refused_before_any_array(self, monkeypatch):
+        # two shift classes on three axes, and a limit of one class array
+        dim, d = 20, 1
+        size = (dim - d) ** 3
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", size)
+        a = single(1.0, [t_block(1, 1, Q, dim)] * 3, dim=dim)
+        b = single(1.0, [t_block(2, 2, Q, dim)] * 3, dim=dim)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(size)):
+                residual_on_window(a, b, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * np.dtype(np.complex128).itemsize
+
 
 class TestNormEstimate:
     def test_identity(self):
@@ -256,11 +272,6 @@ class TestSerialization:
         assert back.f == op.f and back.dim == op.dim
         v = StateVector.basis(2, 3, (1, 1))
         assert np.allclose(op.apply(v).amplitudes, back.apply(v).amplitudes)
-
-    def test_vector_round_trip(self):
-        v = StateVector.basis(2, 3, (2, 1)).scale(0.5j)
-        back = vector_from_json(json.loads(json.dumps(vector_to_json(v))))
-        assert np.allclose(back.amplitudes, v.amplitudes)
 
 
 class TestAssociativity:
@@ -307,10 +318,11 @@ def dense_norm(op):
 
 def weighted_shift(rng, dim):
     """Random complex amplitudes on one random diagonal of a dim x dim matrix."""
-    delta = int(rng.integers(-(dim - 1), dim))
-    size = dim - abs(delta)
-    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return FactorMatrix.from_dense(np.diag(amps, k=delta))
+    k = int(rng.integers(-(dim - 1), dim))  # the diagonal np.diag(., k) fills
+    size = dim - abs(k)
+    amps = np.zeros(dim, dtype=complex)
+    amps[max(k, 0) : max(k, 0) + size] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return FactorMatrix(-k, amps)
 
 
 def random_operator(rng, f, dim, n_terms):
@@ -355,12 +367,14 @@ class TestWeightedShiftOracle:
             dim - abs(delta)
         )
         dense = np.diag(diagonal, k=-delta)
-        F = FactorMatrix.from_dense(dense)
-        assert F.delta == delta
+        amps = np.zeros(dim, dtype=complex)
+        amps[max(-delta, 0) : max(-delta, 0) + diagonal.size] = diagonal
+        F = FactorMatrix(delta, amps)
         assert np.array_equal(F.entries, dense)
         assert np.array_equal(F.adjoint().entries, dense.conj().T)
         assert F.norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
-        back = FactorMatrix.from_dense(F.entries)
+        data = json.loads(json.dumps(operator_to_json(single(1.0, [F], dim=dim))))
+        (back,) = operator_from_json(data).terms[0].factors
         assert back.delta == F.delta and np.array_equal(back.amps, F.amps)
 
     def test_primitives_in_closed_form(self):
@@ -387,16 +401,30 @@ class TestWeightedShiftOracle:
         with pytest.raises(ValueError):
             t_block(1, 1, Q, N).entries[0, 1] = 2.0
 
+    def test_non_integer_shift_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            FactorMatrix(-0.5, [1.0, 1.0, 1.0])
+        assert FactorMatrix(np.int64(-1), [0.0, 1.0, 1.0]).delta == -1
+
     def test_non_weighted_shift_input_rejected(self):
-        two_diagonals = np.eye(3) + np.diag([1.0, 1.0], k=1)
-        not_finite = np.diag([1.0, np.nan, 1.0])
-        for dense in (two_diagonals, not_finite):
-            with pytest.raises(ValueError):
-                FactorMatrix.from_dense(dense)
+        one = [1.0, 0.0]
+        malformed = [
+            {"delta": 0, "amps": [one, [float("nan"), 0.0], one]},
+            {"delta": 1, "amps": [one, one, one]},  # e_2 would map to e_3
+            {"delta": -0.5, "amps": [one, one, one]},
+            {"delta": 0, "amps": [one, one]},  # dim is 3
+            [[one, [0.0, 0.0], [0.0, 0.0]]] * 3,  # dense rows, the old format
+            {"amps": [one, one, one]},
+            {"delta": 0, "amps": [[1.0], one, one]},
+        ]
+        for entry in malformed:
             data = operator_to_json(single(1.0, [t_block(2, 1, Q, 3)], dim=3))
-            data["terms"][0]["factors"][0] = [
-                [[z.real, z.imag] for z in row] for row in dense.astype(complex)
-            ]
+            data["terms"][0]["factors"][0] = entry
+            with pytest.raises(ValueError):
+                operator_from_json(json.loads(json.dumps(data)))
+        for key, value in (("f", 1.5), ("dim", "3")):
+            data = operator_to_json(single(1.0, [t_block(2, 1, Q, 3)], dim=3))
+            data[key] = value
             with pytest.raises(ValueError):
                 operator_from_json(data)
 
