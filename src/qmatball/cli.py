@@ -8,6 +8,7 @@ goes to stdout (JSON or plain text); ``--out FILE`` redirects it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -233,7 +234,9 @@ def cmd_paths(cfg: CommandConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="qmatball",
         description="Quantized matrix ball: enumeration, minimization, "

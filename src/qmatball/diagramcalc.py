@@ -18,7 +18,7 @@ import cmath
 from dataclasses import dataclass
 
 from .permgroup import AdmissibleString, admissible_bound
-from .qoperator import TensorOperator, TensorTerm, t_block
+from .qoperator import TensorOperator, t_block_ids
 
 __all__ = [
     "Cell",
@@ -191,18 +191,19 @@ def synthesize_z(
     n = grid.n
     whites = grid.white_cells()
     position = {cell: idx for idx, cell in enumerate(whites)}
-    blocks = {(i, l): t_block(i, l, q, N) for i in (1, 2) for l in (1, 2)}
+    blocks = t_block_ids(q, N)
     prefactor = (-q) ** (k - n)
-    terms = []
+    scalars = []
+    rows = []
     for path in enumerate_paths(n, k, j):
         scalar = complex(prefactor)
-        factors = [None] * len(whites)
+        ids = [0] * len(whites)
         alive = True
         for row, col, arrow in path.steps:
             block = _ARROW_BLOCK[arrow]
             cell = grid.cell(row, col)
             if cell.kind == "white":
-                factors[position[(row, col)]] = blocks[block]
+                ids[position[(row, col)]] = blocks[block]
             elif arrow in (VERT_PASS, HORIZ_PASS):
                 alive = False
                 break
@@ -211,8 +212,9 @@ def synthesize_z(
             else:
                 scalar *= cmath.exp(1j * cell.phase)
         if alive:
-            terms.append(TensorTerm(scalar, tuple(factors)))
-    return TensorOperator(len(whites), N, tuple(terms))
+            scalars.append(scalar)
+            rows.append(ids)
+    return TensorOperator.from_ids(len(whites), N, scalars, rows)
 
 
 def render_ascii(grid: GridDiagram) -> str:

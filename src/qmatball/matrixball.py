@@ -273,9 +273,43 @@ def zaa4_case_coefficients(
     return {k: v for k, v in out.items() if v}
 
 
+# ("z", k, j) names z_k^j and ("zs", k, j) its adjoint
+_Name = tuple[str, int, int]
+
+
+class _Products:
+    """Generator adjoints and products of two named generators or adjoints,
+    each computed once."""
+
+    def __init__(self, g: GeneratorImages) -> None:
+        self.g = g
+        self._adjoints: dict[tuple[int, int], TensorOperator] = {}
+        self._products: dict[tuple, TensorOperator] = {}
+
+    def op(self, name: _Name) -> TensorOperator:
+        star, k, j = name
+        if star == "z":
+            return self.g.gen(k, j)
+        if (k, j) not in self._adjoints:
+            self._adjoints[(k, j)] = self.g.gen(k, j).adjoint()
+        return self._adjoints[(k, j)]
+
+    def __call__(self, left: _Name, right: _Name) -> TensorOperator:
+        if (left, right) not in self._products:
+            self._products[(left, right)] = self.op(left) * self.op(right)
+        return self._products[(left, right)]
+
+    def forget_products(self) -> None:
+        """Drops the cached products and keeps the adjoints."""
+        self._products.clear()
+
+
 def _coefficients_to_operator(
-    g: GeneratorImages, coefficients: dict[tuple, LaurentPoly]
+    g: GeneratorImages,
+    coefficients: dict[tuple, LaurentPoly],
+    products: _Products | None = None,
 ) -> TensorOperator:
+    prod = products or _Products(g)
     op = TensorOperator.zero(g.f, g.N)
     for key, poly in sorted(coefficients.items()):
         value = _lp_eval(poly, g.q)
@@ -283,7 +317,7 @@ def _coefficients_to_operator(
             op = op + g.identity().scale(value)
         else:
             _, a2, alpha2, b2, beta2 = key
-            op = op + (g.gen(a2, alpha2) * g.gen(b2, beta2).adjoint()).scale(value)
+            op = op + prod(("z", a2, alpha2), ("zs", b2, beta2)).scale(value)
     return op
 
 
@@ -309,12 +343,13 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     n, q = g.n, g.q
     d = 2
     reports: list[RelationReport] = []
+    prod = _Products(g)
 
-    def z(k: int, j: int) -> TensorOperator:
-        return g.gen(k, j)
+    def z(k: int, j: int) -> _Name:
+        return ("z", k, j)
 
-    def zs(k: int, j: int) -> TensorOperator:
-        return g.gen(k, j).adjoint()
+    def zs(k: int, j: int) -> _Name:
+        return ("zs", k, j)
 
     def record(relation: str, indices: tuple[int, ...], lhs, rhs) -> None:
         reports.append(
@@ -329,42 +364,46 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
                         record(
                             "zaa1",
                             (a, b, alpha, beta),
-                            z(a, alpha) * z(b, beta),
-                            (z(b, beta) * z(a, alpha)).scale(q),
+                            prod(z(a, alpha), z(b, beta)),
+                            prod(z(b, beta), z(a, alpha)).scale(q),
                         )
                         record(
                             "zaa1*",
                             (a, b, alpha, beta),
-                            zs(b, beta) * zs(a, alpha),
-                            (zs(a, alpha) * zs(b, beta)).scale(q),
+                            prod(zs(b, beta), zs(a, alpha)),
+                            prod(zs(a, alpha), zs(b, beta)).scale(q),
                         )
                     if alpha < beta and a > b:
                         record(
                             "zaa2",
                             (a, b, alpha, beta),
-                            z(a, alpha) * z(b, beta),
-                            z(b, beta) * z(a, alpha),
+                            prod(z(a, alpha), z(b, beta)),
+                            prod(z(b, beta), z(a, alpha)),
                         )
                         record(
                             "zaa2*",
                             (a, b, alpha, beta),
-                            zs(b, beta) * zs(a, alpha),
-                            zs(a, alpha) * zs(b, beta),
+                            prod(zs(b, beta), zs(a, alpha)),
+                            prod(zs(a, alpha), zs(b, beta)),
                         )
                     if alpha < beta and a < b:
                         record(
                             "zaa3",
                             (a, b, alpha, beta),
-                            z(a, alpha) * z(b, beta) - z(b, beta) * z(a, alpha),
-                            (z(a, beta) * z(b, alpha)).scale(q - 1.0 / q),
+                            prod(z(a, alpha), z(b, beta))
+                            - prod(z(b, beta), z(a, alpha)),
+                            prod(z(a, beta), z(b, alpha)).scale(q - 1.0 / q),
                         )
                         record(
                             "zaa3*",
                             (a, b, alpha, beta),
-                            zs(b, beta) * zs(a, alpha) - zs(a, alpha) * zs(b, beta),
-                            (zs(b, alpha) * zs(a, beta)).scale(q - 1.0 / q),
+                            prod(zs(b, beta), zs(a, alpha))
+                            - prod(zs(a, alpha), zs(b, beta)),
+                            prod(zs(b, alpha), zs(a, beta)).scale(q - 1.0 / q),
                         )
 
+    # the exchange families below share only the products z * z*
+    prod.forget_products()
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             for alpha in range(1, n + 1):
@@ -376,55 +415,59 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
                             f"exchange coefficient tables disagree at "
                             f"{(a, b, alpha, beta)}"
                         )
-                    lhs = zs(b, beta) * z(a, alpha)
+                    # used by this instance only, so not cached
+                    lhs = prod.op(zs(b, beta)) * prod.op(z(a, alpha))
                     record(
                         _zaa4_case_id(a, b, alpha, beta),
                         (a, b, alpha, beta),
                         lhs,
-                        _case_rhs(g, a, b, alpha, beta),
+                        _case_rhs(g, a, b, alpha, beta, prod),
                     )
                     record(
                         "R-form",
                         (a, b, alpha, beta),
                         lhs,
-                        _coefficients_to_operator(g, rform),
+                        _coefficients_to_operator(g, rform, prod),
                     )
     return reports
 
 
 def _case_rhs(
-    g: GeneratorImages, a: int, b: int, alpha: int, beta: int
+    g: GeneratorImages,
+    a: int,
+    b: int,
+    alpha: int,
+    beta: int,
+    products: _Products | None = None,
 ) -> TensorOperator:
     """Exchange right-hand side built directly from the per-case formulas
     (independent of the coefficient-table route used for the R-matrix form)."""
     n, q = g.n, g.q
+    prod = products or _Products(g)
 
-    def z(k, j):
-        return g.gen(k, j)
-
-    def zs(k, j):
-        return g.gen(k, j).adjoint()
+    def z_zs(k1, j1, k2, j2):
+        return prod(("z", k1, j1), ("zs", k2, j2))
 
     if a != b and alpha != beta:
-        return z(a, alpha) * zs(b, beta)
+        return z_zs(a, alpha, b, beta)
     if a == b and alpha != beta:
-        op = (z(a, alpha) * zs(a, beta)).scale(q)
+        op = z_zs(a, alpha, a, beta).scale(q)
         for j in range(a + 1, n + 1):
-            op = op + (z(j, alpha) * zs(j, beta)).scale(-(1.0 / q - q))
+            op = op + z_zs(j, alpha, j, beta).scale(-(1.0 / q - q))
         return op
     if a != b and alpha == beta:
-        op = (z(a, alpha) * zs(b, alpha)).scale(q)
+        op = z_zs(a, alpha, b, alpha).scale(q)
         for j in range(alpha + 1, n + 1):
-            op = op + (z(a, j) * zs(b, j)).scale(-(1.0 / q - q))
+            op = op + z_zs(a, j, b, j).scale(-(1.0 / q - q))
         return op
-    op = (z(a, alpha) * zs(a, alpha)).scale(q**2)
+    op = z_zs(a, alpha, a, alpha).scale(q**2)
     for j in range(alpha + 1, n + 1):
-        op = op + (z(a, j) * zs(a, j)).scale(-(1.0 - q**2))
+        op = op + z_zs(a, j, a, j).scale(-(1.0 - q**2))
     for j in range(a + 1, n + 1):
-        op = op + (z(j, alpha) * zs(j, alpha)).scale(-(1.0 - q**2))
+        op = op + z_zs(j, alpha, j, alpha).scale(-(1.0 - q**2))
     for j in range(alpha + 1, n + 1):
         for m in range(a + 1, n + 1):
-            op = op + (z(m, j) * zs(m, j)).scale((1.0 - q**2) ** 2 / q**2)
+            op = op + z_zs(m, j, m, j).scale((1.0 - q**2) ** 2 / q**2)
     return op + g.identity().scale(1.0 - q**2)
 
 
@@ -524,10 +567,11 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     if n < 2:
         raise ValueError("the commutation families need n >= 2")
     reports: list[RelationReport] = []
+    prod = _Products(g)
     for m in range(1, n + 1):
         a_m = g.identity()
         for j in range(m, n + 1):
-            a_m = a_m - g.gen(j, n) * g.gen(j, n).adjoint()
+            a_m = a_m - prod(("z", j, n), ("zs", j, n))
         for j in range(1, n + 1):
             lhs = g.gen(j, n) * a_m
             rhs = a_m * g.gen(j, n)
@@ -549,9 +593,7 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
                         A_M_DEPTH,
                     )
                 )
-        commutator = (
-            g.gen(m, n).adjoint() * g.gen(m, n) - g.gen(m, n) * g.gen(m, n).adjoint()
-        )
+        commutator = prod(("zs", m, n), ("z", m, n)) - prod(("z", m, n), ("zs", m, n))
         reports.append(
             RelationReport(
                 "A_m-comm",

@@ -17,10 +17,11 @@ from typing import Sequence
 
 from .permgroup import Permutation, ReducedWord, reduced_word, twist_phases
 from .qoperator import (
+    FACTORS,
     FactorMatrix,
     TensorOperator,
-    TensorTerm,
     t_block,
+    t_block_ids,
     vacuum_matrix_element,
 )
 
@@ -101,32 +102,30 @@ def rep_generator(rep: SoibelmanRep, k: int, l: int) -> TensorOperator:
         raise ValueError(f"matrix entry ({k}, {l}) outside 1..{rep.m}")
     letters = rep.word.letters
     f = len(letters)
-    blocks = {
-        (i, j): t_block(i, j, rep.q, rep.N) for i in (1, 2) for j in (1, 2)
-    }
+    blocks = t_block_ids(rep.q, rep.N)
     scalar = 1.0 + 0.0j
     if rep.phases is not None:
         scalar = cmath.exp(1j * rep.phases[l - 1])
 
-    terms: list[TensorTerm] = []
-    factors: list[FactorMatrix | None] = [None] * f
+    rows: list[list[int]] = []
+    row = [0] * f
 
     def descend(pos: int, r: int) -> None:
         if pos == f:
             if r == l:
-                terms.append(TensorTerm(scalar, tuple(factors)))
+                rows.append(row.copy())
             return
         a = letters[pos]
         if r in (a, a + 1):
             for r_next in (a, a + 1):
-                factors[pos] = blocks[(r - a + 1, r_next - a + 1)]
+                row[pos] = blocks[(r - a + 1, r_next - a + 1)]
                 descend(pos + 1, r_next)
-            factors[pos] = None
+            row[pos] = 0
         else:
             descend(pos + 1, r)
 
     descend(0, k)
-    return TensorOperator(f, rep.N, tuple(terms))
+    return TensorOperator.from_ids(f, rep.N, [scalar] * len(rows), rows)
 
 
 @dataclass(frozen=True)
@@ -185,17 +184,24 @@ def apply_tau(op: TensorOperator, ev: FactorEvaluation) -> TensorOperator:
     if any(i > op.f for i in table):
         raise ValueError(f"assignment index exceeds factor count {op.f}")
     keep = [axis for axis in range(op.f) if (axis + 1) not in table]
-    new_terms = []
-    for term in op.terms:
-        scalar = term.scalar
+    # character value of each (assigned position, factor id) met so far
+    values: dict[tuple[int, int], complex] = {}
+    scalars = []
+    rows = []
+    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
         for index, phi in table.items():
-            scalar *= tau_factor_value(term.factors[index - 1], phi)
+            tid = row[index - 1]
+            value = values.get((index, tid))
+            if value is None:
+                value = values[(index, tid)] = tau_factor_value(FACTORS[tid], phi)
+            scalar *= value
             if scalar == 0:
                 break
         if scalar == 0:
             continue
-        new_terms.append(TensorTerm(scalar, tuple(term.factors[a] for a in keep)))
-    return TensorOperator(len(keep), op.dim, tuple(new_terms))
+        scalars.append(scalar)
+        rows.append([row[a] for a in keep])
+    return TensorOperator.from_ids(len(keep), op.dim, scalars, rows)
 
 
 def twist_check(

@@ -1,16 +1,26 @@
 """Truncated shift-operator engine on (C^N)^{tensor f}.
 
-Operators are kept as sums of scalar-weighted elementary tensors of
-weighted-shift factors (`delta`, amplitudes); application, products, adjoints,
-norms and the JSON form act on the amplitudes, and dense matrices appear only
-in the ``entries`` view that test oracles compare against.  Identities of the
-untruncated algebra are certified on a truncation-safe window: a word of d
-generators moves any occupation index by at most d, so basis vectors whose
-indices do not exceed N-1-d see the exact infinite-dimensional action.
+Operators are sums of scalar-weighted elementary tensors of weighted-shift
+factors (`delta`, amplitudes).  A `TensorOperator` stores its terms as two
+read-only arrays: a complex scalar vector of shape (T,) and an integer id
+matrix of shape (T, f).  Id 0 is the identity; every other id names one
+factor in `FACTORS`, the process-wide factor table, which also caches the
+product id of each pair of ids and the adjoint id of each id.  A product of
+operators is then one gather over term pairs, an adjoint an id map, and the
+window residual reads shift keys and amplitudes from the table by id.  Dense
+matrices appear only in the ``entries`` view that test oracles compare
+against.
+
+Identities of the untruncated algebra are certified on a truncation-safe
+window: a word of d generators moves any occupation index by at most d, so
+basis vectors whose indices do not exceed N-1-d see the exact
+infinite-dimensional action.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -18,6 +28,8 @@ import numpy as np
 
 __all__ = [
     "FactorMatrix",
+    "FactorTable",
+    "FACTORS",
     "TensorTerm",
     "TensorOperator",
     "StateVector",
@@ -25,6 +37,7 @@ __all__ = [
     "c_q",
     "d_q",
     "t_block",
+    "t_block_ids",
     "residual_on_window",
     "norm_bound",
     "norm_estimate",
@@ -33,9 +46,16 @@ __all__ = [
     "operator_from_json",
 ]
 
-# most array elements one residual call may hold: one window-sized array per
-# shift class, plus the term being built and the running sum of squares
+# most complex128 elements one residual call may hold at once; see
+# residual_on_window for what it counts
 MAX_RESIDUAL_ELEMENTS = 64_000_000
+
+# elements in one chunk of term blocks that a residual call builds at once;
+# a term whose block is larger is built alone
+_CHUNK_ELEMENTS = 1 << 12
+
+# dtype of factor ids; a table never nears 2^31 factors
+_ID = np.int32
 
 # self-adjointness pattern of the four corner operators: T11* = T22, the two
 # off-diagonal blocks are real diagonal
@@ -127,6 +147,111 @@ def _rolled(amps: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((amps[k:], amps[:k]))
 
 
+class FactorTable:
+    """Interned tensor factors, addressed by integer id.
+
+    Key: a factor's content, ``(provenance, delta, amplitude bytes)``.
+    Factors with equal content share one id, whichever object they came
+    from; a factor without provenance (read from JSON or built by hand) gets
+    an anonymous id that no tagged factor shares.  Id 0 is the identity.
+
+    Lifetime: the process (the module keeps one table, ``FACTORS``).  Entries
+    are never removed, so an id stays valid for every operator holding it;
+    the table grows with the distinct factors put into operators and with
+    the products and adjoints taken of them.  The product id of each pair of
+    ids and the adjoint id of each id are computed once, on first use.
+
+    ``deltas`` and ``kills_vacuum`` are read-only per-id columns (the shift,
+    and whether ``amps[0] == 0``) to index with id arrays; their entries past
+    ``len(table)`` are unused.
+    """
+
+    def __init__(self) -> None:
+        self._factors: list[FactorMatrix | None] = [None]
+        self._by_content: dict[tuple, int] = {}
+        # id(F) of the stored factors only: the table keeps them alive
+        self._by_object: dict[int, int] = {}
+        self._products: dict[tuple[int, int], int] = {}
+        self._adjoints: dict[int, int] = {0: 0}
+        self.deltas = np.zeros(64, dtype=np.int64)
+        self.kills_vacuum = np.zeros(64, dtype=bool)
+
+    def __getitem__(self, tid: int) -> FactorMatrix | None:
+        return self._factors[tid]
+
+    def intern(self, F: FactorMatrix | None) -> int:
+        """The id of ``F``, adding it when no factor with its content is stored."""
+        if F is None:
+            return 0
+        tid = self._by_object.get(id(F))
+        if tid is not None:
+            return tid
+        key = (F.provenance, F.delta, F.amps.tobytes())
+        tid = self._by_content.get(key)
+        if tid is not None:
+            return tid
+        tid = len(self._factors)
+        if tid == self.deltas.size:
+            self.deltas, self.kills_vacuum = (
+                np.concatenate((column, np.zeros_like(column)))
+                for column in (self.deltas, self.kills_vacuum)
+            )
+        self.deltas[tid] = F.delta
+        self.kills_vacuum[tid] = F.amps[0] == 0
+        self._factors.append(F)
+        self._by_content[key] = tid
+        self._by_object[id(F)] = tid
+        return tid
+
+    def distinct(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct ids in ``ids``, ascending, and the position of each
+        entry among them.  Marks a table-sized array instead of sorting:
+        numpy's sort kernels add about 0.6 MB of resident code when first
+        run."""
+        mark = np.zeros(len(self._factors), dtype=bool)
+        mark[ids] = True
+        unique = np.flatnonzero(mark)
+        position = np.zeros(len(self._factors), dtype=_ID)
+        position[unique] = np.arange(unique.size)
+        return unique, position[ids]
+
+    def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Ids of the factor products ``left[i] @ right[i]``, the two id
+        arrays broadcast against each other."""
+        lefts, li = self.distinct(left)
+        rights, ri = self.distinct(right)
+        pairs = li.astype(np.int64) * rights.size + ri
+        mark = np.zeros(lefts.size * rights.size, dtype=bool)
+        mark[pairs] = True
+        found = np.zeros(mark.size, dtype=_ID)
+        lefts, rights = lefts.tolist(), rights.tolist()
+        for k in np.flatnonzero(mark).tolist():
+            a, b = lefts[k // len(rights)], rights[k % len(rights)]
+            if a == 0 or b == 0:
+                found[k] = a or b
+                continue
+            tid = self._products.get((a, b))
+            if tid is None:
+                tid = self.intern(self._factors[a].matmul(self._factors[b]))
+                self._products[(a, b)] = tid
+            found[k] = tid
+        return found[pairs]
+
+    def adjoints(self, ids: np.ndarray) -> np.ndarray:
+        """Ids of the adjoints of the factors ``ids``."""
+        unique, position = self.distinct(ids)
+        found = np.zeros(unique.size, dtype=_ID)
+        for k, tid in enumerate(unique.tolist()):
+            adj = self._adjoints.get(tid)
+            if adj is None:
+                adj = self._adjoints[tid] = self.intern(self._factors[tid].adjoint())
+            found[k] = adj
+        return found[position]
+
+
+FACTORS = FactorTable()
+
+
 def _check_dim(N: int) -> None:
     if N < 2:
         raise ValueError("truncation level must be at least 2")
@@ -191,6 +316,25 @@ def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
     return FactorMatrix(delta, amps, provenance=(f"T{i}{j}",))
 
 
+@functools.cache
+def t_block_ids(q: float, N: int) -> dict[tuple[int, int], int]:
+    """Factor-table ids of the four corner blocks at (q, N), built once, so
+    every representation at (q, N) shares its base factors."""
+    return {(i, j): FACTORS.intern(t_block(i, j, q, N)) for i in (1, 2) for j in (1, 2)}
+
+
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product, computed as CPython computes
+    ``complex * complex`` (each part rounded after every operation, no fused
+    multiply-add), so that it does not depend on the loop numpy picks."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 @dataclass(frozen=True)
 class TensorTerm:
     """One elementary tensor: scalar * F_1 (x) ... (x) F_f, None meaning I."""
@@ -203,41 +347,89 @@ class TensorTerm:
         object.__setattr__(self, "factors", tuple(self.factors))
 
 
-@dataclass(frozen=True)
 class TensorOperator:
     """Finite sum of elementary tensors on (C^dim)^{tensor f}.
 
-    Addition concatenates term lists (no automatic merging of proportional
-    terms); multiplication distributes with factor-wise matrix products;
-    adjoints conjugate scalars and adjoint the factors without any order
-    reversal, since the terms are elementary.
+    Term t is ``scalars[t] * F[ids[t, 0]] (x) ... (x) F[ids[t, f-1]]``, with
+    factors from ``FACTORS`` and id 0 meaning I.  Addition concatenates term
+    lists (no automatic merging of proportional terms); multiplication
+    distributes, term ``a * len(other) + b`` of ``self * other`` being the
+    product of term a of self and term b of other; adjoints conjugate scalars
+    and adjoint the factors without any order reversal, since the terms are
+    elementary.  Scalars multiply as Python complex numbers do.
+
+    ``TensorOperator(f, dim, terms)`` interns the factors of ``TensorTerm``
+    objects; ``from_ids`` takes the arrays directly.  ``terms`` is a
+    read-only view built on first use.  Operators are immutable.
     """
 
-    f: int
-    dim: int
-    terms: tuple[TensorTerm, ...] = ()
+    __slots__ = ("f", "dim", "scalars", "ids", "_terms")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for term in self.terms:
-            if len(term.factors) != self.f:
+    def __init__(self, f: int, dim: int, terms=()) -> None:
+        terms = tuple(terms)
+        rows = []
+        for term in terms:
+            if len(term.factors) != f:
                 raise ValueError(
-                    f"term has {len(term.factors)} factors, operator has f={self.f}"
+                    f"term has {len(term.factors)} factors, operator has f={f}"
                 )
             for F in term.factors:
-                if F is not None and F.dim != self.dim:
+                if F is not None and F.dim != dim:
                     raise ValueError("factor dimension differs from operator dim")
+            rows.append([FACTORS.intern(F) for F in term.factors])
+        scalars = np.array([term.scalar for term in terms], dtype=np.complex128)
+        self._init(f, dim, scalars, np.array(rows, dtype=_ID).reshape(len(terms), f))
+
+    def _init(self, f: int, dim: int, scalars: np.ndarray, ids: np.ndarray) -> None:
+        scalars.setflags(write=False)
+        ids.setflags(write=False)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_terms", None)
+
+    @classmethod
+    def _of(cls, f: int, dim: int, scalars: np.ndarray, ids: np.ndarray):
+        """Wraps arrays that are valid by construction, without checks."""
+        op = object.__new__(cls)
+        op._init(f, dim, scalars, ids)
+        return op
+
+    @classmethod
+    def from_ids(cls, f: int, dim: int, scalars, ids) -> "TensorOperator":
+        """Operator with the given scalars (T,) and ids (T, f), which must be
+        ``FACTORS`` ids of factors of size ``dim``; only the shapes are checked."""
+        scalars = np.array(scalars, dtype=np.complex128).reshape(-1)
+        ids = np.array(ids, dtype=_ID).reshape(scalars.size, f)
+        return cls._of(f, dim, scalars, ids)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TensorOperator is immutable")
+
+    def __repr__(self) -> str:
+        return f"TensorOperator(f={self.f}, dim={self.dim}, terms={self.scalars.size})"
+
+    @property
+    def terms(self) -> tuple[TensorTerm, ...]:
+        if self._terms is None:
+            terms = tuple(
+                TensorTerm(scalar, tuple(FACTORS[tid] for tid in row))
+                for scalar, row in zip(self.scalars.tolist(), self.ids.tolist())
+            )
+            object.__setattr__(self, "_terms", terms)
+        return self._terms
 
     @classmethod
     def identity(cls, f: int, dim: int) -> "TensorOperator":
-        return cls(f, dim, (TensorTerm(1.0, (None,) * f),))
+        return cls.from_ids(f, dim, [1.0], [[0] * f])
 
     @classmethod
     def zero(cls, f: int, dim: int) -> "TensorOperator":
-        return cls(f, dim, ())
+        return cls.from_ids(f, dim, [], [])
 
     def is_zero(self) -> bool:
-        return all(term.scalar == 0 for term in self.terms)
+        return not np.any(self.scalars)
 
     def _check_compatible(self, other: "TensorOperator") -> None:
         if self.f != other.f or self.dim != other.dim:
@@ -247,62 +439,47 @@ class TensorOperator:
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_compatible(other)
-        return TensorOperator(self.f, self.dim, self.terms + other.terms)
+        return TensorOperator._of(
+            self.f,
+            self.dim,
+            np.concatenate((self.scalars, other.scalars)),
+            np.concatenate((self.ids, other.ids)),
+        )
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "TensorOperator":
-        c = complex(c)
-        return TensorOperator(
-            self.f,
-            self.dim,
-            tuple(TensorTerm(c * t.scalar, t.factors) for t in self.terms),
-        )
+        scalars = _cmul(complex(c), self.scalars)
+        return TensorOperator._of(self.f, self.dim, scalars, self.ids)
 
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_compatible(other)
-        terms = []
-        for a in self.terms:
-            for b in other.terms:
-                factors = []
-                for F, G in zip(a.factors, b.factors):
-                    if F is None:
-                        factors.append(G)
-                    elif G is None:
-                        factors.append(F)
-                    else:
-                        factors.append(F.matmul(G))
-                terms.append(TensorTerm(a.scalar * b.scalar, tuple(factors)))
-        return TensorOperator(self.f, self.dim, tuple(terms))
+        scalars = _cmul(self.scalars[:, None], other.scalars[None, :]).reshape(-1)
+        ids = FACTORS.products(self.ids[:, None, :], other.ids[None, :, :])
+        ids = ids.reshape(scalars.size, self.f)
+        return TensorOperator._of(self.f, self.dim, scalars, ids)
 
     def adjoint(self) -> "TensorOperator":
-        return TensorOperator(
-            self.f,
-            self.dim,
-            tuple(
-                TensorTerm(
-                    t.scalar.conjugate(),
-                    tuple(F.adjoint() if F is not None else None for F in t.factors),
-                )
-                for t in self.terms
-            ),
+        return TensorOperator._of(
+            self.f, self.dim, self.scalars.conj(), FACTORS.adjoints(self.ids)
         )
 
     def apply(self, v: "StateVector") -> "StateVector":
         if v.f != self.f or v.dim != self.dim:
             raise ValueError("state shape does not match operator shape")
         out = np.zeros_like(v.amplitudes)
-        for term in self.terms:
+        for scalar, row in zip(self.scalars.tolist(), self.ids.tolist()):
             w = v.amplitudes
-            for axis, F in enumerate(term.factors):
-                if F is None:
+            for axis, tid in enumerate(row):
+                if tid == 0:
                     continue
+                F = FACTORS[tid]
                 # scale along the axis, then move index c to c + delta; the
                 # entries that wrap around were scaled by zero amplitudes
                 along = F.amps.reshape((-1,) + (1,) * (self.f - axis - 1))
                 w = np.roll(along * w, F.delta, axis=axis)
-            out = out + term.scalar * w
+            out = out + scalar * w
         return StateVector(self.f, self.dim, out)
 
 
@@ -351,13 +528,30 @@ class StateVector:
 def vacuum_matrix_element(op: TensorOperator) -> complex:
     """<op e_0, e_0> without applying the operator: product of (0,0) entries."""
     total = 0.0 + 0.0j
-    for term in op.terms:
-        value = term.scalar
-        for F in term.factors:
-            if F is not None:
+    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
+        value = scalar
+        for tid in row:
+            if tid:
+                F = FACTORS[tid]
                 value *= F.amps[0] if F.delta == 0 else 0.0
         total += value
     return total
+
+
+def _shift_classes(keys: np.ndarray) -> tuple[list[int], int]:
+    """Class of each row of ``keys`` (T, k), classes numbered in order of
+    first appearance, and the number of classes."""
+    low = keys.min(axis=0)
+    spans = (keys.max(axis=0) - low + 1).tolist()
+    if math.prod(spans) < 1 << 62:
+        # one integer per row, in mixed radix
+        radix = np.cumprod([1] + spans[:-1], dtype=np.int64)
+        rows = ((keys - low) @ radix).tolist()
+    else:
+        rows = map(tuple, keys.tolist())
+    index: dict = {}
+    classes = [index.setdefault(row, len(index)) for row in rows]
+    return classes, len(index)
 
 
 def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
@@ -365,54 +559,75 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
 
     The window keeps every component m_i <= N-1-d, where d bounds the length
     of the generator words involved, so an identity of the untruncated
-    algebra must come out zero up to floating point.  Raises ``ValueError``,
-    before allocating any array, when the window-sized arrays (one per shift
-    class, plus the term being built and the running sum of squares) would
-    hold more than ``MAX_RESIDUAL_ELEMENTS`` elements.
+    algebra must come out zero up to floating point.  Terms are grouped by
+    shift vector, each term's block added into its class in term order.
+
+    With W = window^axes, a call holds at most one W-element array per shift
+    class, the chunk of term blocks being built (W per term, plus W / window
+    per term for the previous axis), and the float64 sum of squares with its
+    one temporary (W together).  Before allocating any of them it raises
+    ``ValueError`` when that count exceeds ``MAX_RESIDUAL_ELEMENTS``.
     """
     a._check_compatible(b)
     dim = a.dim
-    f = a.f
-    terms = list(a.terms) + [TensorTerm(-t.scalar, t.factors) for t in b.terms]
-    terms = [t for t in terms if t.scalar != 0]
-    if f == 0:
-        return abs(sum(t.scalar for t in terms))
+    scalars = np.concatenate((a.scalars, -b.scalars))
+    ids = np.concatenate((a.ids, b.ids))
+    live = scalars != 0
+    scalars, ids = scalars[live], ids[live]
+    if a.f == 0:
+        return abs(sum(scalars.tolist()))
     window = dim - int(d)
     if window <= 0:
         raise ValueError(f"window is empty: N={dim}, d={d}")
     # axes that every term treats as identity do not affect any column norm
-    kept = [
-        axis for axis in range(f) if any(t.factors[axis] is not None for t in terms)
-    ]
-    if not terms:
+    ids = ids[:, ids.any(axis=0)]
+    if not scalars.size:
         return 0.0
-    if not kept:
-        return abs(sum(t.scalar for t in terms))
+    if not ids.shape[1]:
+        return abs(sum(scalars.tolist()))
 
-    factor_lists = [[t.factors[axis] for axis in kept] for t in terms]
-    keys = [tuple(0 if F is None else F.delta for F in fs) for fs in factor_lists]
-    classes = len(set(keys))
-    if (classes + 2) * window ** len(kept) > MAX_RESIDUAL_ELEMENTS:
+    terms, axes = ids.shape
+    classes, count = _shift_classes(FACTORS.deltas[ids])
+    size = window**axes
+    chunk = min(terms, max(1, _CHUNK_ELEMENTS // size))
+    needed = (count + 1) * size + chunk * (size + size // window)
+    if needed > MAX_RESIDUAL_ELEMENTS:
         raise ValueError(
-            f"residual at N={dim}, d={d} over {len(kept)} axes would hold "
-            f"({classes} shift classes + 2) x {window}^{len(kept)} elements, more "
-            f"than the limit {MAX_RESIDUAL_ELEMENTS}"
+            f"residual at N={dim}, d={d} over {axes} axes would hold {needed} "
+            f"elements ({count} shift-class arrays of {window}^{axes}, a chunk of "
+            f"{chunk} term blocks and the sum of squares), more than the limit "
+            f"{MAX_RESIDUAL_ELEMENTS}"
         )
+    unique, which = FACTORS.distinct(ids)
     ones = np.ones(window, dtype=np.complex128)
-    shifts: dict[tuple[int, ...], np.ndarray] = {}
-    for term, factors, key in zip(terms, factor_lists, keys):
-        block = np.array(term.scalar, dtype=np.complex128)
-        for F in factors:
-            block = np.multiply.outer(block, ones if F is None else F.amps[:window])
-        if key in shifts:
-            shifts[key] += block
-        else:
-            shifts[key] = block
+    amps = np.stack(
+        [FACTORS[tid].amps[:window] if tid else ones for tid in unique.tolist()]
+    )
+    full = (window,) * axes
+    # each class array is allocated at its first term, as in a dict of blocks
+    shifts: list[np.ndarray | None] = [None] * count
+    for start in range(0, terms, chunk):
+        stop = min(start + chunk, terms)
+        block = scalars[start:stop]
+        for axis in range(axes):
+            block = block[..., None]
+            # an axis where the whole chunk is the identity stays broadcast:
+            # multiplying by ones could change only the sign of a zero
+            if ids[start:stop, axis].any():
+                along = amps[which[start:stop, axis]]
+                shape = (stop - start,) + (1,) * axis + (window,)
+                block = block * along.reshape(shape)
+        for key, row in zip(classes[start:stop], block):
+            target = shifts[key]
+            if target is None:
+                shifts[key] = target = np.zeros(full, dtype=np.complex128)
+            target += row
     # distinct shift vectors hit distinct basis vectors, so the squared
     # column norm splits as a sum of |amplitude|^2 over shift classes
-    total = np.zeros((window,) * len(kept), dtype=np.float64)
-    for block in shifts.values():
-        total += np.abs(block) ** 2
+    total = np.zeros(full, dtype=np.float64)
+    for row in shifts:
+        square = np.abs(row)
+        total += np.square(square, out=square)
     return float(np.sqrt(total.max()))
 
 
@@ -425,11 +640,11 @@ def norm_bound(op: TensorOperator) -> float:
     from the triangle inequality.  No state vector is built.
     """
     total = 0.0
-    for term in op.terms:
-        value = abs(term.scalar)
-        for F in term.factors:
-            if F is not None:
-                value *= F.norm()
+    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
+        value = abs(scalar)
+        for tid in row:
+            if tid:
+                value *= FACTORS[tid].norm()
         total += value
     return total
 
@@ -473,16 +688,16 @@ def operator_to_json(op: TensorOperator) -> dict:
     """``{"f", "dim", "terms"}``; each term is ``{"scalar": [re, im],
     "factors": [...]}``, a factor being ``"I"`` or ``{"delta": d, "amps":
     [[re, im], ...]}`` with ``dim`` amplitude pairs."""
-    terms = []
-    for term in op.terms:
-        factors = []
-        for F in term.factors:
-            if F is None:
-                factors.append("I")
-            else:
-                amps = [_complex_to_json(z) for z in F.amps.tolist()]
-                factors.append({"delta": F.delta, "amps": amps})
-        terms.append({"scalar": _complex_to_json(term.scalar), "factors": factors})
+    factors: dict[int, object] = {0: "I"}
+    for tid in FACTORS.distinct(op.ids)[0].tolist():
+        if tid:
+            F = FACTORS[tid]
+            amps = [_complex_to_json(z) for z in F.amps.tolist()]
+            factors[tid] = {"delta": F.delta, "amps": amps}
+    terms = [
+        {"scalar": _complex_to_json(scalar), "factors": [factors[tid] for tid in row]}
+        for scalar, row in zip(op.scalars.tolist(), op.ids.tolist())
+    ]
     return {"f": op.f, "dim": op.dim, "terms": terms}
 
 
@@ -514,11 +729,5 @@ def operator_from_json(data: dict) -> TensorOperator:
 
 def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:
     """Structural vacuum annihilation: every term has a factor killing e_0."""
-    for term in op.terms:
-        if term.scalar == 0:
-            continue
-        if not any(
-            F is not None and F.amps[0] == 0 for F in term.factors
-        ):
-            return False
-    return True
+    live = op.ids[op.scalars != 0]
+    return bool(FACTORS.kills_vacuum[live].any(axis=1).all())

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qmatball import cli
 from qmatball.cli import main
 from qmatball.matrixball import rep_from_string
 from qmatball.permgroup import AdmissibleString, Permutation
@@ -232,6 +233,20 @@ class TestVerify:
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")
         assert code == 2
+
+
+class TestParser:
+    def test_built_once_and_reused_after_bad_input(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--fock", "two"])
+            assert exc.value.code == 2
+            code, out, _ = run(capsys, "count", "--n", "3")
+            assert code == 0 and out.split() == ["34", "34", "OK"]
+            # defaults are not carried over from the previous parse
+            args = cli._build_parser().parse_args(["verify", "--fock", "2"])
+            assert args.trunc == 6 and args.perturb == 0.0
 
 
 class TestRender:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmatball import qoperator
+from qmatball.qgrouprep import FactorEvaluation, apply_tau, tau_factor_value
 from qmatball.qoperator import (
+    FACTORS,
     FactorMatrix,
     StateVector,
     TensorOperator,
@@ -233,6 +235,45 @@ class TestResidualWindow:
             tracemalloc.stop()
         assert peak < size * np.dtype(np.complex128).itemsize
 
+    def test_limit_counts_classes_chunk_and_sum_exactly(self, monkeypatch):
+        # window 5 on 6 axes: 5^6 elements per array and three shift classes;
+        # a chunk setting of four arrays builds the four terms together
+        dim, d, window, axes = 6, 1, 5, 6
+        size = window**axes
+        a = single(1.0, [t_block(1, 1, Q, dim)] * axes, dim=dim) + single(
+            0.5, [t_block(2, 2, Q, dim)] * axes, dim=dim
+        )
+        b = single(0.25, [t_block(2, 1, Q, dim)] * axes, dim=dim) + single(
+            1.0, [t_block(1, 2, Q, dim)] * axes, dim=dim
+        )
+        one_by_one = residual_on_window(a, b, d)
+        monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 4 * size)
+        classes, chunk = 3, 4
+        needed = (classes + 1) * size + chunk * (size + size // window)
+        itemsize = np.dtype(np.complex128).itemsize
+
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"would hold {needed} elements"):
+                residual_on_window(a, b, d)
+            _, refused_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert refused_peak < size * itemsize
+
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed)
+        tracemalloc.start()
+        try:
+            residual = residual_on_window(a, b, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual == one_by_one
+        # beyond the count: numpy's broadcasting buffer of np.getbufsize()
+        # elements and the small index arrays
+        assert peak <= (needed + np.getbufsize()) * itemsize + 16 * 1024
+
 
 class TestNormEstimate:
     def test_identity(self):
@@ -325,9 +366,27 @@ def weighted_shift(rng, dim):
     return FactorMatrix(-k, amps)
 
 
-def random_operator(rng, f, dim, n_terms):
+def tag_word(rng, dim, max_length=3):
+    """Product of one to ``max_length`` random corner blocks at a random q,
+    tagged with its word."""
+    q = float(rng.choice([0.3, 0.5, 0.8]))
+    blocks = [
+        t_block(int(rng.integers(1, 3)), int(rng.integers(1, 3)), q, dim)
+        for _ in range(int(rng.integers(1, max_length + 1)))
+    ]
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = out.matmul(block)
+    return out
+
+
+def random_factor(rng, dim, tagged):
+    return tag_word(rng, dim) if tagged else weighted_shift(rng, dim)
+
+
+def random_operator(rng, f, dim, n_terms, factor=weighted_shift):
     """Sum of random complex multiples of elementary tensors of random
-    weighted shifts, a quarter of the factors being the identity."""
+    factors (weighted shifts by default), a quarter of them the identity."""
     return TensorOperator(
         f,
         dim,
@@ -335,13 +394,127 @@ def random_operator(rng, f, dim, n_terms):
             TensorTerm(
                 complex(rng.standard_normal(), rng.standard_normal()),
                 tuple(
-                    None if rng.random() < 0.25 else weighted_shift(rng, dim)
+                    None if rng.random() < 0.25 else factor(rng, dim)
                     for _ in range(f)
                 ),
             )
             for _ in range(n_terms)
         ),
     )
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """Exact bit pattern of a complex number, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+def same_factor(F, G) -> bool:
+    if F is None or G is None:
+        return F is None and G is None
+    return (
+        F.delta == G.delta
+        and np.array_equal(F.amps, G.amps)
+        and F.provenance == G.provenance
+    )
+
+
+class TestFactorTable:
+    """Products, adjoints and operator algebra by factor id, against the
+    factor-by-factor algebra and dense matrices."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(2, 4), st.booleans())
+    def test_product_by_id_is_the_matmul_chain(self, seed, dim, length, tagged):
+        rng = np.random.default_rng(seed)
+        chain = [random_factor(rng, dim, tagged) for _ in range(length)]
+        tid, product, dense = FACTORS.intern(chain[0]), chain[0], chain[0].entries
+        for G in chain[1:]:
+            (tid,) = FACTORS.products(np.array([tid]), np.array([FACTORS.intern(G)]))
+            product, dense = product.matmul(G), dense @ G.entries
+            assert same_factor(FACTORS[tid], product)
+            assert np.allclose(FACTORS[tid].entries, dense, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
+    def test_adjoint_by_id_is_the_conjugate_transpose(self, seed, dim, tagged):
+        F = random_factor(np.random.default_rng(seed), dim, tagged)
+        (adj,) = FACTORS.adjoints(np.array([FACTORS.intern(F)]))
+        assert same_factor(FACTORS[adj], F.adjoint())
+        assert np.array_equal(FACTORS[adj].entries, F.entries.conj().T)
+        (back,) = FACTORS.adjoints(np.array([adj]))
+        assert np.array_equal(FACTORS[back].entries, F.entries)
+
+    def test_identity_id(self):
+        F = t_block(2, 2, Q, N)
+        tid = FACTORS.intern(F)
+        assert FACTORS[0] is None and FACTORS.intern(None) == 0
+        assert FACTORS.products(np.array([0, tid, 0]), np.array([tid, 0, 0])).tolist() == [
+            tid,
+            tid,
+            0,
+        ]
+        assert FACTORS.adjoints(np.array([0])).tolist() == [0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 4),
+        st.integers(2, 5),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_operator_product_is_distributive_termwise(
+        self, seed, f, dim, ta, tb, tagged
+    ):
+        rng = np.random.default_rng(seed)
+        factor = tag_word if tagged else weighted_shift
+        A = random_operator(rng, f, dim, ta, factor)
+        B = random_operator(rng, f, dim, tb, factor)
+        P = A * B
+        pairs = list(itertools.product(A.terms, B.terms))
+        assert len(P.terms) == len(pairs)
+        for (a, b), term in zip(pairs, P.terms):
+            assert bits(term.scalar) == bits(a.scalar * b.scalar)
+            for F, G, H in zip(a.factors, b.factors, term.factors):
+                want = G if F is None else F if G is None else F.matmul(G)
+                assert same_factor(H, want)
+        assert np.allclose(dense_matrix(P), dense_matrix(A) @ dense_matrix(B), atol=1e-12)
+        adjoint = A.adjoint()
+        for a, term in zip(A.terms, adjoint.terms):
+            assert bits(term.scalar) == bits(a.scalar.conjugate())
+        assert np.array_equal(dense_matrix(adjoint), dense_matrix(A).conj().T)
+
+    def test_untagged_ids_are_anonymous(self):
+        T = t_block(2, 1, Q, N)
+        raw = FactorMatrix(T.delta, T.amps)
+        tagged_id, raw_id = FACTORS.intern(T), FACTORS.intern(raw)
+        assert raw_id != tagged_id and FACTORS[raw_id].provenance is None
+        # the key is the content, so an equal untagged factor shares the id
+        assert FACTORS.intern(FactorMatrix(T.delta, T.amps)) == raw_id
+        (product,) = FACTORS.products(np.array([raw_id]), np.array([tagged_id]))
+        (adjoint,) = FACTORS.adjoints(np.array([raw_id]))
+        assert FACTORS[product].provenance is None
+        assert FACTORS[adjoint].provenance is None
+        with pytest.raises(ValueError, match="primitive set"):
+            tau_factor_value(FACTORS[raw_id], 0.3)
+
+        data = json.loads(json.dumps(operator_to_json(single(1.0, [T]))))
+        back = operator_from_json(data)
+        assert back.ids.tolist() == [[raw_id]]
+        assert back.terms[0].factors[0].provenance is None
+        with pytest.raises(ValueError, match="primitive set"):
+            apply_tau(back, FactorEvaluation(((1, 0.3),)))
+        assert apply_tau(single(1.0, [T]), FactorEvaluation(((1, 0.3),))).f == 0
+
+    def test_operators_are_immutable(self):
+        op = single(1.0, [t_block(1, 1, Q, N)])
+        with pytest.raises(AttributeError):
+            op.f = 2
+        with pytest.raises(ValueError):
+            op.scalars[0] = 2.0
+        with pytest.raises(ValueError):
+            op.ids[0, 0] = 0
 
 
 class TestWeightedShiftOracle:
@@ -508,6 +681,23 @@ class TestResidualDenseOracle:
         rng = np.random.default_rng(seed)
         a = random_operator(rng, f, dim, int(rng.integers(1, 4)))
         b = random_operator(rng, f, dim, int(rng.integers(1, 4)))
+        d = min(d, dim - 1)
+        assert residual_on_window(a, b, d) == pytest.approx(
+            self._window_max(a, b, d), rel=1e-12, abs=1e-13
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 5), st.integers(1, 3)
+    )
+    def test_products_of_tag_words(self, seed, f, dim, d):
+        # products reach the residual through the id table; the terms share
+        # factor ids and shift classes
+        rng = np.random.default_rng(seed)
+        a = random_operator(rng, f, dim, 2, tag_word) * random_operator(
+            rng, f, dim, 2, tag_word
+        )
+        b = random_operator(rng, f, dim, 3, tag_word)
         d = min(d, dim - 1)
         assert residual_on_window(a, b, d) == pytest.approx(
             self._window_max(a, b, d), rel=1e-12, abs=1e-13
