@@ -5,7 +5,10 @@ from annihilating the boundary-ideal generators.
 The scan confirms the combinatorial prediction: the generators die exactly on
 strings with k_i < i for every row (equivalently, no row at its bound).
 
-Usage: python scripts/shilov_scan.py [N]
+Usage: python scripts/shilov_scan.py [n]
+
+n is the matrix size (default 3).  The truncation level is N = 6 for n <= 2
+and N = 4 otherwise.
 """
 
 import sys

@@ -74,7 +74,7 @@ def cmd_count(cfg: CommandConfig) -> int:
     from_gf = permgroup.gf_counts(cfg.n)[cfg.n]
     ok = enumerated == from_gf
     _emit(f"{enumerated} {from_gf} {'OK' if ok else 'MISMATCH'}", cfg.out_path)
-    return EXIT_OK if ok else EXIT_BAD_INPUT
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def cmd_enumerate(cfg: CommandConfig) -> int:

@@ -11,6 +11,7 @@ scalar factor evaluations according to the grid coloring of a string.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,12 +125,21 @@ def fock_word(n: int) -> ReducedWord:
     return ReducedWord(2 * n, tuple(letters))
 
 
+@functools.cache
 def fock_rep(n: int, q: float, N: int) -> GeneratorImages:
     """Vacuum representation on n^2 truncated shift factors.
 
     z_k^j goes to (-q)^{k-n} times the (n+k, n+j) word-representation entry
     of the block swap; every adjoint image annihilates the vacuum
     structurally.
+
+    Lifetime: the process.  The images are built once per ``(n, q, N)`` and
+    the same ``GeneratorImages`` is returned to every later caller,
+    ``rep_from_string`` included; sharing is safe because the images are
+    frozen and their operator arrays read-only.  The key is the arguments as
+    passed, so positional and keyword calls are separate entries.  Invalid
+    arguments raise on every call (exceptions are not cached).
+    ``fock_rep.cache_clear()`` drops the built images.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -159,8 +169,9 @@ def _string_evaluation(string: AdmissibleString) -> FactorEvaluation:
 
 def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImages:
     """Representation classified by an admissible string: scalar-evaluate the
-    colored factors of the vacuum representation (dark at phase 0, light at
-    the row phase); the result acts on the white factors only."""
+    colored factors of the memoized vacuum representation ``fock_rep(n, q,
+    N)`` (dark at phase 0, light at the row phase); the result acts on the
+    white factors only."""
     base = fock_rep(string.n, q, N)
     evaluation = _string_evaluation(string)
     table = tuple(

@@ -44,6 +44,12 @@ class TestCount:
         assert code == 0
         assert out.strip() == "1546 1546 OK"
 
+    def test_mismatch_is_a_verification_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.permgroup, "gf_counts", lambda n: [0] * (n + 1))
+        code, out, _ = run(capsys, "count", "--n", "2")
+        assert code == 1
+        assert out.strip() == "7 0 MISMATCH"
+
 
 class TestEnumerate:
     def test_n2_json(self, capsys):

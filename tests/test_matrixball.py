@@ -31,6 +31,7 @@ from qmatball.permgroup import (
     enumerate_admissible,
     l_exponent,
 )
+from qmatball.qgrouprep import rep_generator
 from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS, StateVector, residual_on_window
 
 from conftest import random_phases_for, term_signature
@@ -108,6 +109,46 @@ class TestFockRep:
                     assert want == 0.0
                     got = vacuum_expectation(g, g.gen(k, j))
                     assert abs(got - want) < 1e-14
+
+
+class TestFockRepCache:
+    def test_same_arguments_share_one_object(self):
+        assert fock_rep(2, Q, 6) is fock_rep(2, Q, 6)
+
+    def test_shared_images_are_read_only(self):
+        op = fock_rep(2, Q, 6).gen(1, 1)
+        with pytest.raises(ValueError):
+            op.scalars[0] = 0.0
+        with pytest.raises(ValueError):
+            op.ids[0, 0] = 0
+
+    def test_strings_reuse_one_base(self, monkeypatch, rng):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return rep_generator(*args)
+
+        strings = [random_phases_for(ks, rng) for ks in enumerate_admissible(3)]
+        assert len(strings) == 34
+        fock_rep.cache_clear()
+        monkeypatch.setattr(matrixball, "rep_generator", counted)
+        shared = [rep_from_string(s, Q, 4) for s in strings]
+        assert len(calls) == 9
+        for s, g in zip(strings, shared):
+            fock_rep.cache_clear()
+            fresh = rep_from_string(s, Q, 4)
+            for k in range(1, 4):
+                for j in range(1, 4):
+                    a, b = g.gen(k, j), fresh.gen(k, j)
+                    assert np.array_equal(a.scalars, b.scalars)
+                    assert np.array_equal(a.ids, b.ids)
+
+    @pytest.mark.parametrize("args", [(0, Q, 6), (2, 1.0, 6), (2, Q, 1)])
+    def test_invalid_arguments_raise_on_every_call(self, args):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                fock_rep(*args)
 
 
 class TestRepFromString:
