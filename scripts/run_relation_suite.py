@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Sweep the defining-relation residuals of the vacuum representation over a
-grid of (n, q, N) and print the worst residual per configuration.
+"""Run `qmatball verify --fock n` over a grid of (n, q, N) and print the
+worst residual and contraction norm per configuration.
+
+Each row is one `verify` run, so it passes or fails exactly as the command
+does; the script exits 1 when any row does not exit 0.
 
 Usage: python scripts/run_relation_suite.py
 """
 
+import contextlib
+import io
+import json
 import sys
 import time
 
-from qmatball.matrixball import a_m_checks, contraction_check, fock_rep, verify_relations
+from qmatball.cli import main as qmatball
 
 GRID = [
     (1, 0.5, 8),
@@ -25,18 +31,21 @@ def main() -> int:
           f"{'max norm':>10} {'time':>8}")
     failed = False
     for n, q, trunc in GRID:
+        argv = ["verify", "--fock", str(n), "--q", str(q), "--trunc", str(trunc)]
         start = time.perf_counter()
-        g = fock_rep(n, q, trunc)
-        reports = verify_relations(g)
-        if n >= 2:
-            reports += a_m_checks(g)
-        worst = max(r.residual for r in reports)
-        norms = max(norm for _, norm in contraction_check(g))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = qmatball(argv)
         elapsed = time.perf_counter() - start
-        ok = worst < 1e-10 and norms <= 1.0 + 1e-9
-        failed |= not ok
-        print(f"{n:>2} {q:>5} {trunc:>3} {len(reports):>10} {worst:>14.3e} "
-              f"{norms:>10.6f} {elapsed:>7.2f}s{'' if ok else '  <-- FAIL'}")
+        failed |= code != 0
+        if not out.getvalue():
+            print(f"{n:>2} {q:>5} {trunc:>3}  verify exited {code}  <-- FAIL")
+            continue
+        payload = json.loads(out.getvalue())
+        worst = payload["summary"]["max_residual"]
+        norms = max(c["norm"] for c in payload["contraction_norms"])
+        print(f"{n:>2} {q:>5} {trunc:>3} {len(payload['reports']):>10} {worst:>14.3e} "
+              f"{norms:>10.6f} {elapsed:>7.2f}s{'' if code == 0 else '  <-- FAIL'}")
     return 1 if failed else 0
 
 

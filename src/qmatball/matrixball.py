@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from .diagramcalc import factor_index, grid_from_string
 from .permgroup import AdmissibleString, ReducedWord
 from .qgrouprep import FactorEvaluation, SoibelmanRep, apply_tau, rep_generator
 from .qoperator import (
-    StateVector,
     TensorOperator,
     is_exact_zero_on_vacuum,
     norm_bound,
@@ -116,6 +116,18 @@ class RelationReport:
     residual: float
     depth: int
 
+    @classmethod
+    def of(
+        cls,
+        relation: str,
+        indices: tuple[int, ...],
+        lhs: TensorOperator,
+        rhs: TensorOperator,
+        depth: int,
+    ) -> "RelationReport":
+        """The report of ``lhs = rhs``, checked on the window of ``depth``."""
+        return cls(relation, indices, residual_on_window(lhs, rhs, depth), depth)
+
 
 def fock_word(n: int) -> ReducedWord:
     """Reduced word of the block swap whose tensor factors follow the
@@ -126,7 +138,7 @@ def fock_word(n: int) -> ReducedWord:
 
 
 @functools.cache
-def fock_rep(n: int, q: float, N: int) -> GeneratorImages:
+def fock_rep(n: int, q: float, N: int, /) -> GeneratorImages:
     """Vacuum representation on n^2 truncated shift factors.
 
     z_k^j goes to (-q)^{k-n} times the (n+k, n+j) word-representation entry
@@ -136,8 +148,8 @@ def fock_rep(n: int, q: float, N: int) -> GeneratorImages:
     Lifetime: the process.  The images are built once per ``(n, q, N)`` and
     the same ``GeneratorImages`` is returned to every later caller,
     ``rep_from_string`` included; sharing is safe because the images are
-    frozen and their operator arrays read-only.  The key is the arguments as
-    passed, so positional and keyword calls are separate entries.  Invalid
+    frozen and their operator arrays read-only.  The parameters are
+    positional-only, so each ``(n, q, N)`` has a single cache entry.  Invalid
     arguments raise on every call (exceptions are not cached).
     ``fock_rep.cache_clear()`` drops the built images.
     """
@@ -287,6 +299,36 @@ def zaa4_case_coefficients(
 # ("z", k, j) names z_k^j and ("zs", k, j) its adjoint
 _Name = tuple[str, int, int]
 
+# one side of a quadratic relation: sum of coefficient * left * right
+_Side = list[tuple[complex, _Name, _Name]]
+
+
+def _star(name: _Name) -> _Name:
+    return ("zs" if name[0] == "z" else "z",) + name[1:]
+
+
+def _adjoint_side(side: _Side) -> _Side:
+    """The adjoint of a side: each product reversed, each name starred and
+    each coefficient conjugated."""
+    return [(c.conjugate(), _star(right), _star(left)) for c, left, right in side]
+
+
+def _holomorphic_relations(
+    q: float, a: int, b: int, alpha: int, beta: int
+) -> list[tuple[str, _Side, _Side]]:
+    """The holomorphic families zaa1, zaa2, zaa3 that hold at (a, b, alpha,
+    beta), each as (name, lhs, rhs)."""
+    za, zb = ("z", a, alpha), ("z", b, beta)
+    relations = []
+    if (a == b and alpha < beta) or (a < b and alpha == beta):
+        relations.append(("zaa1", [(1, za, zb)], [(q, zb, za)]))
+    if alpha < beta and a > b:
+        relations.append(("zaa2", [(1, za, zb)], [(1, zb, za)]))
+    if alpha < beta and a < b:
+        rhs = [(q - 1.0 / q, ("z", a, beta), ("z", b, alpha))]
+        relations.append(("zaa3", [(1, za, zb), (-1, zb, za)], rhs))
+    return relations
+
 
 class _Products:
     """Generator adjoints and products of two named generators or adjoints,
@@ -310,17 +352,19 @@ class _Products:
             self._products[(left, right)] = self.op(left) * self.op(right)
         return self._products[(left, right)]
 
+    def side(self, side: _Side) -> TensorOperator:
+        """The operator of one relation side, its terms summed in order."""
+        terms = [self(a, b) if c == 1 else self(a, b).scale(c) for c, a, b in side]
+        return sum(terms[1:], terms[0])
+
     def forget_products(self) -> None:
         """Drops the cached products and keeps the adjoints."""
         self._products.clear()
 
 
 def _coefficients_to_operator(
-    g: GeneratorImages,
-    coefficients: dict[tuple, LaurentPoly],
-    products: _Products | None = None,
+    g: GeneratorImages, coefficients: dict[tuple, LaurentPoly], prod: _Products
 ) -> TensorOperator:
-    prod = products or _Products(g)
     op = TensorOperator.zero(g.f, g.N)
     for key, poly in sorted(coefficients.items()):
         value = _lp_eval(poly, g.q)
@@ -345,116 +389,54 @@ def _zaa4_case_id(a: int, b: int, alpha: int, beta: int) -> str:
 def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationReport]:
     """Window residuals for every defining-relation instance.
 
-    Covers the three holomorphic families and their adjoints, the four-case
-    exchange expansion, and the R-matrix form of the exchange relation; the
-    case and R-matrix coefficient tables are also compared exactly (raising
-    on any mismatch, which would indicate a transcription bug rather than a
-    numerical failure).  All relations are quadratic, hence window depth 2.
+    Covers the three holomorphic families, each with its adjoint family
+    derived through the *-structure, the four-case exchange expansion, and
+    the R-matrix form of the exchange relation; the two coefficient tables
+    are also compared exactly (raising on any mismatch, which would indicate
+    a transcription bug).  All relations are quadratic, hence window depth 2.
     """
     n, q = g.n, g.q
     d = 2
     reports: list[RelationReport] = []
     prod = _Products(g)
+    quadruples = list(itertools.product(range(1, n + 1), repeat=4))
 
-    def z(k: int, j: int) -> _Name:
-        return ("z", k, j)
-
-    def zs(k: int, j: int) -> _Name:
-        return ("zs", k, j)
-
-    def record(relation: str, indices: tuple[int, ...], lhs, rhs) -> None:
-        reports.append(
-            RelationReport(relation, indices, residual_on_window(lhs, rhs, d), d)
-        )
-
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for alpha in range(1, n + 1):
-                for beta in range(1, n + 1):
-                    if (a == b and alpha < beta) or (a < b and alpha == beta):
-                        record(
-                            "zaa1",
-                            (a, b, alpha, beta),
-                            prod(z(a, alpha), z(b, beta)),
-                            prod(z(b, beta), z(a, alpha)).scale(q),
-                        )
-                        record(
-                            "zaa1*",
-                            (a, b, alpha, beta),
-                            prod(zs(b, beta), zs(a, alpha)),
-                            prod(zs(a, alpha), zs(b, beta)).scale(q),
-                        )
-                    if alpha < beta and a > b:
-                        record(
-                            "zaa2",
-                            (a, b, alpha, beta),
-                            prod(z(a, alpha), z(b, beta)),
-                            prod(z(b, beta), z(a, alpha)),
-                        )
-                        record(
-                            "zaa2*",
-                            (a, b, alpha, beta),
-                            prod(zs(b, beta), zs(a, alpha)),
-                            prod(zs(a, alpha), zs(b, beta)),
-                        )
-                    if alpha < beta and a < b:
-                        record(
-                            "zaa3",
-                            (a, b, alpha, beta),
-                            prod(z(a, alpha), z(b, beta))
-                            - prod(z(b, beta), z(a, alpha)),
-                            prod(z(a, beta), z(b, alpha)).scale(q - 1.0 / q),
-                        )
-                        record(
-                            "zaa3*",
-                            (a, b, alpha, beta),
-                            prod(zs(b, beta), zs(a, alpha))
-                            - prod(zs(a, alpha), zs(b, beta)),
-                            prod(zs(b, alpha), zs(a, beta)).scale(q - 1.0 / q),
-                        )
+    for indices in quadruples:
+        for relation, lhs, rhs in _holomorphic_relations(q, *indices):
+            adjoint = (relation + "*", _adjoint_side(lhs), _adjoint_side(rhs))
+            for name, left, right in ((relation, lhs, rhs), adjoint):
+                left_op, right_op = prod.side(left), prod.side(right)
+                reports.append(RelationReport.of(name, indices, left_op, right_op, d))
 
     # the exchange families below share only the products z * z*
     prod.forget_products()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for alpha in range(1, n + 1):
-                for beta in range(1, n + 1):
-                    case = zaa4_case_coefficients(n, a, b, alpha, beta)
-                    rform = zaa4_r_coefficients(n, a, b, alpha, beta)
-                    if case != rform:
-                        raise AssertionError(
-                            f"exchange coefficient tables disagree at "
-                            f"{(a, b, alpha, beta)}"
-                        )
-                    # used by this instance only, so not cached
-                    lhs = prod.op(zs(b, beta)) * prod.op(z(a, alpha))
-                    record(
-                        _zaa4_case_id(a, b, alpha, beta),
-                        (a, b, alpha, beta),
-                        lhs,
-                        _case_rhs(g, a, b, alpha, beta, prod),
-                    )
-                    record(
-                        "R-form",
-                        (a, b, alpha, beta),
-                        lhs,
-                        _coefficients_to_operator(g, rform, prod),
-                    )
+    for indices in quadruples:
+        a, b, alpha, beta = indices
+        case = zaa4_case_coefficients(n, *indices)
+        rform = zaa4_r_coefficients(n, *indices)
+        if case != rform:
+            raise AssertionError(f"exchange coefficient tables disagree at {indices}")
+        # used by this instance only, so not cached
+        lhs = prod.op(("zs", b, beta)) * prod.op(("z", a, alpha))
+        reports.append(
+            RelationReport.of(
+                _zaa4_case_id(*indices), indices, lhs, _case_rhs(g, *indices, prod), d
+            )
+        )
+        reports.append(
+            RelationReport.of(
+                "R-form", indices, lhs, _coefficients_to_operator(g, rform, prod), d
+            )
+        )
     return reports
 
 
 def _case_rhs(
-    g: GeneratorImages,
-    a: int,
-    b: int,
-    alpha: int,
-    beta: int,
-    products: _Products | None = None,
+    g: GeneratorImages, a: int, b: int, alpha: int, beta: int, prod: _Products
 ) -> TensorOperator:
     """Exchange right-hand side built directly from the per-case formulas
     (independent of the coefficient-table route used for the R-matrix form)."""
     n, q = g.n, g.q
-    prod = products or _Products(g)
 
     def z_zs(k1, j1, k2, j2):
         return prod(("z", k1, j1), ("zs", k2, j2))
@@ -554,17 +536,13 @@ def coherent_check(q: float, N: int, phi: float) -> float:
     """
     string = AdmissibleString(3, (3, 3, 2), (0.0, 0.0, float(phi)))
     g = rep_from_string(string, q, N)
-    omega = StateVector.vacuum(g.f, g.N)
-    worst = 0.0
-    for i in range(1, 4):
-        for j in range(1, 4):
-            image = g.gen(j, i).adjoint().apply(omega)
-            if (i, j) == (1, 1):
-                expected = omega.scale(cmath.exp(-1j * float(phi)))
-                worst = max(worst, (image - expected).norm())
-            else:
-                worst = max(worst, image.norm())
-    return worst
+    expected = {(1, 1): g.identity().scale(cmath.exp(-1j * float(phi)))}
+    zero = TensorOperator.zero(g.f, g.N)
+    # the window of depth N - 1 holds only Omega
+    return max(
+        residual_on_window(g.gen(j, i).adjoint(), expected.get((i, j), zero), N - 1)
+        for i, j in itertools.product(range(1, 4), repeat=2)
+    )
 
 
 def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
@@ -584,33 +562,17 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
         for j in range(m, n + 1):
             a_m = a_m - prod(("z", j, n), ("zs", j, n))
         for j in range(1, n + 1):
-            lhs = g.gen(j, n) * a_m
-            rhs = a_m * g.gen(j, n)
-            if j < m:
-                reports.append(
-                    RelationReport(
-                        "A_m-comm",
-                        (m, j, 0),
-                        residual_on_window(lhs, rhs, A_M_DEPTH),
-                        A_M_DEPTH,
-                    )
-                )
-            else:
-                reports.append(
-                    RelationReport(
-                        "A_m-comm",
-                        (m, j, 1),
-                        residual_on_window(lhs.scale(q**2), rhs, A_M_DEPTH),
-                        A_M_DEPTH,
-                    )
-                )
+            lhs, rhs = g.gen(j, n) * a_m, a_m * g.gen(j, n)
+            family = 0 if j < m else 1
+            if family:
+                lhs = lhs.scale(q**2)
+            reports.append(
+                RelationReport.of("A_m-comm", (m, j, family), lhs, rhs, A_M_DEPTH)
+            )
         commutator = prod(("zs", m, n), ("z", m, n)) - prod(("z", m, n), ("zs", m, n))
         reports.append(
-            RelationReport(
-                "A_m-comm",
-                (m, 0, 2),
-                residual_on_window(a_m, commutator.scale(1.0 / (1.0 - q**2)), 2),
-                2,
+            RelationReport.of(
+                "A_m-comm", (m, 0, 2), a_m, commutator.scale(1.0 / (1.0 - q**2)), 2
             )
         )
     return reports

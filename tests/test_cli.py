@@ -198,6 +198,43 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["summary"]["pass"] is False
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--perturb", "nan"),
+                        ("--perturb", "inf")]
+    )
+    def test_non_finite_tol_or_perturb_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "verify", "--fock", "2", "--trunc", "6", flag, value)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_nan_after_the_first_report_fails(self, capsys, monkeypatch):
+        a_m_checks = cli.matrixball.a_m_checks
+
+        def with_nan(g):
+            return a_m_checks(g) + [
+                cli.matrixball.RelationReport("A_m-comm", (0, 0, 0), float("nan"), 2)
+            ]
+
+        monkeypatch.setattr(cli.matrixball, "a_m_checks", with_nan)
+        code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "5")
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["pass"] is False
+        assert np.isnan(summary["max_residual"])
+
+    def test_perturbed_scales_only_the_first_scalar(self):
+        g = cli.matrixball.fock_rep(2, 0.5, 5)
+        damaged = cli._perturbed(g, 1e-3)
+        first, hurt = g.gen(1, 1), damaged.gen(1, 1)
+        assert np.array_equal(hurt.ids, first.ids)
+        assert hurt.scalars[0] == complex(first.scalars[0]) * (1.0 + 1e-3)
+        assert np.array_equal(hurt.scalars[1:], first.scalars[1:])
+        assert all(
+            damaged.gen(k, j) is g.gen(k, j)
+            for k in (1, 2) for j in (1, 2) if (k, j) != (1, 1)
+        )
+
     def test_string_verification(self, capsys, tmp_path):
         path = write_string(tmp_path, AdmissibleString(2, (2, 1), (0.0, 0.5)))
         code, out, _ = run(capsys, "verify", "--string", path, "--trunc", "5")

@@ -32,7 +32,12 @@ from qmatball.permgroup import (
     l_exponent,
 )
 from qmatball.qgrouprep import rep_generator
-from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS, StateVector, residual_on_window
+from qmatball.qoperator import (
+    MAX_RESIDUAL_ELEMENTS,
+    StateVector,
+    TensorOperator,
+    residual_on_window,
+)
 
 from conftest import random_phases_for, term_signature
 
@@ -144,6 +149,16 @@ class TestFockRepCache:
                     assert np.array_equal(a.scalars, b.scalars)
                     assert np.array_equal(a.ids, b.ids)
 
+    def test_parameters_are_positional_only(self):
+        g = fock_rep(2, Q, 6)
+        entries = fock_rep.cache_info().currsize
+        with pytest.raises(TypeError):
+            fock_rep(n=2, q=Q, N=6)
+        with pytest.raises(TypeError):
+            fock_rep(2, Q, N=6)
+        assert fock_rep(2, Q, 6) is g
+        assert fock_rep.cache_info().currsize == entries
+
     @pytest.mark.parametrize("args", [(0, Q, 6), (2, 1.0, 6), (2, Q, 1)])
     def test_invalid_arguments_raise_on_every_call(self, args):
         for _ in range(2):
@@ -224,6 +239,37 @@ class TestRelations:
                         assert zaa4_case_coefficients(
                             n, a, b, alpha, beta
                         ) == zaa4_r_coefficients(n, a, b, alpha, beta)
+
+    def test_adjoint_side_reverses_stars_and_conjugates(self):
+        side = [(1, ("z", 1, 2), ("z", 2, 1)), (2 - 1j, ("zs", 1, 1), ("z", 2, 2))]
+        assert matrixball._adjoint_side(side) == [
+            (1, ("zs", 2, 1), ("zs", 1, 2)),
+            (2 + 1j, ("zs", 2, 2), ("z", 1, 1)),
+        ]
+
+    def test_adjoint_families_share_the_product_cache(self, monkeypatch):
+        g = fock_rep(3, Q, 5)
+        calls = {"mul": 0, "adjoint": 0, "residual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TensorOperator, "__mul__", counted("mul", TensorOperator.__mul__)
+        )
+        monkeypatch.setattr(
+            TensorOperator, "adjoint", counted("adjoint", TensorOperator.adjoint)
+        )
+        monkeypatch.setattr(
+            matrixball, "residual_on_window", counted("residual", residual_on_window)
+        )
+        reports = verify_relations(g)
+        assert len(reports) == 234
+        assert calls == {"mul": 306, "adjoint": 9, "residual": 234}
 
     def test_all_strings_n2(self, rng):
         for ks in enumerate_admissible(2):
@@ -361,6 +407,20 @@ class TestCoherent:
     def test_random_phases(self, rng):
         for phi in rng.uniform(0, 2 * math.pi, size=3):
             assert coherent_check(Q, 4, float(phi)) < 1e-10
+
+    @pytest.mark.parametrize("phi", [0.0, 1.3, 4.0])
+    def test_matches_dense_vacuum_images(self, phi):
+        # oracle: apply every z*_j^i to the dense vacuum vector
+        g = rep_from_string(AdmissibleString(3, (3, 3, 2), (0.0, 0.0, phi)), Q, 4)
+        omega = StateVector.vacuum(g.f, g.N)
+        worst = 0.0
+        for i in range(1, 4):
+            for j in range(1, 4):
+                image = g.gen(j, i).adjoint().apply(omega)
+                if (i, j) == (1, 1):
+                    image = image - omega.scale(cmath.exp(-1j * phi))
+                worst = max(worst, image.norm())
+        assert coherent_check(Q, 4, phi) == pytest.approx(worst, abs=1e-15)
 
     def test_eigenvalue_is_unimodular(self):
         phi = 1.234

@@ -663,11 +663,11 @@ class TestResidualDenseOracle:
 
     def test_real_relation_instance(self):
         # exchange relation of the 2x2 vacuum representation, both sides
-        from qmatball.matrixball import _case_rhs, fock_rep
+        from qmatball.matrixball import _case_rhs, _Products, fock_rep
 
         g = fock_rep(2, Q, 5)
         lhs = g.gen(1, 1).adjoint() * g.gen(1, 1)
-        rhs = _case_rhs(g, 1, 1, 1, 1)
+        rhs = _case_rhs(g, 1, 1, 1, 1, _Products(g))
         got = residual_on_window(lhs, rhs, 2)
         want = self._window_max(lhs, rhs, 2)
         assert got == pytest.approx(want, abs=1e-13)
