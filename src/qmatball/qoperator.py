@@ -20,7 +20,6 @@ infinite-dimensional action.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -540,18 +539,54 @@ def vacuum_matrix_element(op: TensorOperator) -> complex:
 
 def _shift_classes(keys: np.ndarray) -> tuple[list[int], int]:
     """Class of each row of ``keys`` (T, k), classes numbered in order of
-    first appearance, and the number of classes."""
-    low = keys.min(axis=0)
-    spans = (keys.max(axis=0) - low + 1).tolist()
-    if math.prod(spans) < 1 << 62:
-        # one integer per row, in mixed radix
-        radix = np.cumprod([1] + spans[:-1], dtype=np.int64)
-        rows = ((keys - low) @ radix).tolist()
-    else:
-        rows = map(tuple, keys.tolist())
-    index: dict = {}
-    classes = [index.setdefault(row, len(index)) for row in rows]
+    first appearance, and the number of classes.  Rows are compared by
+    their bytes, which are equal exactly when the integer rows are."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    index: dict[bytes, int] = {}
+    classes = [index.setdefault(row, len(index)) for row in rows.ravel().tolist()]
     return classes, len(index)
+
+
+def _term_blocks(
+    scalars: np.ndarray,
+    ids: np.ndarray,
+    which: np.ndarray,
+    amps: np.ndarray,
+    window: int,
+) -> np.ndarray:
+    """Each term's action on the window: its scalar times the outer product
+    of its factors' first ``window`` amplitudes, ``which`` indexing the rows
+    of ``amps`` by term and axis.
+
+    The shape is ``(terms,)`` followed by ``window`` for each axis, or 1 for
+    an axis where every term is the identity: multiplying by ones could
+    change only the sign of a zero.  The product grows one axis at a time on
+    a (terms, elements) array; besides the result it holds the gathered
+    amplitudes (``axes * window`` per term) and the previous axis's product.
+    """
+    terms = scalars.size
+    used = ids.any(axis=0).tolist()
+    along = amps[which]
+    block = scalars[:, None]
+    for axis, use in enumerate(used):
+        if use:
+            block = (block[:, :, None] * along[:, axis, None, :]).reshape(terms, -1)
+    return block.reshape((terms,) + tuple(window if use else 1 for use in used))
+
+
+def _scatter_by_class(block: np.ndarray, classes: list[int], count: int) -> np.ndarray:
+    """The sum of the term blocks in each class, as a (count, W) array.
+    ``np.bincount`` adds its weights in input order from 0.0, so every class
+    is summed in term order, as ``+=`` would sum it; the real and imaginary
+    parts are scattered as the two halves of each complex value.  Holds an
+    int64 scatter index of two entries per block element."""
+    terms = block.shape[0]
+    parts = block.reshape(terms, -1).view(np.float64)
+    width = parts.shape[1]
+    index = np.asarray(classes, dtype=np.int64)[:, None] * width + np.arange(width)
+    sums = np.bincount(index.reshape(-1), parts.reshape(-1), minlength=count * width)
+    return sums.view(np.complex128).reshape(count, width // 2)
 
 
 def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
@@ -559,24 +594,49 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
 
     The window keeps every component m_i <= N-1-d, where d bounds the length
     of the generator words involved, so an identity of the untruncated
-    algebra must come out zero up to floating point.  Terms are grouped by
-    shift vector, each term's block added into its class in term order.
+    algebra must come out zero up to floating point.  ``d`` is taken through
+    ``operator.index`` (so ``True`` is depth 1) and must satisfy 0 <= d < N,
+    or ``ValueError`` is raised.
 
-    With W = window^axes, a call holds at most one W-element array per shift
-    class, the chunk of term blocks being built (W per term, plus W / window
-    per term for the previous axis), and the float64 sum of squares with its
-    one temporary (W together).  Before allocating any of them it raises
-    ``ValueError`` when that count exceeds ``MAX_RESIDUAL_ELEMENTS``.
+    Terms are grouped by shift vector, classes numbered by first term.
+    Every class is summed in term order from zero, and the squared column
+    norm adds the classes' squared moduli in class order, so both paths
+    below give the same bits.
+
+    With W = window^axes and G = axes * window (the amplitudes the block
+    builder gathers per term), a call's block is ``terms * W`` elements.  A
+    block of at most ``_CHUNK_ELEMENTS`` is built whole and scattered into
+    its classes by one ``np.bincount``: the call holds the gathered
+    amplitudes, the block, the scatter index (two int64 per block element,
+    so W per term) and the class sums, ``terms * (2W + G) + classes * W``
+    elements; the squares then fill half of what the block and index held.
+    A larger block is built in chunks of at most ``_CHUNK_ELEMENTS``
+    elements (one term, if a single term is larger), each added into its
+    class term by term: the call holds one W-element array per class, the
+    chunk being built with its previous axis and gathered amplitudes (W + W
+    / window + G per term), and the float64 sum of squares with its one
+    temporary, ``(classes + 1) * W + chunk * (W + W / window + G)``
+    elements.  Counts are in complex128 elements.  Before allocating any of
+    these arrays it raises ``ValueError`` when the count of its path
+    exceeds ``MAX_RESIDUAL_ELEMENTS``.
     """
     a._check_compatible(b)
     dim = a.dim
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ValueError(
+            f"window depth d must be an integer, got d={d!r} at N={dim}"
+        ) from None
+    if d < 0:
+        raise ValueError(f"window depth d must be at least 0, got d={d} at N={dim}")
     scalars = np.concatenate((a.scalars, -b.scalars))
     ids = np.concatenate((a.ids, b.ids))
     live = scalars != 0
     scalars, ids = scalars[live], ids[live]
     if a.f == 0:
-        return abs(sum(scalars.tolist()))
-    window = dim - int(d)
+        return abs(sum(scalars.tolist(), 0j))
+    window = dim - d
     if window <= 0:
         raise ValueError(f"window is empty: N={dim}, d={d}")
     # axes that every term treats as identity do not affect any column norm
@@ -584,50 +644,61 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     if not scalars.size:
         return 0.0
     if not ids.shape[1]:
-        return abs(sum(scalars.tolist()))
+        return abs(sum(scalars.tolist(), 0j))
 
     terms, axes = ids.shape
     classes, count = _shift_classes(FACTORS.deltas[ids])
     size = window**axes
-    chunk = min(terms, max(1, _CHUNK_ELEMENTS // size))
-    needed = (count + 1) * size + chunk * (size + size // window)
+    # the amplitudes the block builder gathers, per term
+    gathered = axes * window
+    scatter = terms * size <= _CHUNK_ELEMENTS
+    if scatter:
+        needed = terms * (2 * size + gathered) + count * size
+    else:
+        chunk = max(1, _CHUNK_ELEMENTS // size)
+        needed = (count + 1) * size + chunk * (size + size // window + gathered)
     if needed > MAX_RESIDUAL_ELEMENTS:
+        if scatter:
+            held = f"{terms} term blocks, their scatter index, {count} class sums"
+        else:
+            held = f"{count} class sums, {chunk} term blocks at a time, the squares"
         raise ValueError(
             f"residual at N={dim}, d={d} over {axes} axes would hold {needed} "
-            f"elements ({count} shift-class arrays of {window}^{axes}, a chunk of "
-            f"{chunk} term blocks and the sum of squares), more than the limit "
-            f"{MAX_RESIDUAL_ELEMENTS}"
+            f"elements ({held}; {window}^{axes} per term or class), more than "
+            f"the limit {MAX_RESIDUAL_ELEMENTS}"
         )
     unique, which = FACTORS.distinct(ids)
     ones = np.ones(window, dtype=np.complex128)
     amps = np.stack(
         [FACTORS[tid].amps[:window] if tid else ones for tid in unique.tolist()]
     )
-    full = (window,) * axes
-    # each class array is allocated at its first term, as in a dict of blocks
-    shifts: list[np.ndarray | None] = [None] * count
-    for start in range(0, terms, chunk):
-        stop = min(start + chunk, terms)
-        block = scalars[start:stop]
-        for axis in range(axes):
-            block = block[..., None]
-            # an axis where the whole chunk is the identity stays broadcast:
-            # multiplying by ones could change only the sign of a zero
-            if ids[start:stop, axis].any():
-                along = amps[which[start:stop, axis]]
-                shape = (stop - start,) + (1,) * axis + (window,)
-                block = block * along.reshape(shape)
-        for key, row in zip(classes[start:stop], block):
-            target = shifts[key]
-            if target is None:
-                shifts[key] = target = np.zeros(full, dtype=np.complex128)
-            target += row
     # distinct shift vectors hit distinct basis vectors, so the squared
     # column norm splits as a sum of |amplitude|^2 over shift classes
-    total = np.zeros(full, dtype=np.float64)
-    for row in shifts:
-        square = np.abs(row)
-        total += np.square(square, out=square)
+    if scatter:
+        block = _term_blocks(scalars, ids, which, amps, window)
+        square = np.abs(_scatter_by_class(block, classes, count))
+        del block
+        np.square(square, out=square)
+        # accumulate, unlike a reduction, adds the classes one after another
+        total = np.add.accumulate(square, axis=0, out=square)[-1]
+    else:
+        full = (window,) * axes
+        # each class array is allocated at its first term, as in a dict of blocks
+        shifts: list[np.ndarray | None] = [None] * count
+        for start in range(0, terms, chunk):
+            part = slice(start, start + chunk)
+            block = _term_blocks(scalars[part], ids[part], which[part], amps, window)
+            for key, row in zip(classes[part], block):
+                target = shifts[key]
+                if target is None:
+                    shifts[key] = target = np.zeros(full, dtype=np.complex128)
+                target += row
+            # the next chunk is built without this one
+            del block, row
+        total = np.zeros(full, dtype=np.float64)
+        for row in shifts:
+            square = np.abs(row)
+            total += np.square(square, out=square)
     return float(np.sqrt(total.max()))
 
 

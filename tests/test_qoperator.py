@@ -236,8 +236,10 @@ class TestResidualWindow:
         assert peak < size * np.dtype(np.complex128).itemsize
 
     def test_limit_counts_classes_chunk_and_sum_exactly(self, monkeypatch):
-        # window 5 on 6 axes: 5^6 elements per array and three shift classes;
-        # a chunk setting of four arrays builds the four terms together
+        # window 5 on 6 axes: 5^6 elements per array, four terms in three
+        # shift classes.  A chunk setting of two blocks builds the terms in
+        # pairs and adds them class by class; one of four blocks builds all
+        # of them at once and scatters them into their classes.
         dim, d, window, axes = 6, 1, 5, 6
         size = window**axes
         a = single(1.0, [t_block(1, 1, Q, dim)] * axes, dim=dim) + single(
@@ -247,32 +249,75 @@ class TestResidualWindow:
             1.0, [t_block(1, 2, Q, dim)] * axes, dim=dim
         )
         one_by_one = residual_on_window(a, b, d)
-        monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 4 * size)
-        classes, chunk = 3, 4
-        needed = (classes + 1) * size + chunk * (size + size // window)
+        terms, classes, gathered = 4, 3, axes * window
+        chunk = 2
+        paths = {
+            "chunks": (
+                chunk * size,
+                (classes + 1) * size + chunk * (size + size // window + gathered),
+            ),
+            "scatter": (terms * size, terms * (2 * size + gathered) + classes * size),
+        }
         itemsize = np.dtype(np.complex128).itemsize
+        for path, (chunk_elements, needed) in paths.items():
+            monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk_elements)
 
-        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed - 1)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"would hold {needed} elements"):
-                residual_on_window(a, b, d)
-            _, refused_peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert refused_peak < size * itemsize
+            monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed - 1)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"would hold {needed} elements"):
+                    residual_on_window(a, b, d)
+                _, refused_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert refused_peak < size * itemsize, path
 
-        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed)
-        tracemalloc.start()
-        try:
-            residual = residual_on_window(a, b, d)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert residual == one_by_one
-        # beyond the count: numpy's broadcasting buffer of np.getbufsize()
-        # elements and the small index arrays
-        assert peak <= (needed + np.getbufsize()) * itemsize + 16 * 1024
+            monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", needed)
+            tracemalloc.start()
+            try:
+                residual = residual_on_window(a, b, d)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert residual == one_by_one, path
+            # beyond the count: numpy's broadcasting buffer of np.getbufsize()
+            # elements and the small index arrays
+            assert peak <= (needed + np.getbufsize()) * itemsize + 16 * 1024, path
+
+    def test_classes_added_in_order_of_first_term(self, monkeypatch):
+        # a window of size 1 on one axis of 13 levels: class k holds two terms
+        # moving e_0 to e_k.  Class 0 comes first and squares to 1; each of
+        # the other eleven squares to 0.72 * 2^-53, less than half a unit in
+        # the last place of 1.0, so adding the classes one after another
+        # keeps 1.0.  Any grouping that adds two small squares first (a
+        # pairwise reduction, say) comes out above 1.
+        dim = 13
+        vacuum = np.zeros(dim)
+        vacuum[0] = 1.0
+        op = TensorOperator.zero(1, dim)
+        for k in range(dim - 1):
+            F = FactorMatrix(k, vacuum)
+            half = 0.5 if k == 0 else 0.3 * 2.0**-26
+            op = op + single(half, [F], dim=dim) + single(half, [F], dim=dim)
+        assert residual_on_window(op, zero_like(op), dim - 1) == 1.0
+        monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 1)
+        assert residual_on_window(op, zero_like(op), dim - 1) == 1.0
+
+    def test_depth_checked_at_the_boundary(self):
+        # d goes through operator.index: a float or a negative depth is
+        # refused, and a bool counts as the integer it is (True is depth 1)
+        from qmatball.matrixball import RelationReport
+
+        S = single(1.0, [shift(N)])
+        I = TensorOperator.identity(1, N)
+        for d in (1.5, -1, "1"):
+            with pytest.raises(ValueError, match=f"d={d!r} at N={N}"):
+                residual_on_window(S * S.adjoint(), I, d)
+            with pytest.raises(ValueError, match=f"d={d!r} at N={N}"):
+                RelationReport.of("SS*", (), S * S.adjoint(), I, d)
+        assert residual_on_window(S * S.adjoint(), I, True) == residual_on_window(
+            S * S.adjoint(), I, 1
+        )
 
 
 class TestNormEstimate:
@@ -357,9 +402,11 @@ def dense_norm(op):
     return float(np.linalg.norm(dense_matrix(reduced), 2))
 
 
-def weighted_shift(rng, dim):
-    """Random complex amplitudes on one random diagonal of a dim x dim matrix."""
-    k = int(rng.integers(-(dim - 1), dim))  # the diagonal np.diag(., k) fills
+def weighted_shift(rng, dim, k=None):
+    """Random complex amplitudes on diagonal k of a dim x dim matrix, random
+    unless given (the diagonal np.diag(., k) fills; the shift is -k)."""
+    if k is None:
+        k = int(rng.integers(-(dim - 1), dim))
     size = dim - abs(k)
     amps = np.zeros(dim, dtype=complex)
     amps[max(k, 0) : max(k, 0) + size] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -378,6 +425,32 @@ def tag_word(rng, dim, max_length=3):
     for block in blocks[1:]:
         out = out.matmul(block)
     return out
+
+
+def random_shift_vectors(rng, f, dim, count):
+    """``count`` random shift vectors over f axes; None marks an identity
+    factor, whose shift is 0 like a diagonal factor's."""
+    return [
+        [
+            None if rng.random() < 0.25 else int(rng.integers(-(dim - 1), dim))
+            for _ in range(f)
+        ]
+        for _ in range(count)
+    ]
+
+
+def operator_on_shifts(rng, dim, shifts, n_terms):
+    """Sum of ``n_terms`` random complex multiples of elementary tensors of
+    weighted shifts, each term on one of ``shifts``, drawn at random."""
+    terms = []
+    for _ in range(n_terms):
+        vector = shifts[int(rng.integers(len(shifts)))]
+        factors = tuple(
+            None if k is None else weighted_shift(rng, dim, k) for k in vector
+        )
+        scalar = complex(rng.standard_normal(), rng.standard_normal())
+        terms.append(TensorTerm(scalar, factors))
+    return TensorOperator(len(shifts[0]), dim, tuple(terms))
 
 
 def random_factor(rng, dim, tagged):
@@ -678,11 +751,21 @@ class TestResidualDenseOracle:
         st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)
     )
     def test_random_weighted_shifts(self, seed, f, dim, d):
+        # terms on a few shared shift vectors, so that a class holds several
+        # terms; d = dim - 1 leaves a window of size 1.  By default every
+        # block here is scattered whole; a chunk of one element adds the
+        # terms one at a time, which must give the same bits.
         rng = np.random.default_rng(seed)
-        a = random_operator(rng, f, dim, int(rng.integers(1, 4)))
-        b = random_operator(rng, f, dim, int(rng.integers(1, 4)))
+        shifts = random_shift_vectors(rng, f, dim, int(rng.integers(1, 4)))
+        a = operator_on_shifts(rng, dim, shifts, int(rng.integers(1, 7)))
+        b = operator_on_shifts(rng, dim, shifts, int(rng.integers(1, 7)))
         d = min(d, dim - 1)
-        assert residual_on_window(a, b, d) == pytest.approx(
+        scattered = residual_on_window(a, b, d)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qoperator, "_CHUNK_ELEMENTS", 1)
+            term_by_term = residual_on_window(a, b, d)
+        assert scattered == term_by_term
+        assert scattered == pytest.approx(
             self._window_max(a, b, d), rel=1e-12, abs=1e-13
         )
 
