@@ -21,7 +21,7 @@ GRID = [
     (2, 0.3, 6),
     (2, 0.5, 6),
     (2, 0.8, 6),
-    (3, 0.5, 4),
+    (3, 0.3, 5),
     (3, 0.5, 5),
 ]
 

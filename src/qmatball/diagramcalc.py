@@ -15,6 +15,7 @@ column-major from the lower-left cell: factor index (col-1)*n + (n-row+1).
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 from .permgroup import AdmissibleString, admissible_bound
@@ -141,8 +142,14 @@ class LatticePath:
 def enumerate_paths(n: int, k: int, j: int) -> list[LatticePath]:
     """All staircase paths from bottom column k to right row j.
 
-    There are binomial(2n - k - j, n - k) of them.
+    There are binomial(2n - k - j, n - k) of them.  The list is new on every
+    call; the paths are found once per (n, k, j).
     """
+    return list(_staircase_paths(n, k, j))
+
+
+@functools.cache
+def _staircase_paths(n: int, k: int, j: int) -> tuple[LatticePath, ...]:
     if not (1 <= k <= n and 1 <= j <= n):
         raise ValueError(f"boundary labels ({k}, {j}) outside 1..{n}")
     paths: list[LatticePath] = []
@@ -175,7 +182,7 @@ def enumerate_paths(n: int, k: int, j: int) -> list[LatticePath]:
                 steps.pop()
 
     walk(n, k, True)
-    return paths
+    return tuple(paths)
 
 
 def synthesize_z(

@@ -160,8 +160,15 @@ class FactorTable:
     the products and adjoints taken of them.  The product id of each pair of
     ids and the adjoint id of each id are computed once, on first use.
 
-    ``deltas`` and ``kills_vacuum`` are read-only per-id columns (the shift,
-    and whether ``amps[0] == 0``) to index with id arrays; their entries past
+    Three per-id columns serve indexing with id arrays: ``deltas`` (the
+    shift), ``kills_vacuum`` (whether ``amps[0] == 0``) and ``amps``, a
+    complex128 array of shape (capacity, width) whose row ``tid`` holds
+    ``F.amps`` padded with zeros to ``width``, the size of the widest factor
+    interned so far; row 0, the identity, is ones across the full width.
+    They live as long as the table.  Each is a read-only view of a private
+    array that only ``intern`` writes; when the rows run out they double,
+    and when a wider factor arrives ``amps`` widens, and the views are made
+    again then, so a view kept from before goes stale.  Rows past
     ``len(table)`` are unused.
     """
 
@@ -172,8 +179,26 @@ class FactorTable:
         self._by_object: dict[int, int] = {}
         self._products: dict[tuple[int, int], int] = {}
         self._adjoints: dict[int, int] = {0: 0}
-        self.deltas = np.zeros(64, dtype=np.int64)
-        self.kills_vacuum = np.zeros(64, dtype=bool)
+        self._deltas = np.zeros(0, dtype=np.int64)
+        self._kills_vacuum = np.zeros(0, dtype=bool)
+        self._amps = np.zeros((0, 0), dtype=np.complex128)
+        self._grow(64, 0)
+
+    def _grow(self, rows: int, width: int) -> None:
+        """Copies the columns into arrays of ``rows`` rows and ``amps`` of
+        ``width`` columns, and rebinds the public read-only views."""
+        self._deltas, self._kills_vacuum = (
+            np.concatenate((column, np.zeros(rows - column.size, column.dtype)))
+            for column in (self._deltas, self._kills_vacuum)
+        )
+        amps = np.zeros((rows, width), dtype=np.complex128)
+        amps[: self._amps.shape[0], : self._amps.shape[1]] = self._amps
+        amps[0] = 1.0
+        self._amps = amps
+        for name in ("deltas", "kills_vacuum", "amps"):
+            view = getattr(self, "_" + name).view()
+            view.setflags(write=False)
+            setattr(self, name, view)
 
     def __getitem__(self, tid: int) -> FactorMatrix | None:
         return self._factors[tid]
@@ -190,13 +215,12 @@ class FactorTable:
         if tid is not None:
             return tid
         tid = len(self._factors)
-        if tid == self.deltas.size:
-            self.deltas, self.kills_vacuum = (
-                np.concatenate((column, np.zeros_like(column)))
-                for column in (self.deltas, self.kills_vacuum)
-            )
-        self.deltas[tid] = F.delta
-        self.kills_vacuum[tid] = F.amps[0] == 0
+        rows, width = self._amps.shape
+        if tid == rows or F.dim > width:
+            self._grow(2 * rows if tid == rows else rows, max(width, F.dim))
+        self._deltas[tid] = F.delta
+        self._kills_vacuum[tid] = F.amps[0] == 0
+        self._amps[tid, : F.dim] = F.amps
         self._factors.append(F)
         self._by_content[key] = tid
         self._by_object[id(F)] = tid
@@ -548,26 +572,21 @@ def _shift_classes(keys: np.ndarray) -> tuple[list[int], int]:
     return classes, len(index)
 
 
-def _term_blocks(
-    scalars: np.ndarray,
-    ids: np.ndarray,
-    which: np.ndarray,
-    amps: np.ndarray,
-    window: int,
-) -> np.ndarray:
+def _term_blocks(scalars: np.ndarray, ids: np.ndarray, window: int) -> np.ndarray:
     """Each term's action on the window: its scalar times the outer product
-    of its factors' first ``window`` amplitudes, ``which`` indexing the rows
-    of ``amps`` by term and axis.
+    of its factors' first ``window`` amplitudes, read from the ``amps``
+    column of ``FACTORS`` by id (row 0, the identity, being ones).
 
     The shape is ``(terms,)`` followed by ``window`` for each axis, or 1 for
     an axis where every term is the identity: multiplying by ones could
     change only the sign of a zero.  The product grows one axis at a time on
     a (terms, elements) array; besides the result it holds the gathered
-    amplitudes (``axes * window`` per term) and the previous axis's product.
+    amplitudes, a (terms, axes, window) array (``axes * window`` per term),
+    and the previous axis's product.
     """
     terms = scalars.size
     used = ids.any(axis=0).tolist()
-    along = amps[which]
+    along = FACTORS.amps[:, :window][ids]
     block = scalars[:, None]
     for axis, use in enumerate(used):
         if use:
@@ -604,9 +623,10 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     below give the same bits.
 
     With W = window^axes and G = axes * window (the amplitudes the block
-    builder gathers per term), a call's block is ``terms * W`` elements.  A
-    block of at most ``_CHUNK_ELEMENTS`` is built whole and scattered into
-    its classes by one ``np.bincount``: the call holds the gathered
+    builder gathers per term by id from ``FACTORS.amps``, the only copy of
+    them a call makes), a call's block is ``terms * W`` elements.  A block
+    of at most ``_CHUNK_ELEMENTS`` is built whole and scattered into its
+    classes by one ``np.bincount``: the call holds the gathered
     amplitudes, the block, the scatter index (two int64 per block element,
     so W per term) and the class sums, ``terms * (2W + G) + classes * W``
     elements; the squares then fill half of what the block and index held.
@@ -649,7 +669,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     terms, axes = ids.shape
     classes, count = _shift_classes(FACTORS.deltas[ids])
     size = window**axes
-    # the amplitudes the block builder gathers, per term
+    # the amplitudes the block builder gathers from FACTORS.amps, per term
     gathered = axes * window
     scatter = terms * size <= _CHUNK_ELEMENTS
     if scatter:
@@ -667,15 +687,10 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
             f"elements ({held}; {window}^{axes} per term or class), more than "
             f"the limit {MAX_RESIDUAL_ELEMENTS}"
         )
-    unique, which = FACTORS.distinct(ids)
-    ones = np.ones(window, dtype=np.complex128)
-    amps = np.stack(
-        [FACTORS[tid].amps[:window] if tid else ones for tid in unique.tolist()]
-    )
     # distinct shift vectors hit distinct basis vectors, so the squared
     # column norm splits as a sum of |amplitude|^2 over shift classes
     if scatter:
-        block = _term_blocks(scalars, ids, which, amps, window)
+        block = _term_blocks(scalars, ids, window)
         square = np.abs(_scatter_by_class(block, classes, count))
         del block
         np.square(square, out=square)
@@ -687,7 +702,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         shifts: list[np.ndarray | None] = [None] * count
         for start in range(0, terms, chunk):
             part = slice(start, start + chunk)
-            block = _term_blocks(scalars[part], ids[part], which[part], amps, window)
+            block = _term_blocks(scalars[part], ids[part], window)
             for key, row in zip(classes[part], block):
                 target = shifts[key]
                 if target is None:

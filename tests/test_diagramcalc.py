@@ -89,13 +89,31 @@ class TestEnumeratePaths:
         assert len(enumerate_paths(3, 1, 1)) == 6
 
     def test_against_brute_force_walks(self):
-        for n in range(1, 4):
+        for n in range(1, 5):
             for k in range(1, n + 1):
                 for j in range(1, n + 1):
                     got = enumerate_paths(n, k, j)
                     assert len(got) == len(brute_force_paths(n, k, j))
                     assert len(got) == math.comb(2 * n - k - j, n - k)
                     assert len({p.steps for p in got}) == len(got)
+
+    def test_mutating_the_returned_list_changes_no_later_result(self):
+        # the paths are found once per (n, k, j); each call hands out a new list
+        string = AdmissibleString(3, (1, 2, 1), (0.4, 0.0, 1.1))
+        grid = grid_from_string(string)
+        before = synthesize_z(grid, 1, 1, 0.5, 4)
+        first = enumerate_paths(3, 1, 1)
+        steps = [path.steps for path in first]
+        first.reverse()
+        first.append(first[0])
+        second = enumerate_paths(3, 1, 1)
+        assert second is not first
+        assert [path.steps for path in second] == steps
+        second.clear()
+        after = synthesize_z(grid, 1, 1, 0.5, 4)
+        assert after.scalars.tobytes() == before.scalars.tobytes()
+        assert after.ids.tolist() == before.ids.tolist()
+        assert [path.steps for path in enumerate_paths(3, 1, 1)] == steps
 
     def test_paths_are_monotone_staircases(self):
         for path in enumerate_paths(3, 1, 2):

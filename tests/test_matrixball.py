@@ -1,11 +1,14 @@
 import cmath
 import itertools
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmatball import matrixball
+from qmatball import matrixball, qoperator
 from qmatball.matrixball import (
     GeneratorImages,
     MonomialExponent,
@@ -381,6 +384,20 @@ class TestShilov:
                 assert worst < 1e-10, (ks, worst)
             else:
                 assert worst > 1e-6, (ks, worst)
+
+    def test_scan_script_stops_at_the_memory_limit(self, monkeypatch, capsys):
+        # a string whose residual the limit refuses stops the scan with a
+        # plain message and exit code 2, not a traceback
+        script = Path(__file__).resolve().parents[1] / "scripts" / "shilov_scan.py"
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", 10)
+        monkeypatch.setattr(sys, "argv", [str(script), "3"])
+        with pytest.raises(SystemExit) as stopped:
+            runpy.run_path(str(script), run_name="__main__")
+        assert stopped.value.code == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: string [") and err.count("\n") == 1
+        assert "more than the limit 10" in err
+        assert "prediction holds" not in out
 
 
 class TestClassifier:

@@ -12,6 +12,7 @@ from qmatball.qgrouprep import FactorEvaluation, apply_tau, tau_factor_value
 from qmatball.qoperator import (
     FACTORS,
     FactorMatrix,
+    FactorTable,
     StateVector,
     TensorOperator,
     TensorTerm,
@@ -579,6 +580,68 @@ class TestFactorTable:
         with pytest.raises(ValueError, match="primitive set"):
             apply_tau(back, FactorEvaluation(((1, 0.3),)))
         assert apply_tau(single(1.0, [T]), FactorEvaluation(((1, 0.3),))).f == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(65, 160))
+    def test_amplitude_column_holds_each_factor(self, seed, count):
+        # a new table starts with 64 rows and no width, so interning more
+        # than 64 factors of sizes 2-7 grows both
+        rng = np.random.default_rng(seed)
+        table = FactorTable()
+        factors = [weighted_shift(rng, int(rng.integers(2, 8))) for _ in range(count)]
+        ids = [table.intern(F) for F in factors]
+        width = max(F.dim for F in factors)
+        assert table.amps.shape[0] >= count + 1 > 64 and table.amps.shape[1] == width
+        assert table.amps[0].tobytes() == np.ones(width, dtype=np.complex128).tobytes()
+        for tid, F in zip(ids, factors):
+            assert table.amps[tid, : F.dim].tobytes() == F.amps.tobytes()
+            # zero padding, with no negative zero
+            assert not table.amps[tid, F.dim :].view(np.uint64).any()
+            assert table.deltas[tid] == F.delta
+            assert table.kills_vacuum[tid] == (F.amps[0] == 0)
+
+    def test_columns_are_read_only_views(self):
+        rng = np.random.default_rng(11)
+        table = FactorTable()
+        # 70 factors of size 3 grow the rows, then one of size 5 the width
+        for F in [weighted_shift(rng, 3) for _ in range(70)] + [weighted_shift(rng, 5)]:
+            table.intern(F)
+        assert table.amps.shape == (128, 5)
+        for columns in (table, FACTORS):
+            for name in ("deltas", "kills_vacuum", "amps"):
+                column = getattr(columns, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    # the same value, so a write that got through changes nothing
+                    column[0] = column[0]
+        F = weighted_shift(rng, 4, 1)
+        tid = table.intern(F)
+        assert table[tid] is F and table.intern(F) == tid
+        assert table.deltas[tid] == -1 and table.kills_vacuum[tid]
+        assert table.amps[tid, :4].tobytes() == F.amps.tobytes()
+
+    def test_residual_unchanged_when_the_table_widens(self, monkeypatch):
+        # a new table, 3 wide; interning a factor of size 9 widens it
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        rng = np.random.default_rng(3)
+        A = random_operator(rng, 3, 3, 4)
+        a, b = A * A.adjoint(), A.adjoint() * A
+
+        def residuals():
+            # the whole block scattered, then the term-by-term path
+            out = []
+            for chunk in (qoperator._CHUNK_ELEMENTS, 1):
+                with monkeypatch.context() as m:
+                    m.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+                    out.append(residual_on_window(a, b, 1).hex())
+            return out
+
+        assert table.amps.shape[1] == 3
+        before = residuals()
+        assert before[0] == before[1] and float.fromhex(before[0]) > 0.0
+        table.intern(weighted_shift(rng, 9))
+        assert table.amps.shape[1] == 9
+        assert residuals() == before
 
     def test_operators_are_immutable(self):
         op = single(1.0, [t_block(1, 1, Q, N)])
