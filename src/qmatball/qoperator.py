@@ -573,25 +573,24 @@ def _shift_classes(keys: np.ndarray) -> tuple[list[int], int]:
 
 
 def _term_blocks(scalars: np.ndarray, ids: np.ndarray, window: int) -> np.ndarray:
-    """Each term's action on the window: its scalar times the outer product
-    of its factors' first ``window`` amplitudes, read from the ``amps``
-    column of ``FACTORS`` by id (row 0, the identity, being ones).
+    """Each term's action on the window, on every axis of ``ids``: its
+    scalar times the outer product of its factors' first ``window``
+    amplitudes, read from the ``amps`` column of ``FACTORS`` by id (row 0,
+    the identity, being ones), as a (terms, window^axes) array.
 
-    The shape is ``(terms,)`` followed by ``window`` for each axis, or 1 for
-    an axis where every term is the identity: multiplying by ones could
-    change only the sign of a zero.  The product grows one axis at a time on
-    a (terms, elements) array; besides the result it holds the gathered
+    Callers drop the axes on which every term is the identity: multiplying
+    by ones could change only the sign of a zero.  The product grows one
+    axis at a time, left to right; besides the result it holds the gathered
     amplitudes, a (terms, axes, window) array (``axes * window`` per term),
     and the previous axis's product.
     """
-    terms = scalars.size
-    used = ids.any(axis=0).tolist()
+    terms, axes = ids.shape
     along = FACTORS.amps[:, :window][ids]
-    block = scalars[:, None]
-    for axis, use in enumerate(used):
-        if use:
-            block = (block[:, :, None] * along[:, axis, None, :]).reshape(terms, -1)
-    return block.reshape((terms,) + tuple(window if use else 1 for use in used))
+    # a copy even on no axis, since callers sum into the result in place
+    block = scalars[:, None].copy()
+    for axis in range(axes):
+        block = (block[:, :, None] * along[:, axis, None, :]).reshape(terms, -1)
+    return block
 
 
 def _scatter_by_class(block: np.ndarray, classes: list[int], count: int) -> np.ndarray:
@@ -600,8 +599,7 @@ def _scatter_by_class(block: np.ndarray, classes: list[int], count: int) -> np.n
     is summed in term order, as ``+=`` would sum it; the real and imaginary
     parts are scattered as the two halves of each complex value.  Holds an
     int64 scatter index of two entries per block element."""
-    terms = block.shape[0]
-    parts = block.reshape(terms, -1).view(np.float64)
+    parts = block.view(np.float64)
     width = parts.shape[1]
     index = np.asarray(classes, dtype=np.int64)[:, None] * width + np.arange(width)
     sums = np.bincount(index.reshape(-1), parts.reshape(-1), minlength=count * width)
@@ -630,14 +628,26 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     amplitudes, the block, the scatter index (two int64 per block element,
     so W per term) and the class sums, ``terms * (2W + G) + classes * W``
     elements; the squares then fill half of what the block and index held.
-    A larger block is built in chunks of at most ``_CHUNK_ELEMENTS``
-    elements (one term, if a single term is larger), each added into its
-    class term by term: the call holds one W-element array per class, the
-    chunk being built with its previous axis and gathered amplitudes (W + W
-    / window + G per term), and the float64 sum of squares with its one
-    temporary, ``(classes + 1) * W + chunk * (W + W / window + G)``
-    elements.  Counts are in complex128 elements.  Before allocating any of
-    these arrays it raises ``ValueError`` when the count of its path
+
+    A larger block is summed one class at a time, in class order.  A
+    class's terms are built only on the axes the class uses, ``W_c`` and
+    ``G_c`` per term, in chunks of at most ``_CHUNK_ELEMENTS`` elements (one
+    term, if a single term is larger).  Each chunk takes the running class
+    sum into its first term and is summed in place by
+    ``np.add.accumulate``, which, unlike a reduction, adds the terms one
+    after another.  The class's squared moduli are then added, broadcast
+    over the axes it does not use, into a float64 sum of squares of W.  The
+    call holds that sum (W / 2), the class sum, and the chunk being built
+    with its previous axis and gathered amplitudes (``W_c + W_c / window +
+    G_c`` per term); a class's squares (W_c / 2) come once its last chunk
+    is freed.  The class sum is counted at W whatever axes its class uses,
+    so that a window too wide for two W arrays is refused at its first
+    call, and the chunk of the class whose chunk is largest is counted:
+    ``W / 2 + W + chunk * (W_c + W_c / window + G_c)`` elements.
+
+    Both counts add numpy's two iteration buffers of ``np.getbufsize()``
+    elements, and are in complex128 elements.  Before allocating any of
+    these arrays the call raises ``ValueError`` when the count of its path
     exceeds ``MAX_RESIDUAL_ELEMENTS``.
     """
     a._check_compatible(b)
@@ -671,17 +681,35 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     size = window**axes
     # the amplitudes the block builder gathers from FACTORS.amps, per term
     gathered = axes * window
+    # numpy's two iteration buffers for a broadcast multiply
+    buffers = 2 * np.getbufsize()
     scatter = terms * size <= _CHUNK_ELEMENTS
     if scatter:
-        needed = terms * (2 * size + gathered) + count * size
+        needed = terms * (2 * size + gathered) + count * size + buffers
     else:
-        chunk = max(1, _CHUNK_ELEMENTS // size)
-        needed = (count + 1) * size + chunk * (size + size // window + gathered)
+        # each class's scalars and ids in term order, on the axes it uses,
+        # and how many of its blocks are built at once
+        members: list[list[int]] = [[] for _ in range(count)]
+        for term, key in enumerate(classes):
+            members[key].append(term)
+        plan = []
+        chunk, build = 0, 0
+        for rows in members:
+            own = ids[rows]
+            use = own.any(axis=0)
+            own = own[:, use]
+            width = window ** own.shape[1]
+            part = min(len(rows), max(1, _CHUNK_ELEMENTS // width))
+            plan.append((scalars[rows], own, use, part))
+            elements = part * (width + width // window + own.shape[1] * window)
+            if elements > build:
+                chunk, build = part, elements
+        needed = (size + 1) // 2 + size + build + buffers
     if needed > MAX_RESIDUAL_ELEMENTS:
         if scatter:
             held = f"{terms} term blocks, their scatter index, {count} class sums"
         else:
-            held = f"{count} class sums, {chunk} term blocks at a time, the squares"
+            held = f"the sum of squares, a class sum, {chunk} term blocks at a time"
         raise ValueError(
             f"residual at N={dim}, d={d} over {axes} axes would hold {needed} "
             f"elements ({held}; {window}^{axes} per term or class), more than "
@@ -697,23 +725,26 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         # accumulate, unlike a reduction, adds the classes one after another
         total = np.add.accumulate(square, axis=0, out=square)[-1]
     else:
-        full = (window,) * axes
-        # each class array is allocated at its first term, as in a dict of blocks
-        shifts: list[np.ndarray | None] = [None] * count
-        for start in range(0, terms, chunk):
-            part = slice(start, start + chunk)
-            block = _term_blocks(scalars[part], ids[part], window)
-            for key, row in zip(classes[part], block):
-                target = shifts[key]
-                if target is None:
-                    shifts[key] = target = np.zeros(full, dtype=np.complex128)
-                target += row
-            # the next chunk is built without this one
-            del block, row
-        total = np.zeros(full, dtype=np.float64)
-        for row in shifts:
-            square = np.abs(row)
-            total += np.square(square, out=square)
+        total = np.zeros((window,) * axes, dtype=np.float64)
+        for own_scalars, own, use, part in plan:
+            for start in range(0, len(own), part):
+                block = _term_blocks(
+                    own_scalars[start : start + part], own[start : start + part], window
+                )
+                if start:
+                    np.add(running, block[0], out=block[0])
+                    del running
+                if len(block) > 1:
+                    # accumulate, unlike a reduction, adds the terms one after another
+                    np.add.accumulate(block, axis=0, out=block)
+                # the class sum so far: a chunk of one term is that sum, and
+                # a longer one is let go, so that the next is built without it
+                running = block[0] if len(block) == 1 else block[-1].copy()
+                del block
+            square = np.abs(running)
+            del running
+            np.square(square, out=square)
+            total += square.reshape([window if u else 1 for u in use.tolist()])
     return float(np.sqrt(total.max()))
 
 

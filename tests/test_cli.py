@@ -198,6 +198,20 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["summary"]["pass"] is False
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sign_flip_of_the_first_term_is_not_detected(self, capsys, tmp_path, n):
+        # --perturb -2 scales term 0 of z_1^1 by -1, a symmetry of every
+        # relation: both routes pass, so no negative control may use it
+        path = write_string(tmp_path, AdmissibleString(n, (n,) * n))
+        for source in (["--fock", str(n)], ["--string", path]):
+            code, out, _ = run(
+                capsys, "verify", *source, "--trunc", "5", "--perturb", "-2"
+            )
+            assert code == 0, source
+            payload = json.loads(out)
+            assert payload["summary"]["pass"] is True
+            assert payload["provenance"].endswith("+perturb(-2.0)")
+
     @pytest.mark.parametrize(
         "flag, value", [("--tol", "inf"), ("--tol", "nan"), ("--perturb", "nan"),
                         ("--perturb", "inf")]

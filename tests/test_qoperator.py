@@ -255,9 +255,15 @@ class TestResidualWindow:
         paths = {
             "chunks": (
                 chunk * size,
-                (classes + 1) * size + chunk * (size + size // window + gathered),
+                (size + 1) // 2
+                + size
+                + chunk * (size + size // window + gathered)
+                + 2 * np.getbufsize(),
             ),
-            "scatter": (terms * size, terms * (2 * size + gathered) + classes * size),
+            "scatter": (
+                terms * size,
+                terms * (2 * size + gathered) + classes * size + 2 * np.getbufsize(),
+            ),
         }
         itemsize = np.dtype(np.complex128).itemsize
         for path, (chunk_elements, needed) in paths.items():
@@ -303,6 +309,27 @@ class TestResidualWindow:
         assert residual_on_window(op, zero_like(op), dim - 1) == 1.0
         monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 1)
         assert residual_on_window(op, zero_like(op), dim - 1) == 1.0
+
+    def test_terms_added_in_order_within_a_class(self, monkeypatch):
+        # one class on one axis, window 1: a term of 1 and then forty terms of
+        # 0.75 * 2^-53, less than half a unit in the last place of 1.0, so
+        # adding the terms one after another keeps 1.0.  Any grouping that
+        # adds two small terms first (a pairwise reduction of a chunk, or a
+        # chunk summed apart from the running class sum) comes out above 1.
+        dim = 3
+        vacuum = np.zeros(dim)
+        vacuum[0] = 1.0
+        F = FactorMatrix(0, vacuum)
+        op = single(1.0, [F], dim=dim)
+        for _ in range(40):
+            op = op + single(0.75 * 2.0**-53, [F], dim=dim)
+        assert op.scalars.size == 41
+        # 41 one-element blocks: scattered whole, then summed in chunks of
+        # one, three and seven terms, each chunk but the first starting on
+        # the running sum
+        for chunk in (qoperator._CHUNK_ELEMENTS, 1, 3, 7):
+            monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+            assert residual_on_window(op, zero_like(op), dim - 1) == 1.0, chunk
 
     def test_depth_checked_at_the_boundary(self):
         # d goes through operator.index: a float or a negative depth is
@@ -830,6 +857,31 @@ class TestResidualDenseOracle:
         assert scattered == term_by_term
         assert scattered == pytest.approx(
             self._window_max(a, b, d), rel=1e-12, abs=1e-13
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(2, 3), st.integers(3, 6), st.integers(1, 2)
+    )
+    def test_class_by_class_matches_scatter(self, seed, f, dim, d):
+        # 24 to 48 terms on one to three shift vectors, so that a class holds
+        # many terms.  Chunks of one element, of two blocks of the whole
+        # window and the default split classes across chunks (the default
+        # may scatter a small call whole); a chunk of 2^30 always scatters.
+        rng = np.random.default_rng(seed)
+        shifts = random_shift_vectors(rng, f, dim, int(rng.integers(1, 4)))
+        a = operator_on_shifts(rng, dim, shifts, int(rng.integers(12, 25)))
+        b = operator_on_shifts(rng, dim, shifts, int(rng.integers(12, 25)))
+        d = min(d, dim - 1)
+        width = (dim - d) ** f
+        got = {}
+        for chunk in (1, 2 * width + 1, qoperator._CHUNK_ELEMENTS, 1 << 30):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+                got[chunk] = residual_on_window(a, b, d).hex()
+        assert len(set(got.values())) == 1, got
+        assert float.fromhex(got[1]) == pytest.approx(
+            self._window_max(a, b, d), rel=1e-12, abs=1e-12
         )
 
     @settings(max_examples=40, deadline=None)
