@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagramcalc import factor_index, grid_from_string
 from .permgroup import AdmissibleString, ReducedWord
@@ -201,22 +201,22 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
 # and ("I",) for the identity contribution
 # ---------------------------------------------------------------------------
 
-LaurentPoly = dict[int, Fraction]
+LaurentPoly = dict[int, int]
 
 
-def _lp(*pairs: tuple[int, int | Fraction]) -> LaurentPoly:
+def _lp(*pairs: tuple[int, int]) -> LaurentPoly:
     out: LaurentPoly = {}
     for power, coeff in pairs:
-        coeff = Fraction(coeff)
+        coeff = operator.index(coeff)
         if coeff:
-            out[power] = out.get(power, Fraction(0)) + coeff
+            out[power] = out.get(power, 0) + coeff
     return {p: c for p, c in out.items() if c}
 
 
 def _lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = dict(a)
     for p, c in b.items():
-        out[p] = out.get(p, Fraction(0)) + c
+        out[p] = out.get(p, 0) + c
     return {p: c for p, c in out.items() if c}
 
 
@@ -224,7 +224,7 @@ def _lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out: LaurentPoly = {}
     for p1, c1 in a.items():
         for p2, c2 in b.items():
-            out[p1 + p2] = out.get(p1 + p2, Fraction(0)) + c1 * c2
+            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
     return {p: c for p, c in out.items() if c}
 
 

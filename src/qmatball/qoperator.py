@@ -161,7 +161,10 @@ class FactorTable:
     ids and the adjoint id of each id are computed once, on first use.
 
     Three per-id columns serve indexing with id arrays: ``deltas`` (the
-    shift), ``kills_vacuum`` (whether ``amps[0] == 0``) and ``amps``, a
+    shift), ``lead`` (the first column ``c`` with ``amps[c] != 0``, or
+    ``dim`` for a zero factor; 0 for the identity, so a factor kills the
+    vacuum exactly when its lead is positive, and is zero on every column
+    below ``window`` when its lead is at least ``window``) and ``amps``, a
     complex128 array of shape (capacity, width) whose row ``tid`` holds
     ``F.amps`` padded with zeros to ``width``, the size of the widest factor
     interned so far; row 0, the identity, is ones across the full width.
@@ -169,7 +172,8 @@ class FactorTable:
     array that only ``intern`` writes; when the rows run out they double,
     and when a wider factor arrives ``amps`` widens, and the views are made
     again then, so a view kept from before goes stale.  Rows past
-    ``len(table)`` are unused.
+    ``len(table)`` are unused.  ``max_lead``, a plain int, is the largest
+    lead interned so far.
     """
 
     def __init__(self) -> None:
@@ -180,25 +184,29 @@ class FactorTable:
         self._products: dict[tuple[int, int], int] = {}
         self._adjoints: dict[int, int] = {0: 0}
         self._deltas = np.zeros(0, dtype=np.int64)
-        self._kills_vacuum = np.zeros(0, dtype=bool)
+        self._lead = np.zeros(0, dtype=np.int64)
+        self.max_lead = 0
         self._amps = np.zeros((0, 0), dtype=np.complex128)
         self._grow(64, 0)
 
     def _grow(self, rows: int, width: int) -> None:
         """Copies the columns into arrays of ``rows`` rows and ``amps`` of
         ``width`` columns, and rebinds the public read-only views."""
-        self._deltas, self._kills_vacuum = (
+        self._deltas, self._lead = (
             np.concatenate((column, np.zeros(rows - column.size, column.dtype)))
-            for column in (self._deltas, self._kills_vacuum)
+            for column in (self._deltas, self._lead)
         )
         amps = np.zeros((rows, width), dtype=np.complex128)
         amps[: self._amps.shape[0], : self._amps.shape[1]] = self._amps
         amps[0] = 1.0
         self._amps = amps
-        for name in ("deltas", "kills_vacuum", "amps"):
+        for name in ("deltas", "lead", "amps"):
             view = getattr(self, "_" + name).view()
             view.setflags(write=False)
             setattr(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self._factors)
 
     def __getitem__(self, tid: int) -> FactorMatrix | None:
         return self._factors[tid]
@@ -219,7 +227,10 @@ class FactorTable:
         if tid == rows or F.dim > width:
             self._grow(2 * rows if tid == rows else rows, max(width, F.dim))
         self._deltas[tid] = F.delta
-        self._kills_vacuum[tid] = F.amps[0] == 0
+        nonzero = np.flatnonzero(F.amps)
+        lead = int(nonzero[0]) if nonzero.size else F.dim
+        self._lead[tid] = lead
+        self.max_lead = max(self.max_lead, lead)
         self._amps[tid, : F.dim] = F.amps
         self._factors.append(F)
         self._by_content[key] = tid
@@ -580,16 +591,22 @@ def _term_blocks(scalars: np.ndarray, ids: np.ndarray, window: int) -> np.ndarra
 
     Callers drop the axes on which every term is the identity: multiplying
     by ones could change only the sign of a zero.  The product grows one
-    axis at a time, left to right; besides the result it holds the gathered
-    amplitudes, a (terms, axes, window) array (``axes * window`` per term),
-    and the previous axis's product.
+    axis at a time, left to right, each element the running product times
+    the new axis's amplitude.  Each new axis is put outermost, so that
+    numpy's inner loop runs over the whole previous product; in the result
+    the last axis varies slowest.  Besides the result it holds the
+    gathered amplitudes, a (terms, axes, window) array (``axes * window``
+    per term), and the previous axis's product.
     """
     terms, axes = ids.shape
     along = FACTORS.amps[:, :window][ids]
     # a copy even on no axis, since callers sum into the result in place
     block = scalars[:, None].copy()
     for axis in range(axes):
-        block = (block[:, :, None] * along[:, axis, None, :]).reshape(terms, -1)
+        # the running product stays the left operand: numpy's complex loop
+        # may use fused multiply-adds, so a * b and b * a can differ in the
+        # last bit of the imaginary part
+        block = (block[:, None, :] * along[:, axis, :, None]).reshape(terms, -1)
     return block
 
 
@@ -615,10 +632,20 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     ``operator.index`` (so ``True`` is depth 1) and must satisfy 0 <= d < N,
     or ``ValueError`` is raised.
 
+    First the terms that vanish on the window are dropped: those with a
+    zero scalar, and those with a finite scalar and a factor whose ``lead``
+    in ``FACTORS`` is at least the window, which are +-0 at every window
+    element; adding +-0 changes only the sign of a zero, which the modulus
+    removes.  The lead check runs only when some factor in the table has a
+    lead of at least the window.
+    Every count below is of the live terms that remain, and of the axes on
+    which one of them is not the identity.
+
     Terms are grouped by shift vector, classes numbered by first term.
     Every class is summed in term order from zero, and the squared column
     norm adds the classes' squared moduli in class order, so both paths
-    below give the same bits.
+    below give the same bits.  A term's block has its last axis varying
+    slowest (see ``_term_blocks``), and so has the sum of squares.
 
     With W = window^axes and G = axes * window (the amplitudes the block
     builder gathers per term by id from ``FACTORS.amps``, the only copy of
@@ -663,12 +690,16 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     scalars = np.concatenate((a.scalars, -b.scalars))
     ids = np.concatenate((a.ids, b.ids))
     live = scalars != 0
-    scalars, ids = scalars[live], ids[live]
     if a.f == 0:
-        return abs(sum(scalars.tolist(), 0j))
+        return abs(sum(scalars[live].tolist(), 0j))
     window = dim - d
     if window <= 0:
         raise ValueError(f"window is empty: N={dim}, d={d}")
+    if window <= FACTORS.max_lead:
+        # drop terms that are +-0 on the whole window; a non-finite scalar
+        # makes NaN there, so its term stays
+        live &= (FACTORS.lead[ids] < window).all(axis=1) | ~np.isfinite(scalars)
+    scalars, ids = scalars[live], ids[live]
     # axes that every term treats as identity do not affect any column norm
     ids = ids[:, ids.any(axis=0)]
     if not scalars.size:
@@ -744,7 +775,8 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
             square = np.abs(running)
             del running
             np.square(square, out=square)
-            total += square.reshape([window if u else 1 for u in use.tolist()])
+            # a block's last axis varies slowest, and so does the sum's
+            total += square.reshape([window if u else 1 for u in reversed(use.tolist())])
     return float(np.sqrt(total.max()))
 
 
@@ -847,4 +879,4 @@ def operator_from_json(data: dict) -> TensorOperator:
 def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:
     """Structural vacuum annihilation: every term has a factor killing e_0."""
     live = op.ids[op.scalars != 0]
-    return bool(FACTORS.kills_vacuum[live].any(axis=1).all())
+    return bool((FACTORS.lead[live] > 0).any(axis=1).all())

@@ -249,6 +249,23 @@ class TestVerify:
             for k in (1, 2) for j in (1, 2) if (k, j) != (1, 1)
         )
 
+    def test_perturbation_detected_on_the_vacuum_window(self):
+        # at n = 4, N = 3 every relation window holds only the vacuum, where
+        # most terms vanish and are dropped; the damage to term 0 of z_1^1
+        # must still show, in exactly the two exchange instances it reaches,
+        # with the residual of the full sum
+        damaged = cli._perturbed(cli.matrixball.fock_rep(4, 0.5, 3), 1e-6)
+        failed = [
+            (r.relation, r.indices, r.residual.hex())
+            for r in cli.matrixball.verify_relations(damaged)
+            if not r.residual < 1e-10
+        ]
+        want = (1.5000007498322532e-06).hex()
+        assert failed == [
+            ("zaa44", (1, 1, 1, 1), want),
+            ("R-form", (1, 1, 1, 1), want),
+        ]
+
     def test_string_verification(self, capsys, tmp_path):
         path = write_string(tmp_path, AdmissibleString(2, (2, 1), (0.0, 0.5)))
         code, out, _ = run(capsys, "verify", "--string", path, "--trunc", "5")

@@ -291,6 +291,49 @@ class TestResidualWindow:
             # elements and the small index arrays
             assert peak <= (needed + np.getbufsize()) * itemsize + 16 * 1024, path
 
+    def test_limit_counts_live_terms_only(self, monkeypatch):
+        # a new table whose largest lead is the window, 2: a term holding
+        # T11 T11 (lead 2) is zero on the window, so it is dropped before
+        # the count, and the limit that runs the other terms runs them with
+        # it too, with the same bits
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        dim, d = 4, 2
+        t11, t22 = t_block(1, 1, Q, dim), t_block(2, 2, Q, dim)
+        a = single(1.0, [t22, t11, t22], dim=dim) + single(0.5, [t11, t22, None], dim=dim)
+        b = single(0.25, [t11, t11, t11], dim=dim)
+        vanishing = single(2.0, [t22, None, t11.matmul(t11)], dim=dim)
+        assert table.max_lead == dim - d
+
+        def needed(x, y):
+            monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", 0)
+            with pytest.raises(ValueError, match="would hold") as refused:
+                residual_on_window(x, y, d)
+            return int(str(refused.value).split("would hold ")[1].split()[0])
+
+        limit = needed(a, b)
+        assert needed(a + vanishing, b) == needed(a, b + vanishing) == limit
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_ELEMENTS", limit)
+        want = residual_on_window(a, b, d).hex()
+        assert residual_on_window(vanishing + a, b, d).hex() == want
+        assert residual_on_window(a, vanishing + b, d).hex() == want
+        # one window wider, the same term is no longer zero there
+        assert residual_on_window(vanishing, zero_like(a), d - 1) > 0.0
+
+    def test_non_finite_scalar_of_a_vanishing_term_is_kept(self):
+        # T11 is zero on the vacuum, so at a window of one its term is
+        # dropped; an infinite scalar makes NaN there, and must not be
+        # dropped with it
+        T = t_block(1, 1, Q, N)
+        assert residual_on_window(single(1e300, [T]), single(0.0, [None]), N - 1) == 0.0
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(
+                residual_on_window(single(np.inf, [T]), single(0.0, [None]), N - 1)
+            )
+            assert np.isnan(
+                residual_on_window(single(1.0, [None]), single(complex(0, np.nan), [T]), N - 1)
+            )
+
     def test_classes_added_in_order_of_first_term(self, monkeypatch):
         # a window of size 1 on one axis of 13 levels: class k holds two terms
         # moving e_0 to e_k.  Class 0 comes first and squares to 1; each of
@@ -625,7 +668,10 @@ class TestFactorTable:
             # zero padding, with no negative zero
             assert not table.amps[tid, F.dim :].view(np.uint64).any()
             assert table.deltas[tid] == F.delta
-            assert table.kills_vacuum[tid] == (F.amps[0] == 0)
+            # the first nonzero column, or the size for a zero factor
+            assert table.lead[tid] == next(
+                (c for c, z in enumerate(F.amps.tolist()) if z != 0), F.dim
+            )
 
     def test_columns_are_read_only_views(self):
         rng = np.random.default_rng(11)
@@ -635,7 +681,7 @@ class TestFactorTable:
             table.intern(F)
         assert table.amps.shape == (128, 5)
         for columns in (table, FACTORS):
-            for name in ("deltas", "kills_vacuum", "amps"):
+            for name in ("deltas", "lead", "amps"):
                 column = getattr(columns, name)
                 with pytest.raises(ValueError, match="read-only"):
                     # the same value, so a write that got through changes nothing
@@ -643,8 +689,32 @@ class TestFactorTable:
         F = weighted_shift(rng, 4, 1)
         tid = table.intern(F)
         assert table[tid] is F and table.intern(F) == tid
-        assert table.deltas[tid] == -1 and table.kills_vacuum[tid]
+        assert table.deltas[tid] == -1 and table.lead[tid] == 1
         assert table.amps[tid, :4].tobytes() == F.amps.tobytes()
+
+    def test_lead_of_every_factor(self):
+        # T11 T11 sends e_m to e_{m-2}, so its columns 0 and 1 are zero; a
+        # zero factor has no nonzero column, and its lead is its size
+        from qmatball.matrixball import a_m_checks, fock_rep
+
+        t11 = t_block(1, 1, Q, N)
+        table = FactorTable()
+        ids = [
+            table.intern(F)
+            for F in (t_block(2, 2, Q, N), t11, t11.matmul(t11), FactorMatrix(0, np.zeros(N)))
+        ]
+        assert table.lead[[0] + ids].tolist() == [0, 0, 1, 2, N]
+        assert table.max_lead == N and type(table.max_lead) is int
+        # every factor of the process table, after the products and adjoints
+        # of a relation check have been interned
+        a_m_checks(fock_rep(3, Q, 4))
+        leads = []
+        for tid in range(1, len(FACTORS)):
+            amps = FACTORS[tid].amps.tolist()
+            leads.append(next((c for c, z in enumerate(amps) if z != 0), len(amps)))
+        assert FACTORS.lead[1 : len(FACTORS)].tolist() == leads
+        assert FACTORS.lead[0] == 0 and FACTORS.max_lead == max(leads)
+        assert max(leads) >= 2
 
     def test_residual_unchanged_when_the_table_widens(self, monkeypatch):
         # a new table, 3 wide; interning a factor of size 9 widens it
@@ -876,6 +946,79 @@ class TestResidualDenseOracle:
         width = (dim - d) ** f
         got = {}
         for chunk in (1, 2 * width + 1, qoperator._CHUNK_ELEMENTS, 1 << 30):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+                got[chunk] = residual_on_window(a, b, d).hex()
+        assert len(set(got.values())) == 1, got
+        assert float.fromhex(got[1]) == pytest.approx(
+            self._window_max(a, b, d), rel=1e-12, abs=1e-12
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 5), st.integers(1, 4)
+    )
+    def test_terms_that_vanish_on_the_window_change_nothing(self, seed, f, dim, d):
+        # terms with a factor that is zero on every column below the window
+        # (a weighted shift with its leading amplitudes zeroed, or T11 T11 at
+        # a window of at most 2), put anywhere on either side, are dropped
+        # before anything is built: the bits stay, term by term and scattered
+        rng = np.random.default_rng(seed)
+        d = min(d, dim - 1)
+        window = dim - d
+        a = random_operator(rng, f, dim, int(rng.integers(1, 6)))
+        b = random_operator(rng, f, dim, int(rng.integers(1, 6)))
+
+        def vanishing_factor():
+            if window <= 2 and rng.random() < 0.5:
+                t11 = t_block(1, 1, float(rng.choice([0.3, 0.5])), dim)
+                return t11.matmul(t11)
+            F = weighted_shift(rng, dim)
+            amps = F.amps.copy()
+            amps[: window + int(rng.integers(0, dim - window + 1))] = 0.0
+            return FactorMatrix(F.delta, amps)
+
+        def with_vanishing(op):
+            terms = list(op.terms)
+            for _ in range(int(rng.integers(1, 4))):
+                factors = [
+                    None if rng.random() < 0.5 else weighted_shift(rng, dim) for _ in range(f)
+                ]
+                factors[int(rng.integers(f))] = vanishing_factor()
+                scalar = complex(rng.standard_normal(), rng.standard_normal())
+                terms.insert(int(rng.integers(len(terms) + 1)), TensorTerm(scalar, factors))
+            return TensorOperator(f, dim, terms)
+
+        a2, b2 = with_vanishing(a), with_vanishing(b)
+        for chunk in (1, qoperator._CHUNK_ELEMENTS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+                want = residual_on_window(a, b, d).hex()
+                assert residual_on_window(a2, b, d).hex() == want, chunk
+                assert residual_on_window(a, b2, d).hex() == want, chunk
+                assert residual_on_window(a2, b2, d).hex() == want, chunk
+        assert float.fromhex(want) == pytest.approx(
+            self._window_max(a2, b2, d), rel=1e-12, abs=1e-12
+        )
+
+    def test_classes_on_different_axes_match_dense(self):
+        # window 3 on three axes, classes on different sets of axes, each
+        # factor with its own amplitudes: term by term, each class's squares
+        # are broadcast over the axes it does not use, in the block layout
+        rng = np.random.default_rng(5)
+        dim, d = 4, 1
+        terms = []
+        for axes in ((0,), (0, 1), (1, 2), (0, 2), (2,), (0, 1, 2)):
+            for _ in range(2):
+                factors = tuple(
+                    weighted_shift(rng, dim, 1 + axis % 2) if axis in axes else None
+                    for axis in range(3)
+                )
+                terms.append(TensorTerm(complex(rng.standard_normal(), 1.0), factors))
+        a = TensorOperator(3, dim, terms)
+        b = TensorOperator.identity(3, dim).scale(0.5)
+        got = {}
+        for chunk in (1, 28, qoperator._CHUNK_ELEMENTS):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
                 got[chunk] = residual_on_window(a, b, d).hex()
