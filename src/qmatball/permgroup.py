@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,6 +48,14 @@ __all__ = [
 ]
 
 
+def _index(value, what: str) -> int:
+    """``operator.index(value)``, raising ``ValueError`` instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..m} in one-line notation: ``images[i-1] = sigma(i)``."""
@@ -55,7 +64,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(x) for x in self.images)
+        images = tuple(_index(x, "image") for x in self.images)
         object.__setattr__(self, "images", images)
         if self.m < 0 or len(images) != self.m:
             raise ValueError(f"expected {self.m} images, got {len(images)}")
@@ -109,7 +118,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
-        return cls(int(data["m"]), tuple(data["images"]))
+        return cls(_index(data["m"], "m"), tuple(data["images"]))
 
 
 def length(sigma: Permutation) -> int:
@@ -400,7 +409,7 @@ class AdmissibleString:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        ks = tuple(int(x) for x in self.ks)
+        ks = tuple(_index(x, "k") for x in self.ks)
         phases = tuple(float(x) for x in self.phases) if self.phases else (0.0,) * self.n
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "phases", phases)
@@ -437,10 +446,8 @@ class AdmissibleString:
 
     @classmethod
     def from_json(cls, data: dict) -> "AdmissibleString":
-        n = int(data["n"])
+        n = _index(data["n"], "n")
         pairs = data["pairs"]
         if len(pairs) != n:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
-        ks = tuple(int(p[0]) for p in pairs)
-        phases = tuple(float(p[1]) for p in pairs)
-        return cls(n, ks, phases)
+        return cls(n, tuple(p[0] for p in pairs), tuple(float(p[1]) for p in pairs))

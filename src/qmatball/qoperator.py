@@ -687,14 +687,12 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         ) from None
     if d < 0:
         raise ValueError(f"window depth d must be at least 0, got d={d} at N={dim}")
-    scalars = np.concatenate((a.scalars, -b.scalars))
-    ids = np.concatenate((a.ids, b.ids))
-    live = scalars != 0
-    if a.f == 0:
-        return abs(sum(scalars[live].tolist(), 0j))
     window = dim - d
     if window <= 0:
         raise ValueError(f"window is empty: N={dim}, d={d}")
+    scalars = np.concatenate((a.scalars, -b.scalars))
+    ids = np.concatenate((a.ids, b.ids))
+    live = scalars != 0
     if window <= FACTORS.max_lead:
         # drop terms that are +-0 on the whole window; a non-finite scalar
         # makes NaN there, so its term stays

@@ -178,6 +178,48 @@ class TestBuild:
         assert "row 1" in err
 
 
+class TestIntegerInput:
+    """n, each k, m and each image are read exactly: no truncation."""
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 1, "pairs": [[1.5, 0.0]]},
+            {"n": 1, "pairs": [[1.0, 0.0]]},
+            {"n": 1, "pairs": [["1", 0.0]]},
+            {"n": 1.0, "pairs": [[1, 0.0]]},
+        ],
+    )
+    def test_string_with_a_non_integer_exits_2(self, capsys, tmp_path, command, data):
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, "--string", str(path), "--trunc", "4")
+        assert code == 2
+        assert out == ""
+        assert "must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "data", [{"m": 2, "images": [2.9, 1]}, {"m": 2.0, "images": [2, 1]}]
+    )
+    def test_permutation_with_a_non_integer_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "perm.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "minimize", "--perm", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be an integer" in err
+
+    def test_numpy_integers_pass(self):
+        string = AdmissibleString(2, (np.int64(2), np.int32(1)), (0.0, 0.5))
+        assert string.ks == (2, 1) and all(type(k) is int for k in string.ks)
+        data = {"n": np.int64(2), "pairs": [[np.int64(2), 0.0], [np.int16(1), 0.5]]}
+        assert AdmissibleString.from_json(data) == string
+        perm = Permutation.from_json({"m": np.int64(2), "images": np.array([2, 1])})
+        assert perm == Permutation(2, (2, 1))
+        assert all(type(x) is int for x in perm.images)
+
+
 class TestVerify:
     def test_fock_2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "5")

@@ -244,10 +244,20 @@ class TestRelations:
                         ) == zaa4_r_coefficients(n, a, b, alpha, beta)
 
     def test_adjoint_side_reverses_stars_and_conjugates(self):
-        side = [(1, ("z", 1, 2), ("z", 2, 1)), (2 - 1j, ("zs", 1, 1), ("z", 2, 2))]
+        # the coefficients are Laurent polynomials with integer coefficients
+        # in the real q, so each is its own conjugate and stays as it is
+        lp = matrixball._lp
+        side = [
+            (lp((0, 1)), (("z", 1, 2), ("z", 2, 1))),
+            (lp((1, 1), (-1, -1)), (("zs", 1, 1), ("z", 2, 2))),
+            (lp((0, -1)), (("z", 3, 1),)),
+            (lp((2, 1)), ()),
+        ]
         assert matrixball._adjoint_side(side) == [
-            (1, ("zs", 2, 1), ("zs", 1, 2)),
-            (2 + 1j, ("zs", 2, 2), ("z", 1, 1)),
+            (lp((0, 1)), (("zs", 2, 1), ("zs", 1, 2))),
+            (lp((1, 1), (-1, -1)), (("zs", 2, 2), ("z", 1, 1))),
+            (lp((0, -1)), (("zs", 3, 1),)),
+            (lp((2, 1)), ()),
         ]
 
     def test_adjoint_families_share_the_product_cache(self, monkeypatch):
@@ -465,6 +475,104 @@ class TestAmFamilies:
     def test_requires_n_at_least_two(self):
         with pytest.raises(ValueError):
             a_m_checks(fock_rep(1, Q, 6))
+
+
+def _recorded_sides(monkeypatch, run):
+    """Every side that ``_Products.side`` evaluates while ``run()`` runs."""
+    sides = []
+    evaluate = matrixball._Products.side
+
+    def recording(self, side):
+        sides.append(side)
+        return evaluate(self, side)
+
+    monkeypatch.setattr(matrixball._Products, "side", recording)
+    run()
+    monkeypatch.undo()
+    return sides
+
+
+class TestRelationData:
+    """Every relation side is a list of (integer Laurent polynomial, word)."""
+
+    @pytest.mark.parametrize("n,N", [(2, 4), (3, 4)])
+    def test_every_coefficient_is_an_integer_laurent_polynomial(self, monkeypatch, n, N):
+        g = fock_rep(n, Q, N)
+
+        def run():
+            verify_relations(g)
+            a_m_checks(g)
+            for a, b in itertools.product(range(1, n + 1), repeat=2):
+                shilov_eval(g, a, b)
+
+        sides = _recorded_sides(monkeypatch, run)
+        for indices in itertools.product(range(1, n + 1), repeat=4):
+            for _, lhs, rhs in matrixball._holomorphic_relations(*indices):
+                sides += [lhs, rhs]
+            for table in (zaa4_case_coefficients, zaa4_r_coefficients):
+                sides.append([(c, word) for word, c in table(n, *indices).items()])
+        names = set()
+        for side in sides:
+            assert side
+            for c, word in side:
+                assert type(c) is dict and c
+                assert all(type(p) is int and type(k) is int for p, k in c.items())
+                assert type(word) is tuple and len(word) <= 2
+                names.update(name[0] for name in word)
+        assert names == {"z", "zs", "A"}
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+    def test_coefficients_evaluate_to_the_inline_floats(self, monkeypatch, q):
+        # the floats that the relations used to be written with
+        ev = matrixball._lp_eval
+        (_, _, zaa1), = matrixball._holomorphic_relations(1, 1, 1, 2)
+        assert ev(zaa1[0][0], q).hex() == q.hex()
+        (_, zaa3_lhs, zaa3), = matrixball._holomorphic_relations(1, 2, 1, 2)
+        assert ev(zaa3[0][0], q).hex() == (q - 1.0 / q).hex()
+        assert ev(zaa3_lhs[1][0], q) == -1.0
+
+        n = 3
+        g = fock_rep(n, q, 4)
+        seen = {"q^2": 0, "1 - q^2": 0}
+        for side in _recorded_sides(monkeypatch, lambda: a_m_checks(g)):
+            for c, word in side:
+                if len(word) == 2 and word[1][0] == "A":
+                    (_, j, _), (_, m, _) = word
+                    if j >= m:
+                        assert ev(c, q).hex() == (q**2).hex()
+                        seen["q^2"] += 1
+                elif len(word) == 1:
+                    assert ev(c, q).hex() == (1.0 - q**2).hex()
+                    seen["1 - q^2"] += 1
+        assert seen == {"q^2": 6, "1 - q^2": 3}
+
+        for alpha, beta in itertools.product(range(1, n + 1), repeat=2):
+            (side,) = _recorded_sides(monkeypatch, lambda: shilov_eval(g, alpha, beta))
+            want = (q ** (2 * n - alpha - beta)).hex()
+            assert [ev(c, q).hex() for c, _ in side[:n]] == [want] * n
+            assert side[n:] == ([(matrixball._lp((0, -1)), ())] if alpha == beta else [])
+
+    @pytest.mark.parametrize("n,N", [(2, 6), (3, 5)])
+    def test_damaged_generator_fails_exactly_its_a_m_families(self, n, N):
+        # term 0 of z_1^n scaled by 1 + 1e-6: the families that multiply
+        # z_1^n by A_1, and the cleared commutator form of A_1, must fail;
+        # the other A_m never contain z_1^n
+        g = fock_rep(n, Q, N)
+        first = g.gen(1, n)
+        scalars = first.scalars.copy()
+        scalars[0] = complex(scalars[0]) * (1.0 + 1e-6)
+        table = [[g.gen(k, j) for j in range(1, n + 1)] for k in range(1, n + 1)]
+        table[0][n - 1] = TensorOperator.from_ids(first.f, N, scalars, first.ids)
+        damaged = GeneratorImages(
+            n, Q, N, tuple(map(tuple, table)), provenance="damaged"
+        )
+        reports = a_m_checks(damaged)
+        failed = {r.indices: r.residual for r in reports if not r.residual < 1e-10}
+        assert set(failed) == {(1, 1, 1), (1, 0, 2)}
+        # (1 - q^2) times the 2.000001000146412e-06 of the uncleared form
+        assert failed[(1, 0, 2)] == pytest.approx(
+            (1 - Q**2) * 2.000001000146412e-06, rel=1e-9
+        )
 
 
 class TestContractions:

@@ -220,6 +220,23 @@ class TestResidualWindow:
         b = TensorOperator(0, N, (TensorTerm(1.0, ()),))
         assert residual_on_window(a, b, 2) == pytest.approx(0.25)
 
+    def test_scalar_operators_check_the_window(self):
+        # an operator on no factors has no axis to window, but d must still
+        # leave one: 0 <= d < N
+        op = TensorOperator.identity(0, 3)
+        for d in (3, 7):
+            with pytest.raises(ValueError, match="window is empty"):
+                residual_on_window(op, op, d)
+
+    def test_scalar_operators_keep_their_bits(self):
+        # the modulus of the scalar sum, as before the window check moved
+        a = TensorOperator.from_ids(0, 3, [0.1 + 0.2j, -0.0, 0.3 - 0.7j, 1e-17j], [])
+        b = TensorOperator.from_ids(0, 3, [0.2 + 0.1j, 0.05], [])
+        for d in (0, 1, 2):
+            assert residual_on_window(a, b, d).hex() == "0x1.3ca78e19fe93bp-1"
+            assert residual_on_window(b, a, d).hex() == "0x1.3ca78e19fe93bp-1"
+            assert residual_on_window(a, a, d).hex() == "0x1.041ee475bc258p-54"
+
     def test_refused_before_any_array(self, monkeypatch):
         # two shift classes on three axes, and a limit of one class array
         dim, d = 20, 1
