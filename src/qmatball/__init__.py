@@ -20,7 +20,6 @@ from .permgroup import (
 )
 from .qoperator import (
     FactorMatrix,
-    StateVector,
     TensorOperator,
     TensorTerm,
     c_q,

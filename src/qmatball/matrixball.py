@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .diagramcalc import factor_index, grid_from_string
-from .permgroup import AdmissibleString, ReducedWord
+from .permgroup import AdmissibleString, ReducedWord, _index
 from .qgrouprep import FactorEvaluation, SoibelmanRep, apply_tau, rep_generator
 from .qoperator import (
     TensorOperator,
@@ -87,7 +87,7 @@ class MonomialExponent:
     A: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.A)
+        rows = tuple(tuple(_index(x, "exponent") for x in row) for row in self.A)
         object.__setattr__(self, "A", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):

@@ -138,7 +138,7 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        letters = tuple(int(x) for x in self.letters)
+        letters = tuple(_index(x, "letter") for x in self.letters)
         object.__setattr__(self, "letters", letters)
         for i in letters:
             if not 1 <= i <= self.m - 1:
@@ -208,7 +208,7 @@ def admissible_bound(ks: Sequence[int], j: int) -> int:
 
 def is_admissible(ks: Sequence[int], n: int | None = None) -> bool:
     """Whether ``[k_n, ..., k_1]`` satisfies every row bound."""
-    ks = [int(x) for x in ks]
+    ks = [_index(x, "k") for x in ks]
     if n is None:
         n = len(ks)
     if n != len(ks):
@@ -222,7 +222,7 @@ def compose(ks: Sequence[int]) -> Permutation:
     For admissible input this is the minimal element of its double-coset
     orbit and has length ``sum(ks)``.
     """
-    ks = [int(x) for x in ks]
+    ks = [_index(x, "k") for x in ks]
     n = len(ks)
     if not is_admissible(ks):
         raise ValueError(f"inadmissible string {ks}")
@@ -296,7 +296,7 @@ def boundary_set(ks: Sequence[int], n: int | None = None) -> set[int]:
 
     These are exactly the rows j with 1 <= compose(ks)(n+j) <= n.
     """
-    ks = [int(x) for x in ks]
+    ks = [_index(x, "k") for x in ks]
     if n is None:
         n = len(ks)
     if not is_admissible(ks, n):

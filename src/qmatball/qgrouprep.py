@@ -15,7 +15,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
-from .permgroup import Permutation, ReducedWord, reduced_word, twist_phases
+from .permgroup import Permutation, ReducedWord, _index, reduced_word, twist_phases
 from .qoperator import (
     FACTORS,
     FactorMatrix,
@@ -139,7 +139,7 @@ class FactorEvaluation:
     assignments: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((int(i), float(phi)) for i, phi in self.assignments)
+        pairs = tuple((_index(i, "factor index"), float(phi)) for i, phi in self.assignments)
         object.__setattr__(self, "assignments", pairs)
         indices = [i for i, _ in pairs]
         if len(set(indices)) != len(indices):

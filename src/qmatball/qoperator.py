@@ -8,8 +8,8 @@ factor in `FACTORS`, the process-wide factor table, which also caches the
 product id of each pair of ids and the adjoint id of each id.  A product of
 operators is then one gather over term pairs, an adjoint an id map, and the
 window residual reads shift keys and amplitudes from the table by id.  Dense
-matrices appear only in the ``entries`` view that test oracles compare
-against.
+matrices and states appear only in ``entries`` and ``apply``, which test
+oracles compare against.
 
 Identities of the untruncated algebra are certified on a truncation-safe
 window: a word of d generators moves any occupation index by at most d, so
@@ -31,7 +31,6 @@ __all__ = [
     "FACTORS",
     "TensorTerm",
     "TensorOperator",
-    "StateVector",
     "shift",
     "c_q",
     "d_q",
@@ -179,8 +178,6 @@ class FactorTable:
     def __init__(self) -> None:
         self._factors: list[FactorMatrix | None] = [None]
         self._by_content: dict[tuple, int] = {}
-        # id(F) of the stored factors only: the table keeps them alive
-        self._by_object: dict[int, int] = {}
         self._products: dict[tuple[int, int], int] = {}
         self._adjoints: dict[int, int] = {0: 0}
         self._deltas = np.zeros(0, dtype=np.int64)
@@ -215,9 +212,6 @@ class FactorTable:
         """The id of ``F``, adding it when no factor with its content is stored."""
         if F is None:
             return 0
-        tid = self._by_object.get(id(F))
-        if tid is not None:
-            return tid
         key = (F.provenance, F.delta, F.amps.tobytes())
         tid = self._by_content.get(key)
         if tid is not None:
@@ -234,7 +228,6 @@ class FactorTable:
         self._amps[tid, : F.dim] = F.amps
         self._factors.append(F)
         self._by_content[key] = tid
-        self._by_object[id(F)] = tid
         return tid
 
     def distinct(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,12 +492,17 @@ class TensorOperator:
             self.f, self.dim, self.scalars.conj(), FACTORS.adjoints(self.ids)
         )
 
-    def apply(self, v: "StateVector") -> "StateVector":
-        if v.f != self.f or v.dim != self.dim:
-            raise ValueError("state shape does not match operator shape")
-        out = np.zeros_like(v.amplitudes)
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The operator applied to a dense state, a complex array of shape
+        ``(dim,) * f`` (any other shape raises ``ValueError``): a test oracle
+        on no certified path, kept while ``perfbench/tracing.py`` wraps it by
+        name (ROADMAP item 4)."""
+        v = np.asarray(v, dtype=np.complex128)
+        if v.shape != (self.dim,) * self.f:
+            raise ValueError(f"state shape {v.shape} is not {(self.dim,) * self.f}")
+        out = np.zeros_like(v)
         for scalar, row in zip(self.scalars.tolist(), self.ids.tolist()):
-            w = v.amplitudes
+            w = v
             for axis, tid in enumerate(row):
                 if tid == 0:
                     continue
@@ -514,49 +512,7 @@ class TensorOperator:
                 along = F.amps.reshape((-1,) + (1,) * (self.f - axis - 1))
                 w = np.roll(along * w, F.delta, axis=axis)
             out = out + scalar * w
-        return StateVector(self.f, self.dim, out)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Amplitudes indexed by occupation multi-indices in {0..dim-1}^f."""
-
-    f: int
-    dim: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.dim,) * self.f:
-            raise ValueError(f"amplitudes must have shape {(self.dim,) * self.f}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def basis(cls, f: int, dim: int, index: tuple[int, ...]) -> "StateVector":
-        amp = np.zeros((dim,) * f, dtype=np.complex128)
-        amp[tuple(index)] = 1.0
-        return cls(f, dim, amp)
-
-    @classmethod
-    def vacuum(cls, f: int, dim: int) -> "StateVector":
-        return cls.basis(f, dim, (0,) * f)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes.ravel()))
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self, other>, conjugate-linear in ``other``."""
-        return complex(np.vdot(other.amplitudes, self.amplitudes))
-
-    def __add__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.f, self.dim, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        return StateVector(self.f, self.dim, self.amplitudes - other.amplitudes)
-
-    def scale(self, c: complex) -> "StateVector":
-        return StateVector(self.f, self.dim, complex(c) * self.amplitudes)
+        return out
 
 
 def vacuum_matrix_element(op: TensorOperator) -> complex:
@@ -796,34 +752,32 @@ def norm_bound(op: TensorOperator) -> float:
     return total
 
 
-def norm_estimate(op: TensorOperator, iters: int = 60, seed: int = 7) -> float:
-    """Power-iteration lower bound on the operator norm via op* op.
+def norm_estimate(op: TensorOperator, iters: int = 60) -> float:
+    """Power-iteration lower bound on the operator norm via op* op, from a
+    fixed random start.
 
     The Rayleigh quotients are nondecreasing in the iteration count and never
-    exceed the true largest singular value.
+    exceed the true largest singular value.  Like ``apply``, on no certified
+    path, kept while ``perfbench/tracing.py`` wraps it (ROADMAP item 4).
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
     gram = op.adjoint() * op
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     shape = (op.dim,) * op.f
-    v = StateVector(
-        op.f,
-        op.dim,
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-    )
-    nv = v.norm()
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nv = float(np.linalg.norm(v))
     if nv == 0.0:
         return 0.0
-    v = v.scale(1.0 / nv)
+    v = complex(1.0 / nv) * v
     best = 0.0
     for _ in range(iters):
         w = gram.apply(v)
-        best = max(best, float(w.inner(v).real))
-        nw = w.norm()
+        best = max(best, complex(np.vdot(v, w)).real)
+        nw = float(np.linalg.norm(w))
         if nw < 1e-300:
             break
-        v = w.scale(1.0 / nw)
+        v = complex(1.0 / nw) * w
     return float(np.sqrt(max(best, 0.0)))
 
 

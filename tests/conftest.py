@@ -44,6 +44,13 @@ def random_phases_for(ks, rng) -> AdmissibleString:
     return AdmissibleString(n, tuple(ks), tuple(phases))
 
 
+def vacuum(f: int, dim: int) -> np.ndarray:
+    """The dense vacuum state e_0 of (C^dim)^{tensor f}, for ``apply``."""
+    state = np.zeros((dim,) * f, dtype=np.complex128)
+    state[(0,) * f] = 1.0
+    return state
+
+
 def term_signature(op):
     """Multiset of (scalar, factor-tag-tuple) pairs, scalars rounded."""
     sig = []

@@ -37,12 +37,11 @@ from qmatball.permgroup import (
 from qmatball.qgrouprep import rep_generator
 from qmatball.qoperator import (
     MAX_RESIDUAL_ELEMENTS,
-    StateVector,
     TensorOperator,
     residual_on_window,
 )
 
-from conftest import random_phases_for, term_signature
+from conftest import random_phases_for, term_signature, vacuum
 
 Q = 0.5
 
@@ -74,11 +73,11 @@ class TestFockRep:
     def test_vacuum_annihilation_structural(self, n, trunc):
         g = fock_rep(n, Q, trunc)
         assert vacuum_annihilation_exact(g)
-        vac = StateVector.vacuum(g.f, g.N)
+        vac = vacuum(g.f, g.N)
         for k in range(1, n + 1):
             for j in range(1, n + 1):
                 image = g.gen(k, j).adjoint().apply(vac)
-                assert np.all(image.amplitudes == 0)
+                assert np.all(image == 0)
 
     def test_resource_guard(self, monkeypatch):
         # building is cheap at any N; the residual refuses 8^9 window arrays
@@ -316,6 +315,12 @@ class TestMonomials:
         explicit = g.gen(2, 2) * g.gen(1, 1)
         assert term_signature(op) == term_signature(explicit)
 
+    def test_exponents_are_not_truncated(self):
+        # int() would read 1.7 as the exponent 1
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            MonomialExponent(((1.7,),))
+        assert MonomialExponent(((True, np.int64(0)), (0, 2))).A == ((1, 0), (0, 2))
+
     def test_degree_cap(self):
         g = fock_rep(2, Q, 6)
         with pytest.raises(ValueError):
@@ -323,10 +328,10 @@ class TestMonomials:
 
     def test_monomial_vectors_nonzero(self):
         g = fock_rep(2, Q, 6)
-        vac = StateVector.vacuum(g.f, g.N)
+        vac = vacuum(g.f, g.N)
         for A in _exponents(2, 3):
             vec = z_monomial(g, A).apply(vac)
-            assert vec.norm() > 1e-8, A
+            assert np.linalg.norm(vec) > 1e-8, A
 
 
 def _exponents(n, max_degree):
@@ -354,12 +359,12 @@ class TestVacuumFunctional:
 
     def test_gram_matrix_diagonal(self):
         g = fock_rep(2, Q, 6)
-        vac = StateVector.vacuum(g.f, g.N)
+        vac = vacuum(g.f, g.N)
         vectors = [z_monomial(g, A).apply(vac) for A in _exponents(2, 2)]
         for i, u in enumerate(vectors):
-            assert u.inner(u).real > 1e-10
+            assert np.vdot(u, u).real > 1e-10
             for v in vectors[i + 1 :]:
-                assert abs(u.inner(v)) < 1e-10
+                assert abs(np.vdot(v, u)) < 1e-10
 
 
 class TestShilov:
@@ -439,23 +444,22 @@ class TestCoherent:
     def test_matches_dense_vacuum_images(self, phi):
         # oracle: apply every z*_j^i to the dense vacuum vector
         g = rep_from_string(AdmissibleString(3, (3, 3, 2), (0.0, 0.0, phi)), Q, 4)
-        omega = StateVector.vacuum(g.f, g.N)
+        omega = vacuum(g.f, g.N)
         worst = 0.0
         for i in range(1, 4):
             for j in range(1, 4):
                 image = g.gen(j, i).adjoint().apply(omega)
                 if (i, j) == (1, 1):
-                    image = image - omega.scale(cmath.exp(-1j * phi))
-                worst = max(worst, image.norm())
+                    image = image - cmath.exp(-1j * phi) * omega
+                worst = max(worst, float(np.linalg.norm(image)))
         assert coherent_check(Q, 4, phi) == pytest.approx(worst, abs=1e-15)
 
     def test_eigenvalue_is_unimodular(self):
         phi = 1.234
         s = AdmissibleString(3, (3, 3, 2), (0.0, 0.0, phi))
         g = rep_from_string(s, Q, 4)
-        omega = StateVector.vacuum(g.f, g.N)
-        image = g.gen(1, 1).adjoint().apply(omega)
-        assert image.norm() == pytest.approx(1.0, abs=1e-12)
+        image = g.gen(1, 1).adjoint().apply(vacuum(g.f, g.N))
+        assert np.linalg.norm(image) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAmFamilies:

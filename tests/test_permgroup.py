@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +82,12 @@ class TestReducedWord:
         with pytest.raises(ValueError):
             ReducedWord(3, (1, 1))
 
+    def test_letters_are_not_truncated(self):
+        # int() would read (1.9, 2.2) as the reduced word (1, 2)
+        with pytest.raises(ValueError, match="letter must be an integer"):
+            ReducedWord(3, (1.9, 2.2))
+        assert ReducedWord(3, (True, np.int64(2))).letters == (1, 2)
+
 
 class TestGroupBasics:
     @given(perm_strategy)
@@ -123,6 +130,11 @@ class TestAdmissibility:
         assert admissible_bound([0, 2], 1) == 1
         assert is_admissible([0], 1) and is_admissible([1], 1)
 
+    def test_entries_are_not_truncated(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            is_admissible([0.5, 1.7])
+        assert is_admissible([np.int64(2), True])
+
     def test_entries_never_exceed_n(self):
         for n in range(1, 5):
             for ks in enumerate_admissible(n):
@@ -130,6 +142,11 @@ class TestAdmissibility:
 
 
 class TestComposeDecompose:
+    def test_compose_entries_are_not_truncated(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            compose([1.0, 0])
+        assert compose([np.int64(2), True]) == compose([2, 1])
+
     def test_compose_trivial(self):
         assert compose([0, 0]).is_identity()
 
@@ -199,6 +216,11 @@ class TestBoundarySet:
         assert boundary_set([2, 2]) == {1, 2}
         assert boundary_set([1, 2, 1]) == {2}
         assert boundary_set([0, 0]) == set()
+
+    def test_entries_are_not_truncated(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            boundary_set([2.5, 2])
+        assert boundary_set([np.int64(2), True]) == boundary_set([2, 1])
 
     def test_matches_window_of_composed_permutation(self):
         for n in range(1, 5):

@@ -198,6 +198,13 @@ class TestApplyTau:
         with pytest.raises(ValueError):
             FactorEvaluation(((1, 0.0), (1, 0.5)))
 
+    def test_factor_indices_are_not_truncated(self):
+        # int() would keep index 1 for 1.9
+        with pytest.raises(ValueError, match="factor index must be an integer"):
+            FactorEvaluation(((1.9, 0.3),))
+        pairs = FactorEvaluation(((True, 0.3), (np.int64(2), 0.0))).assignments
+        assert pairs == ((1, 0.3), (2, 0.0))
+
 
 class TestTwist:
     def test_identity(self):

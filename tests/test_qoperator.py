@@ -13,7 +13,6 @@ from qmatball.qoperator import (
     FACTORS,
     FactorMatrix,
     FactorTable,
-    StateVector,
     TensorOperator,
     TensorTerm,
     c_q,
@@ -28,6 +27,8 @@ from qmatball.qoperator import (
     t_block,
     vacuum_matrix_element,
 )
+
+from conftest import vacuum
 
 Q, N = 0.5, 6
 
@@ -120,16 +121,16 @@ class TestTBlocks:
 
 class TestApplyAndAlgebra:
     def test_identity_application(self, rng):
-        v = StateVector(2, N, rng.standard_normal((N, N)) + 0j)
+        v = rng.standard_normal((N, N)) + 0j
         out = TensorOperator.identity(2, N).apply(v)
-        assert np.allclose(out.amplitudes, v.amplitudes)
+        assert np.allclose(out, v)
 
     def test_single_term_action(self):
         op = single(1.0, [t_block(2, 2, Q, N), None])
-        out = op.apply(StateVector.vacuum(2, N))
+        out = op.apply(vacuum(2, N))
         expected = np.zeros((N, N), dtype=complex)
         expected[1, 0] = np.sqrt(1 - Q**2)
-        assert np.allclose(out.amplitudes, expected)
+        assert np.allclose(out, expected)
 
     def test_product_matches_composition_on_interior(self, rng):
         A = single(0.7 - 0.1j, [t_block(1, 1, Q, N), t_block(2, 1, Q, N)]) + single(
@@ -140,10 +141,9 @@ class TestApplyAndAlgebra:
         )
         v = np.zeros((N, N), dtype=complex)
         v[: N - 2, : N - 2] = rng.standard_normal((N - 2, N - 2))
-        state = StateVector(2, N, v)
-        lhs = (A * B).apply(state)
-        rhs = A.apply(B.apply(state))
-        assert np.allclose(lhs.amplitudes, rhs.amplitudes, atol=1e-12)
+        lhs = (A * B).apply(v)
+        rhs = A.apply(B.apply(v))
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
     @settings(max_examples=25)
     @given(st.integers(0, 10_000))
@@ -151,9 +151,9 @@ class TestApplyAndAlgebra:
         rng = np.random.default_rng(seed)
         A = single(rng.standard_normal(), [t_block(1, 2, Q, N)], dim=N)
         B = single(rng.standard_normal() * 1j, [t_block(2, 1, Q, N)], dim=N)
-        v = StateVector(1, N, rng.standard_normal(N) + 1j * rng.standard_normal(N))
-        lhs = (A + B).apply(v).amplitudes
-        rhs = A.apply(v).amplitudes + B.apply(v).amplitudes
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        lhs = (A + B).apply(v)
+        rhs = A.apply(v) + B.apply(v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_adjoint_involution(self):
@@ -169,11 +169,18 @@ class TestApplyAndAlgebra:
         op = single(0.3 + 2.0j, [t_block(2, 2, Q, N), t_block(1, 1, Q, N)]) + single(
             -1.1, [t_block(2, 1, Q, N), None]
         )
-        u = StateVector(2, N, rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        v = StateVector(2, N, rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-        lhs = op.apply(u).inner(v)
-        rhs = u.inner(op.adjoint().apply(v))
+        u = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        v = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        # <op u, v> and <u, op* v>, conjugate-linear in the second argument
+        lhs = complex(np.vdot(v, op.apply(u)))
+        rhs = complex(np.vdot(op.adjoint().apply(v), u))
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_apply_rejects_a_state_of_another_shape(self):
+        op = single(1.0, [t_block(2, 2, Q, N), None])
+        for shape in [(N * N,), (N,), (N, N - 1), (N, N, 1), ()]:
+            with pytest.raises(ValueError, match="shape"):
+                op.apply(np.zeros(shape, dtype=complex))
 
     def test_mul_identity_termwise(self):
         op = single(1.5, [t_block(2, 1, Q, N), None])
@@ -444,8 +451,9 @@ class TestSerialization:
         data = json.loads(json.dumps(operator_to_json(op)))
         back = operator_from_json(data)
         assert back.f == op.f and back.dim == op.dim
-        v = StateVector.basis(2, 3, (1, 1))
-        assert np.allclose(op.apply(v).amplitudes, back.apply(v).amplitudes)
+        v = np.zeros((3, 3), dtype=complex)
+        v[1, 1] = 1.0
+        assert np.allclose(op.apply(v), back.apply(v))
 
 
 class TestAssociativity:
@@ -455,9 +463,8 @@ class TestAssociativity:
         C = single(-0.7, [t_block(2, 1, Q, N)], dim=N)
         v = np.zeros(N, dtype=complex)
         v[: N - 3] = rng.standard_normal(N - 3)
-        state = StateVector(1, N, v)
-        lhs = ((A * B) * C).apply(state).amplitudes
-        rhs = (A * (B * C)).apply(state).amplitudes
+        lhs = ((A * B) * C).apply(v)
+        rhs = (A * (B * C)).apply(v)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -667,6 +674,14 @@ class TestFactorTable:
         with pytest.raises(ValueError, match="primitive set"):
             apply_tau(back, FactorEvaluation(((1, 0.3),)))
         assert apply_tau(single(1.0, [T]), FactorEvaluation(((1, 0.3),))).f == 0
+
+    def test_tagged_factor_rebuilt_from_its_fields_shares_its_id(self):
+        # interning reads the content only, never the object's identity
+        table = FactorTable()
+        F = t_block(2, 2, Q, N)
+        tid = table.intern(F)
+        assert table.intern(FactorMatrix(F.delta, F.amps, F.provenance)) == tid
+        assert len(table) == 2 and table[tid] is F
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(65, 160))
@@ -1069,8 +1084,7 @@ class TestApplyDenseOracle:
             + single(-1.0, [None, t_block(2, 2, Q, 4)], dim=4)
         )
         v = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        state = StateVector(2, 4, v)
-        got = op.apply(state).amplitudes.reshape(-1)
+        got = op.apply(v).reshape(-1)
         want = dense_matrix(op) @ v.reshape(-1)
         assert np.allclose(got, want, atol=1e-13)
 
@@ -1083,5 +1097,5 @@ class TestApplyDenseOracle:
         op = random_operator(rng, f, dim, n_terms)
         shape = (dim,) * f
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        got = op.apply(StateVector(f, dim, v)).amplitudes.reshape(-1)
+        got = op.apply(v).reshape(-1)
         assert np.allclose(got, dense_matrix(op) @ v.reshape(-1), rtol=0, atol=1e-12)
