@@ -6,10 +6,11 @@ read-only arrays: a complex scalar vector of shape (T,) and an integer id
 matrix of shape (T, f).  Id 0 is the identity; every other id names one
 factor in `FACTORS`, the process-wide factor table, which also caches the
 product id of each pair of ids and the adjoint id of each id.  A product of
-operators is then one gather over term pairs, an adjoint an id map, and the
-window residual reads shift keys and amplitudes from the table by id.  Dense
-matrices and states appear only in ``entries`` and ``apply``, which test
-oracles compare against.
+operators is then one sorted-key lookup over term pairs, an adjoint a
+gather from the table's adjoint column, and the window residual reads
+shift keys and amplitudes from the table by id.  Dense matrices and states
+appear only in ``entries`` and ``apply``, which test oracles compare
+against.
 
 Identities of the untruncated algebra are certified on a truncation-safe
 window: a word of d generators moves any occupation index by at most d, so
@@ -157,31 +158,45 @@ class FactorTable:
     are never removed, so an id stays valid for every operator holding it;
     the table grows with the distinct factors put into operators and with
     the products and adjoints taken of them.  The product id of each pair of
-    ids and the adjoint id of each id are computed once, on first use.
+    ids and the adjoint id of each id are computed once, on first use; a
+    call whose pairs and ids are all known runs no Python loop over them.
 
-    Three per-id columns serve indexing with id arrays: ``deltas`` (the
+    Products are stored as two arrays of equal length: the pair keys
+    ``left << 32 | right`` in ascending order, and the product id of each.
+    A lookup is one ``np.searchsorted`` of the broadcast keys and a gather.
+    The pairs not found are added in ascending (left, right) order, their
+    factor products interned in that order, and merged in; a pair with the
+    identity is stored with the other id ((0, b) gives b, (a, 0) gives a)
+    and interns nothing.  So the store grows with the distinct pairs met,
+    12 bytes each, not with the square of the table's size, as a
+    capacity x capacity id matrix would (256 MB of int32 at 8192 rows).
+
+    Four per-id columns serve indexing with id arrays: ``deltas`` (the
     shift), ``lead`` (the first column ``c`` with ``amps[c] != 0``, or
     ``dim`` for a zero factor; 0 for the identity, so a factor kills the
     vacuum exactly when its lead is positive, and is zero on every column
-    below ``window`` when its lead is at least ``window``) and ``amps``, a
-    complex128 array of shape (capacity, width) whose row ``tid`` holds
-    ``F.amps`` padded with zeros to ``width``, the size of the widest factor
-    interned so far; row 0, the identity, is ones across the full width.
-    They live as long as the table.  Each is a read-only view of a private
-    array that only ``intern`` writes; when the rows run out they double,
-    and when a wider factor arrives ``amps`` widens, and the views are made
-    again then, so a view kept from before goes stale.  Rows past
-    ``len(table)`` are unused.  ``max_lead``, a plain int, is the largest
-    lead interned so far.
+    below ``window`` when its lead is at least ``window``), ``adjoint`` (the
+    id of the factor's adjoint, -1 until first asked for; 0 for the
+    identity) and ``amps``, a complex128 array of shape (capacity, width)
+    whose row ``tid`` holds ``F.amps`` padded with zeros to ``width``, the
+    size of the widest factor interned so far; row 0, the identity, is ones
+    across the full width.  They live as long as the table.  Each is a
+    read-only view of a private array that only ``intern`` and ``adjoints``
+    write; when the rows run out they double, and when a wider factor
+    arrives ``amps`` widens, and the views are made again then, so a view
+    kept from before goes stale.  Rows past ``len(table)`` are unused.
+    ``max_lead``, a plain int, is the largest lead interned so far.
     """
 
     def __init__(self) -> None:
         self._factors: list[FactorMatrix | None] = [None]
         self._by_content: dict[tuple, int] = {}
-        self._products: dict[tuple[int, int], int] = {}
-        self._adjoints: dict[int, int] = {0: 0}
+        # no pair key reaches the sentinel, since ids stay below 2^31
+        self._pair_keys = np.array([np.iinfo(np.int64).max])
+        self._pair_ids = np.array([-1], dtype=_ID)
         self._deltas = np.zeros(0, dtype=np.int64)
         self._lead = np.zeros(0, dtype=np.int64)
+        self._adjoint = np.zeros(0, dtype=_ID)
         self.max_lead = 0
         self._amps = np.zeros((0, 0), dtype=np.complex128)
         self._grow(64, 0)
@@ -189,15 +204,16 @@ class FactorTable:
     def _grow(self, rows: int, width: int) -> None:
         """Copies the columns into arrays of ``rows`` rows and ``amps`` of
         ``width`` columns, and rebinds the public read-only views."""
-        self._deltas, self._lead = (
-            np.concatenate((column, np.zeros(rows - column.size, column.dtype)))
-            for column in (self._deltas, self._lead)
+        self._deltas, self._lead, self._adjoint = (
+            np.concatenate((column, np.full(rows - column.size, fill, column.dtype)))
+            for column, fill in ((self._deltas, 0), (self._lead, 0), (self._adjoint, -1))
         )
+        self._adjoint[0] = 0
         amps = np.zeros((rows, width), dtype=np.complex128)
         amps[: self._amps.shape[0], : self._amps.shape[1]] = self._amps
         amps[0] = 1.0
         self._amps = amps
-        for name in ("deltas", "lead", "amps"):
+        for name in ("deltas", "lead", "adjoint", "amps"):
             view = getattr(self, "_" + name).view()
             view.setflags(write=False)
             setattr(self, name, view)
@@ -230,50 +246,53 @@ class FactorTable:
         self._by_content[key] = tid
         return tid
 
-    def distinct(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct ids in ``ids``, ascending, and the position of each
-        entry among them.  Marks a table-sized array instead of sorting:
-        numpy's sort kernels add about 0.6 MB of resident code when first
-        run."""
-        mark = np.zeros(len(self._factors), dtype=bool)
-        mark[ids] = True
-        unique = np.flatnonzero(mark)
-        position = np.zeros(len(self._factors), dtype=_ID)
-        position[unique] = np.arange(unique.size)
-        return unique, position[ids]
-
     def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Ids of the factor products ``left[i] @ right[i]``, the two id
         arrays broadcast against each other."""
-        lefts, li = self.distinct(left)
-        rights, ri = self.distinct(right)
-        pairs = li.astype(np.int64) * rights.size + ri
-        mark = np.zeros(lefts.size * rights.size, dtype=bool)
-        mark[pairs] = True
-        found = np.zeros(mark.size, dtype=_ID)
-        lefts, rights = lefts.tolist(), rights.tolist()
-        for k in np.flatnonzero(mark).tolist():
-            a, b = lefts[k // len(rights)], rights[k % len(rights)]
-            if a == 0 or b == 0:
-                found[k] = a or b
-                continue
-            tid = self._products.get((a, b))
-            if tid is None:
-                tid = self.intern(self._factors[a].matmul(self._factors[b]))
-                self._products[(a, b)] = tid
-            found[k] = tid
-        return found[pairs]
+        keys = left.astype(np.int64) << 32 | right
+        at = np.searchsorted(self._pair_keys, keys)
+        # the last stored key is a sentinel above every pair key, so ``at``
+        # is always a valid index
+        hit = self._pair_keys[at] == keys
+        if not hit.all():
+            self._add_products(sorted(set(keys[~hit].tolist())))
+            return self.products(left, right)
+        return self._pair_ids[at]
+
+    def _add_products(self, keys: list[int]) -> None:
+        """Stores the products of the pair ``keys``, ascending and none
+        stored yet, interning the factor products in that order."""
+        ids = []
+        for key in keys:
+            a, b = key >> 32, key & 0xFFFFFFFF
+            if a and b:
+                ids.append(self.intern(self._factors[a].matmul(self._factors[b])))
+            else:
+                # a pair with the identity (0 on either side) is the other id
+                ids.append(a | b)
+        # the positions of the new keys in the merged store: stored keys
+        # below each, plus the new keys before it (merged by hand, since
+        # np.insert sorts its positions, and the table runs no numpy sort)
+        at = np.searchsorted(self._pair_keys, keys) + np.arange(len(keys))
+        old = np.ones(self._pair_keys.size + len(keys), dtype=bool)
+        old[at] = False
+        merged_keys = np.empty(old.size, dtype=np.int64)
+        merged_keys[at], merged_keys[old] = keys, self._pair_keys
+        merged_ids = np.empty(old.size, dtype=_ID)
+        merged_ids[at], merged_ids[old] = ids, self._pair_ids
+        self._pair_keys, self._pair_ids = merged_keys, merged_ids
 
     def adjoints(self, ids: np.ndarray) -> np.ndarray:
         """Ids of the adjoints of the factors ``ids``."""
-        unique, position = self.distinct(ids)
-        found = np.zeros(unique.size, dtype=_ID)
-        for k, tid in enumerate(unique.tolist()):
-            adj = self._adjoints.get(tid)
-            if adj is None:
-                adj = self._adjoints[tid] = self.intern(self._factors[tid].adjoint())
-            found[k] = adj
-        return found[position]
+        found = self._adjoint[ids]
+        missing = found < 0
+        if missing.any():
+            for tid in sorted(set(ids[missing].tolist())):
+                adj = self.intern(self._factors[tid].adjoint())
+                # read the column after interning, which may have regrown it
+                self._adjoint[tid] = adj
+            found = self._adjoint[ids]
+        return found
 
 
 FACTORS = FactorTable()
@@ -350,14 +369,14 @@ def t_block_ids(q: float, N: int) -> dict[tuple[int, int], int]:
     return {(i, j): FACTORS.intern(t_block(i, j, q, N)) for i in (1, 2) for j in (1, 2)}
 
 
-def _cmul(a, b) -> np.ndarray:
-    """Elementwise complex product, computed as CPython computes
+def _cmul(a: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product of a Python complex or complex128 array
+    and a complex128 array, broadcast, computed as CPython computes
     ``complex * complex`` (each part rounded after every operation, no fused
     multiply-add), so that it does not depend on the loop numpy picks."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    out.real = a.real * b.real - a.imag * b.imag
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=np.complex128)
+    out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
@@ -789,14 +808,18 @@ def operator_to_json(op: TensorOperator) -> dict:
     """``{"f", "dim", "terms"}``; each term is ``{"scalar": [re, im],
     "factors": [...]}``, a factor being ``"I"`` or ``{"delta": d, "amps":
     [[re, im], ...]}`` with ``dim`` amplitude pairs."""
+    # each factor's entry is built once, when its id is first met
     factors: dict[int, object] = {0: "I"}
-    for tid in FACTORS.distinct(op.ids)[0].tolist():
-        if tid:
+
+    def entry(tid: int) -> object:
+        if tid not in factors:
             F = FACTORS[tid]
             amps = [_complex_to_json(z) for z in F.amps.tolist()]
             factors[tid] = {"delta": F.delta, "amps": amps}
+        return factors[tid]
+
     terms = [
-        {"scalar": _complex_to_json(scalar), "factors": [factors[tid] for tid in row]}
+        {"scalar": _complex_to_json(scalar), "factors": [entry(tid) for tid in row]}
         for scalar, row in zip(op.scalars.tolist(), op.ids.tolist())
     ]
     return {"f": op.f, "dim": op.dim, "terms": terms}

@@ -607,6 +607,7 @@ class TestFactorTable:
     def test_adjoint_by_id_is_the_conjugate_transpose(self, seed, dim, tagged):
         F = random_factor(np.random.default_rng(seed), dim, tagged)
         (adj,) = FACTORS.adjoints(np.array([FACTORS.intern(F)]))
+        assert FACTORS.adjoint[FACTORS.intern(F)] == adj
         assert same_factor(FACTORS[adj], F.adjoint())
         assert np.array_equal(FACTORS[adj].entries, F.entries.conj().T)
         (back,) = FACTORS.adjoints(np.array([adj]))
@@ -713,7 +714,7 @@ class TestFactorTable:
             table.intern(F)
         assert table.amps.shape == (128, 5)
         for columns in (table, FACTORS):
-            for name in ("deltas", "lead", "amps"):
+            for name in ("deltas", "lead", "adjoint", "amps"):
                 column = getattr(columns, name)
                 with pytest.raises(ValueError, match="read-only"):
                     # the same value, so a write that got through changes nothing
@@ -780,6 +781,91 @@ class TestFactorTable:
             op.scalars[0] = 2.0
         with pytest.raises(ValueError):
             op.ids[0, 0] = 0
+
+    def test_product_store(self, monkeypatch):
+        # a new table, so that which pairs are stored beforehand is known
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        rng = np.random.default_rng(5)
+        a, b, c, d = (table.intern(weighted_shift(rng, 4)) for _ in range(4))
+        table.products(np.array([a, c]), np.array([b, a]))
+        stored = table._pair_keys.size
+        # stored, new, identity-left, identity-right and repeated pairs; the
+        # last right row repeats the first
+        left = np.array([[a, 0, c], [a, b, 0], [0, 0, a]], dtype=np.int32)[:, None, :]
+        right = np.array([[b, d, 0], [a, c, c], [0, a, 0], [b, d, 0]], dtype=np.int32)[None]
+        size = len(table)
+        ids = table.products(left, right)
+        assert ids.shape == (3, 4, 3) and table._pair_keys.size > stored
+
+        # a repeated call interns nothing and stores nothing
+        grown, stored = len(table), table._pair_keys.size
+        assert np.array_equal(table.products(left, right), ids)
+        assert (len(table), table._pair_keys.size) == (grown, stored)
+
+        def product(x, y):
+            return y if x == 0 else x if y == 0 else table.intern(table[x].matmul(table[y]))
+
+        pairs = list(zip(*(side.ravel().tolist() for side in np.broadcast_arrays(left, right))))
+        assert ids.ravel().tolist() == [product(x, y) for x, y in pairs]
+        assert len(table) == grown
+        # the new factors were interned in ascending (left, right) order
+        new = [product(x, y) for x, y in sorted(set(pairs))]
+        assert list(dict.fromkeys(t for t in new if t >= size)) == list(range(size, grown))
+
+        # 70 more factors grow the rows past 64; the stored pairs and
+        # adjoints keep their ids, and asking again interns nothing
+        adjoints = table.adjoints(ids)
+        for _ in range(70):
+            table.intern(weighted_shift(rng, 4))
+        grown = len(table)
+        assert table.amps.shape[0] > 64 and table.adjoint.size == table.amps.shape[0]
+        assert np.array_equal(table.products(left, right), ids)
+        assert np.array_equal(table.adjoints(ids), adjoints)
+        assert len(table) == grown
+
+    def test_product_with_no_terms(self, monkeypatch):
+        monkeypatch.setattr(qoperator, "FACTORS", FactorTable())
+        A = random_operator(np.random.default_rng(2), 3, 4, 5)
+        empty = TensorOperator.zero(3, 4)
+        for P in (empty * A, A * empty, empty * empty):
+            assert P.ids.shape == (0, 3) and P.scalars.shape == (0,)
+
+
+parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+complexes = st.builds(complex, parts, parts)
+
+
+class TestScalarProducts:
+    """``_cmul``, which computes the scalars of ``scale`` and of products,
+    against CPython's ``complex * complex``, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(complexes, st.lists(complexes, min_size=0, max_size=6))
+    def test_python_complex_times_vector(self, c, values):
+        # the call ``scale`` makes; CPython overflows to inf silently too
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = qoperator._cmul(c, np.array(values, dtype=np.complex128).reshape(-1))
+            op = TensorOperator.from_ids(1, 2, values, np.zeros((len(values), 1)))
+            scaled = op.scale(c).scalars
+        want = [bits(c * z) for z in values]
+        assert [bits(z) for z in out.tolist()] == want
+        assert [bits(z) for z in scaled.tolist()] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(complexes, min_size=1, max_size=5), st.lists(complexes, min_size=1, max_size=5))
+    def test_column_times_row(self, left, right):
+        # the call ``__mul__`` makes
+        a, b = np.array(left, dtype=np.complex128), np.array(right, dtype=np.complex128)
+        A = TensorOperator.from_ids(1, 2, left, np.zeros((len(left), 1)))
+        B = TensorOperator.from_ids(1, 2, right, np.zeros((len(right), 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = qoperator._cmul(a[:, None], b[None, :])
+            product = (A * B).scalars
+        want = [bits(x * y) for x, y in itertools.product(left, right)]
+        assert out.shape == (len(left), len(right))
+        assert [bits(z) for z in out.reshape(-1).tolist()] == want
+        assert [bits(z) for z in product.tolist()] == want
 
 
 class TestWeightedShiftOracle:
