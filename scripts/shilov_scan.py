@@ -10,8 +10,10 @@ Usage: python scripts/shilov_scan.py [n]
 n is the matrix size (default 3).  The truncation level is N = 6 for n <= 2
 and N = 4 otherwise.  Exits 0 when the prediction holds for every string and
 1 when it does not; a string that cannot be evaluated (its residual would
-exceed the memory limit, as at n = 5) stops the scan with a message on stderr
-and exit code 2.
+exceed the memory limit) stops the scan with a message on stderr and exit
+code 2.  At n = 5 the limit is not what stops a scan: the float scan at N = 4
+runs for more than ten minutes.  A run cut at 600 s on 2 vCPUs had evaluated
+1524 of the 1546 strings, none refused and none mismatched.
 """
 
 import sys
@@ -49,7 +51,7 @@ def main() -> int:
                 for b in range(1, n + 1)
             )
         except ValueError as exc:
-            # the residual memory limit (n = 5 at N = 4): stop with a message
+            # a residual over the memory limit: stop with a message
             print(f"error: string {list(ks)}: {exc}", file=sys.stderr)
             return 2
         interior = not boundary_set(ks)

@@ -153,14 +153,13 @@ class FactorEvaluation:
 
 # character values of the primitive tags at phase phi: the underlying shift
 # goes to e^{i phi}, so its defect projection (hence both straight-arrow
-# blocks) goes to 0
-def tau_factor_value(factor: FactorMatrix | None, phi: float) -> complex:
-    if factor is None:
-        return 1.0 + 0.0j
-    if factor.provenance is None:
+# blocks) goes to 0; ``tags`` is a factor's provenance, None if untagged and
+# () for the identity
+def _tags_value(tags: tuple[str, ...] | None, phi: float) -> complex:
+    if tags is None:
         raise ValueError("factor not expressible in the primitive set")
     value = 1.0 + 0.0j
-    for tag in factor.provenance:
+    for tag in tags:
         if tag == "I":
             continue
         elif tag == "T11":
@@ -172,6 +171,10 @@ def tau_factor_value(factor: FactorMatrix | None, phi: float) -> complex:
         else:
             raise ValueError(f"factor tag {tag!r} has no scalar evaluation")
     return value
+
+
+def tau_factor_value(factor: FactorMatrix | None, phi: float) -> complex:
+    return _tags_value(() if factor is None else factor.provenance, phi)
 
 
 def apply_tau(op: TensorOperator, ev: FactorEvaluation) -> TensorOperator:
@@ -193,7 +196,7 @@ def apply_tau(op: TensorOperator, ev: FactorEvaluation) -> TensorOperator:
             tid = row[index - 1]
             value = values.get((index, tid))
             if value is None:
-                value = values[(index, tid)] = tau_factor_value(FACTORS[tid], phi)
+                value = values[(index, tid)] = _tags_value(FACTORS.tags[tid], phi)
             scalar *= value
             if scalar == 0:
                 break

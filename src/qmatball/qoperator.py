@@ -4,7 +4,7 @@ Operators are sums of scalar-weighted elementary tensors of weighted-shift
 factors (`delta`, amplitudes).  A `TensorOperator` stores its terms as two
 read-only arrays: a complex scalar vector of shape (T,) and an integer id
 matrix of shape (T, f).  Id 0 is the identity; every other id names one
-factor in `FACTORS`, the process-wide factor table, which also caches the
+row of `FACTORS`, the process-wide factor table, which also caches the
 product id of each pair of ids and the adjoint id of each id.  A product of
 operators is then one sorted-key lookup over term pairs, an adjoint a
 gather from the table's adjoint column, and the window residual reads
@@ -115,10 +115,6 @@ class FactorMatrix:
         out.setflags(write=False)
         return out
 
-    def norm(self) -> float:
-        """Exact spectral norm: the nonzero columns are orthogonal."""
-        return float(np.abs(self.amps).max())
-
     def adjoint(self) -> "FactorMatrix":
         prov = None
         if self.provenance is not None and all(t in _ADJOINT_TAG for t in self.provenance):
@@ -147,19 +143,23 @@ def _rolled(amps: np.ndarray, k: int) -> np.ndarray:
 
 
 class FactorTable:
-    """Interned tensor factors, addressed by integer id.
-
-    Key: a factor's content, ``(provenance, delta, amplitude bytes)``.
-    Factors with equal content share one id, whichever object they came
-    from; a factor without provenance (read from JSON or built by hand) gets
-    an anonymous id that no tagged factor shares.  Id 0 is the identity.
+    """Interned tensor factors, addressed by integer id.  A factor is one
+    row of the per-id columns below: the table keeps no ``FactorMatrix``,
+    and a row is the only array copy of a factor besides its content key,
+    ``(provenance, delta, amplitude bytes)``.  Factors with equal content
+    share one id, whichever object they came from; a factor without
+    provenance (read from JSON or built by hand) gets an anonymous id that
+    no tagged factor shares.  Id 0 is the identity.  ``table[tid]`` is a
+    snapshot, a new read-only ``FactorMatrix`` rebuilt from the row (None
+    for id 0), for tests and ``TensorOperator.terms``.
 
     Lifetime: the process (the module keeps one table, ``FACTORS``).  Entries
     are never removed, so an id stays valid for every operator holding it;
     the table grows with the distinct factors put into operators and with
     the products and adjoints taken of them.  The product id of each pair of
-    ids and the adjoint id of each id are computed once, on first use; a
-    call whose pairs and ids are all known runs no Python loop over them.
+    ids and the adjoint id of each id are computed once, on first use, by
+    ``FactorMatrix.matmul`` and ``.adjoint`` on snapshots; a call whose
+    pairs and ids are all known runs no Python loop over them.
 
     Products are stored as two arrays of equal length: the pair keys
     ``left << 32 | right`` in ascending order, and the product id of each.
@@ -171,31 +171,30 @@ class FactorTable:
     12 bytes each, not with the square of the table's size, as a
     capacity x capacity id matrix would (256 MB of int32 at 8192 rows).
 
-    Four per-id columns serve indexing with id arrays: ``deltas`` (the
-    shift), ``lead`` (the first column ``c`` with ``amps[c] != 0``, or
-    ``dim`` for a zero factor; 0 for the identity, so a factor kills the
-    vacuum exactly when its lead is positive, and is zero on every column
-    below ``window`` when its lead is at least ``window``), ``adjoint`` (the
-    id of the factor's adjoint, -1 until first asked for; 0 for the
-    identity) and ``amps``, a complex128 array of shape (capacity, width)
-    whose row ``tid`` holds ``F.amps`` padded with zeros to ``width``, the
-    size of the widest factor interned so far; row 0, the identity, is ones
-    across the full width.  They live as long as the table.  Each is a
-    read-only view of a private array that only ``intern`` and ``adjoints``
-    write; when the rows run out they double, and when a wider factor
-    arrives ``amps`` widens, and the views are made again then, so a view
-    kept from before goes stale.  Rows past ``len(table)`` are unused.
-    ``max_lead``, a plain int, is the largest lead interned so far.
+    Columns, indexed by id: ``deltas`` (the shift), ``dims`` (the size, 0
+    for the identity), ``lead`` (the first column ``c`` with ``amps[c] !=
+    0``, or ``dim`` for a zero factor, 0 for the identity: a factor kills
+    the vacuum exactly when its lead is positive, and is zero on every
+    column below ``window`` when its lead is at least ``window``),
+    ``adjoint`` (the adjoint's id, -1 until first asked for, 0 for the
+    identity), ``amps`` (complex128 of shape (capacity, width), row ``tid``
+    the amplitudes padded with zeros to the widest size interned so far,
+    row 0 ones) and ``tags`` (a list of provenances, None for an untagged
+    factor, ``()`` for the identity).  The arrays are read-only views of
+    private arrays that only ``intern`` and ``adjoints`` write; when the
+    rows run out they double and when a wider factor arrives ``amps``
+    widens, and the views are made again, so a view kept from before goes
+    stale.  Rows past ``len(table)`` are unused.  ``max_lead``, an int, is
+    the largest lead interned so far.
     """
 
     def __init__(self) -> None:
-        self._factors: list[FactorMatrix | None] = [None]
+        self.tags: list[tuple[str, ...] | None] = [()]
         self._by_content: dict[tuple, int] = {}
         # no pair key reaches the sentinel, since ids stay below 2^31
         self._pair_keys = np.array([np.iinfo(np.int64).max])
         self._pair_ids = np.array([-1], dtype=_ID)
-        self._deltas = np.zeros(0, dtype=np.int64)
-        self._lead = np.zeros(0, dtype=np.int64)
+        self._deltas, self._dims, self._lead = (np.zeros(0, dtype=np.int64) for _ in range(3))
         self._adjoint = np.zeros(0, dtype=_ID)
         self.max_lead = 0
         self._amps = np.zeros((0, 0), dtype=np.complex128)
@@ -204,45 +203,49 @@ class FactorTable:
     def _grow(self, rows: int, width: int) -> None:
         """Copies the columns into arrays of ``rows`` rows and ``amps`` of
         ``width`` columns, and rebinds the public read-only views."""
-        self._deltas, self._lead, self._adjoint = (
+        fills = ((self._deltas, 0), (self._dims, 0), (self._lead, 0), (self._adjoint, -1))
+        self._deltas, self._dims, self._lead, self._adjoint = (
             np.concatenate((column, np.full(rows - column.size, fill, column.dtype)))
-            for column, fill in ((self._deltas, 0), (self._lead, 0), (self._adjoint, -1))
+            for column, fill in fills
         )
         self._adjoint[0] = 0
         amps = np.zeros((rows, width), dtype=np.complex128)
         amps[: self._amps.shape[0], : self._amps.shape[1]] = self._amps
         amps[0] = 1.0
         self._amps = amps
-        for name in ("deltas", "lead", "adjoint", "amps"):
+        for name in ("deltas", "dims", "lead", "adjoint", "amps"):
             view = getattr(self, "_" + name).view()
             view.setflags(write=False)
             setattr(self, name, view)
 
     def __len__(self) -> int:
-        return len(self._factors)
+        return len(self.tags)
 
     def __getitem__(self, tid: int) -> FactorMatrix | None:
-        return self._factors[tid]
+        tags = self.tags[tid]
+        if not tid:
+            return None
+        return FactorMatrix(int(self._deltas[tid]), self._amps[tid, : self._dims[tid]], tags)
 
     def intern(self, F: FactorMatrix | None) -> int:
-        """The id of ``F``, adding it when no factor with its content is stored."""
+        """The id of ``F``, its fields copied into a new row if none has its content."""
         if F is None:
             return 0
         key = (F.provenance, F.delta, F.amps.tobytes())
         tid = self._by_content.get(key)
         if tid is not None:
             return tid
-        tid = len(self._factors)
+        tid = len(self.tags)
         rows, width = self._amps.shape
         if tid == rows or F.dim > width:
             self._grow(2 * rows if tid == rows else rows, max(width, F.dim))
-        self._deltas[tid] = F.delta
-        nonzero = np.flatnonzero(F.amps)
-        lead = int(nonzero[0]) if nonzero.size else F.dim
+        self._deltas[tid], self._dims[tid] = F.delta, F.dim
+        nonzero = F.amps != 0
+        lead = int(nonzero.argmax()) if nonzero.any() else F.dim
         self._lead[tid] = lead
         self.max_lead = max(self.max_lead, lead)
         self._amps[tid, : F.dim] = F.amps
-        self._factors.append(F)
+        self.tags.append(F.provenance)
         self._by_content[key] = tid
         return tid
 
@@ -266,7 +269,7 @@ class FactorTable:
         for key in keys:
             a, b = key >> 32, key & 0xFFFFFFFF
             if a and b:
-                ids.append(self.intern(self._factors[a].matmul(self._factors[b])))
+                ids.append(self.intern(self[a].matmul(self[b])))
             else:
                 # a pair with the identity (0 on either side) is the other id
                 ids.append(a | b)
@@ -288,7 +291,7 @@ class FactorTable:
         missing = found < 0
         if missing.any():
             for tid in sorted(set(ids[missing].tolist())):
-                adj = self.intern(self._factors[tid].adjoint())
+                adj = self.intern(self[tid].adjoint())
                 # read the column after interning, which may have regrown it
                 self._adjoint[tid] = adj
             found = self._adjoint[ids]
@@ -318,12 +321,15 @@ def _check_q(q: float) -> float:
     return q
 
 
-def _c_amps(q: float, N: int) -> np.ndarray:
-    return np.sqrt(1.0 - q ** (2.0 * np.arange(N)))
+# in place in one vector: sqrt(1 - q^{2m}) for m = start .. start + N - 1, q^m
+def _c_amps(q: float, N: int, start: int = 0) -> np.ndarray:
+    x = np.arange(2 * start, 2 * (start + N), 2, dtype=np.float64)
+    return np.sqrt(np.subtract(1.0, np.power(q, x, out=x), out=x), out=x)
 
 
 def _d_amps(q: float, N: int) -> np.ndarray:
-    return q ** np.arange(N, dtype=np.float64)
+    x = np.arange(N, dtype=np.float64)
+    return np.power(q, x, out=x)
 
 
 def c_q(q: float, N: int) -> FactorMatrix:
@@ -353,12 +359,14 @@ def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
         # S* C_q sends e_m to sqrt(1 - q^{2m}) e_{m-1}; the e_0 amplitude is 0
         delta, amps = -1, _c_amps(q, N)
     elif (i, j) == (1, 2):
-        delta, amps = 0, -q * _d_amps(q, N)
+        delta, amps = 0, _d_amps(q, N)
+        amps *= -q
     elif (i, j) == (2, 1):
         delta, amps = 0, _d_amps(q, N)
     else:
         # C_q S sends e_m to sqrt(1 - q^{2(m+1)}) e_{m+1}
-        delta, amps = 1, np.append(_c_amps(q, N)[1:], 0.0)
+        delta, amps = 1, _c_amps(q, N, start=1)
+        amps[-1] = 0.0
     return FactorMatrix(delta, amps, provenance=(f"T{i}{j}",))
 
 
@@ -383,14 +391,11 @@ def _cmul(a: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorTerm:
-    """One elementary tensor: scalar * F_1 (x) ... (x) F_f, None meaning I."""
+    """One elementary tensor: scalar * F_1 (x) ... (x) F_f, None meaning I;
+    the record ``TensorOperator.terms`` yields, taken as given."""
 
     scalar: complex
     factors: tuple[FactorMatrix | None, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scalar", complex(self.scalar))
-        object.__setattr__(self, "factors", tuple(self.factors))
 
 
 class TensorOperator:
@@ -404,42 +409,23 @@ class TensorOperator:
     and adjoint the factors without any order reversal, since the terms are
     elementary.  Scalars multiply as Python complex numbers do.
 
-    ``TensorOperator(f, dim, terms)`` interns the factors of ``TensorTerm``
-    objects; ``from_ids`` takes the arrays directly.  ``terms`` is a
-    read-only view built on first use.  Operators are immutable.
+    ``from_ids`` is the only constructor, and ``terms`` a read-only view
+    built on first use.  Operators are immutable.
     """
 
     __slots__ = ("f", "dim", "scalars", "ids", "_terms")
 
-    def __init__(self, f: int, dim: int, terms=()) -> None:
-        terms = tuple(terms)
-        rows = []
-        for term in terms:
-            if len(term.factors) != f:
-                raise ValueError(
-                    f"term has {len(term.factors)} factors, operator has f={f}"
-                )
-            for F in term.factors:
-                if F is not None and F.dim != dim:
-                    raise ValueError("factor dimension differs from operator dim")
-            rows.append([FACTORS.intern(F) for F in term.factors])
-        scalars = np.array([term.scalar for term in terms], dtype=np.complex128)
-        self._init(f, dim, scalars, np.array(rows, dtype=_ID).reshape(len(terms), f))
-
-    def _init(self, f: int, dim: int, scalars: np.ndarray, ids: np.ndarray) -> None:
-        scalars.setflags(write=False)
-        ids.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "scalars", scalars)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_terms", None)
-
     @classmethod
     def _of(cls, f: int, dim: int, scalars: np.ndarray, ids: np.ndarray):
         """Wraps arrays that are valid by construction, without checks."""
+        scalars.setflags(write=False)
+        ids.setflags(write=False)
         op = object.__new__(cls)
-        op._init(f, dim, scalars, ids)
+        object.__setattr__(op, "f", f)
+        object.__setattr__(op, "dim", dim)
+        object.__setattr__(op, "scalars", scalars)
+        object.__setattr__(op, "ids", ids)
+        object.__setattr__(op, "_terms", None)
         return op
 
     @classmethod
@@ -458,9 +444,11 @@ class TensorOperator:
 
     @property
     def terms(self) -> tuple[TensorTerm, ...]:
+        """``TensorTerm`` objects sharing one snapshot per distinct factor id."""
         if self._terms is None:
+            factors = {tid: FACTORS[tid] for tid in np.unique(self.ids).tolist()}
             terms = tuple(
-                TensorTerm(scalar, tuple(FACTORS[tid] for tid in row))
+                TensorTerm(scalar, tuple(factors[tid] for tid in row))
                 for scalar, row in zip(self.scalars.tolist(), self.ids.tolist())
             )
             object.__setattr__(self, "_terms", terms)
@@ -515,7 +503,7 @@ class TensorOperator:
         """The operator applied to a dense state, a complex array of shape
         ``(dim,) * f`` (any other shape raises ``ValueError``): a test oracle
         on no certified path, kept while ``perfbench/tracing.py`` wraps it by
-        name (ROADMAP item 4)."""
+        name (ROADMAP item 7)."""
         v = np.asarray(v, dtype=np.complex128)
         if v.shape != (self.dim,) * self.f:
             raise ValueError(f"state shape {v.shape} is not {(self.dim,) * self.f}")
@@ -525,11 +513,10 @@ class TensorOperator:
             for axis, tid in enumerate(row):
                 if tid == 0:
                     continue
-                F = FACTORS[tid]
                 # scale along the axis, then move index c to c + delta; the
                 # entries that wrap around were scaled by zero amplitudes
-                along = F.amps.reshape((-1,) + (1,) * (self.f - axis - 1))
-                w = np.roll(along * w, F.delta, axis=axis)
+                along = FACTORS.amps[tid, : self.dim].reshape((-1,) + (1,) * (self.f - axis - 1))
+                w = np.roll(along * w, int(FACTORS.deltas[tid]), axis=axis)
             out = out + scalar * w
         return out
 
@@ -541,8 +528,7 @@ def vacuum_matrix_element(op: TensorOperator) -> complex:
         value = scalar
         for tid in row:
             if tid:
-                F = FACTORS[tid]
-                value *= F.amps[0] if F.delta == 0 else 0.0
+                value *= FACTORS.amps[tid, 0] if FACTORS.deltas[tid] == 0 else 0.0
         total += value
     return total
 
@@ -761,12 +747,14 @@ def norm_bound(op: TensorOperator) -> float:
     the bound is exact for a single elementary tensor; for a sum it follows
     from the triangle inequality.  No state vector is built.
     """
+    # a factor's norm is its largest amplitude modulus; the identity's is 1.0
+    ids = op.ids.tolist()
+    norms = {t: float(np.abs(FACTORS.amps[t, : op.dim]).max()) for t in set().union(*ids)}
     total = 0.0
-    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
+    for scalar, row in zip(op.scalars.tolist(), ids):
         value = abs(scalar)
         for tid in row:
-            if tid:
-                value *= FACTORS[tid].norm()
+            value *= norms[tid]
         total += value
     return total
 
@@ -777,7 +765,7 @@ def norm_estimate(op: TensorOperator, iters: int = 60) -> float:
 
     The Rayleigh quotients are nondecreasing in the iteration count and never
     exceed the true largest singular value.  Like ``apply``, on no certified
-    path, kept while ``perfbench/tracing.py`` wraps it (ROADMAP item 4).
+    path, kept while ``perfbench/tracing.py`` wraps it (ROADMAP item 7).
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
@@ -813,9 +801,8 @@ def operator_to_json(op: TensorOperator) -> dict:
 
     def entry(tid: int) -> object:
         if tid not in factors:
-            F = FACTORS[tid]
-            amps = [_complex_to_json(z) for z in F.amps.tolist()]
-            factors[tid] = {"delta": F.delta, "amps": amps}
+            amps = [_complex_to_json(z) for z in FACTORS.amps[tid, : FACTORS.dims[tid]].tolist()]
+            factors[tid] = {"delta": FACTORS.deltas[tid].item(), "amps": amps}
         return factors[tid]
 
     terms = [
@@ -830,25 +817,38 @@ def _complex_from_json(z) -> complex:
     return complex(re, im)
 
 
+def _factor_from_json(entry, dim: int) -> FactorMatrix | None:
+    if entry == "I":
+        return None
+    if not isinstance(entry, dict):
+        raise ValueError(f'factor entry must be "I" or an object, got {entry!r}')
+    F = FactorMatrix(entry["delta"], [_complex_from_json(z) for z in entry["amps"]])
+    if F.dim != dim:
+        raise ValueError(f"factor of size {F.dim} in an operator of dim {dim}")
+    return F
+
+
 def operator_from_json(data: dict) -> TensorOperator:
-    """Inverse of ``operator_to_json``; malformed input raises ``ValueError``."""
+    """Inverse of ``operator_to_json``, by interning each factor entry.
+    Malformed input raises ``ValueError``: f < 0, dim < 2, a non-finite
+    scalar, a term without f factors, a factor not "I" or of size dim."""
     try:
-        f = operator.index(data["f"])
-        dim = operator.index(data["dim"])
-        terms = []
+        f, dim = operator.index(data["f"]), operator.index(data["dim"])
+        if f < 0:
+            raise ValueError(f"factor count f must be at least 0, got {f}")
+        _check_dim(dim)
+        scalars, rows = [], []
         for raw in data["terms"]:
-            scalar = _complex_from_json(raw["scalar"])
-            factors: list[FactorMatrix | None] = []
-            for entry in raw["factors"]:
-                if entry == "I":
-                    factors.append(None)
-                else:
-                    amps = [_complex_from_json(z) for z in entry["amps"]]
-                    factors.append(FactorMatrix(entry["delta"], amps))
-            terms.append(TensorTerm(scalar, tuple(factors)))
+            scalars.append(_complex_from_json(raw["scalar"]))
+            if not np.isfinite(scalars[-1]):
+                raise ValueError(f"term scalars must be finite, got {scalars[-1]!r}")
+            if len(raw["factors"]) != f:
+                raise ValueError(f"term has {len(raw['factors'])} factors, operator has f={f}")
+            rows.append([_factor_from_json(entry, dim) for entry in raw["factors"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed operator JSON: {exc!r}") from exc
-    return TensorOperator(f, dim, tuple(terms))
+    # interned only once the whole input is read, so a rejected one adds none
+    return TensorOperator.from_ids(f, dim, scalars, [list(map(FACTORS.intern, r)) for r in rows])
 
 
 def is_exact_zero_on_vacuum(op: TensorOperator) -> bool:

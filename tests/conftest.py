@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qmatball import qoperator
 from qmatball.permgroup import AdmissibleString, Permutation, admissible_bound
 
 
@@ -49,6 +50,15 @@ def vacuum(f: int, dim: int) -> np.ndarray:
     state = np.zeros((dim,) * f, dtype=np.complex128)
     state[(0,) * f] = 1.0
     return state
+
+
+def from_terms(f: int, dim: int, terms) -> qoperator.TensorOperator:
+    """The operator summing ``terms``, ``TensorTerm`` objects whose factors
+    are interned in ``qoperator.FACTORS`` (looked up at call time, so a
+    test that swaps in a new table gets its ids from that table)."""
+    scalars = [term.scalar for term in terms]
+    ids = [[qoperator.FACTORS.intern(F) for F in term.factors] for term in terms]
+    return qoperator.TensorOperator.from_ids(f, dim, scalars, ids)
 
 
 def term_signature(op):

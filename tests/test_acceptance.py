@@ -41,8 +41,8 @@ from qmatball.permgroup import (
 )
 from qmatball.qgrouprep import SoibelmanRep, rep_generator, twist_check
 from qmatball.qoperator import (
+    FACTORS,
     TensorOperator,
-    TensorTerm,
     residual_on_window,
     t_block,
     vacuum_matrix_element,
@@ -267,7 +267,7 @@ def test_criterion_8_matrix_element_formula(rng):
 
 def test_criterion_9_operator_identities():
     q, trunc = 0.5, 6
-    one = lambda F: TensorOperator(1, trunc, (TensorTerm(1.0, (F,)),))
+    one = lambda F: TensorOperator.from_ids(1, trunc, [1.0], [[FACTORS.intern(F)]])
     T = {(i, j): one(t_block(i, j, q, trunc)) for i in (1, 2) for j in (1, 2)}
     I = TensorOperator.identity(1, trunc)
     adjoint_ok = residual_on_window(T[(1, 1)], T[(2, 2)].adjoint(), 1)

@@ -21,9 +21,9 @@ from qmatball.qgrouprep import (
     twist_check,
 )
 from qmatball.qoperator import (
+    FACTORS,
     FactorMatrix,
     TensorOperator,
-    TensorTerm,
     residual_on_window,
     t_block,
     vacuum_matrix_element,
@@ -158,7 +158,7 @@ class TestApplyTau:
         assert len(out.terms) == 1 and out.terms[0].scalar == 1.0
 
     def test_straight_arrow_dropped(self):
-        op = TensorOperator(1, N, (TensorTerm(1.0, (t_block(1, 2, Q, N),)),))
+        op = TensorOperator.from_ids(1, N, [1.0], [[FACTORS.intern(t_block(1, 2, Q, N))]])
         out = apply_tau(op, FactorEvaluation(((1, 0.3),)))
         assert out.f == 0 and len(out.terms) == 0
 
@@ -177,7 +177,7 @@ class TestApplyTau:
 
     def test_untagged_factor_rejected(self):
         raw = FactorMatrix(0, np.ones(N))
-        op = TensorOperator(1, N, (TensorTerm(1.0, (raw,)),))
+        op = TensorOperator.from_ids(1, N, [1.0], [[FACTORS.intern(raw)]])
         with pytest.raises(ValueError):
             apply_tau(op, FactorEvaluation(((1, 0.0),)))
 

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,13 +30,13 @@ from qmatball.qoperator import (
     vacuum_matrix_element,
 )
 
-from conftest import vacuum
+from conftest import from_terms, vacuum
 
 Q, N = 0.5, 6
 
 
 def single(scalar, factors, dim=N):
-    return TensorOperator(len(factors), dim, (TensorTerm(scalar, tuple(factors)),))
+    return from_terms(len(factors), dim, [TensorTerm(scalar, tuple(factors))])
 
 
 def zero_like(op):
@@ -194,9 +196,12 @@ class TestApplyAndAlgebra:
             TensorOperator.identity(2, N) * TensorOperator.identity(3, N)
 
     def test_factor_of_wrong_size_rejected(self):
-        term = TensorTerm(1.0, (t_block(2, 1, Q, N), t_block(2, 1, Q, N + 1)))
-        with pytest.raises(ValueError, match="differs from operator dim"):
-            TensorOperator(2, N, (term,))
+        # operators are built from ids, unchecked, so the size of a factor is
+        # checked where factors come in: at the JSON boundary
+        entry = {"delta": 0, "amps": [[1.0, 0.0]] * (N + 1)}
+        data = {"f": 2, "dim": N, "terms": [{"scalar": [1.0, 0.0], "factors": ["I", entry]}]}
+        with pytest.raises(ValueError, match=f"size {N + 1} in an operator of dim {N}"):
+            operator_from_json(data)
 
     def test_factor_equality_is_identity(self):
         F = t_block(1, 1, Q, 3)
@@ -223,8 +228,8 @@ class TestResidualWindow:
             residual_on_window(op, op, 3)
 
     def test_scalar_operators(self):
-        a = TensorOperator(0, N, (TensorTerm(1.25, ()),))
-        b = TensorOperator(0, N, (TensorTerm(1.0, ()),))
+        a = TensorOperator.from_ids(0, N, [1.25], [[]])
+        b = TensorOperator.from_ids(0, N, [1.0], [[]])
         assert residual_on_window(a, b, 2) == pytest.approx(0.25)
 
     def test_scalar_operators_check_the_window(self):
@@ -489,10 +494,10 @@ def dense_norm(op):
     kept = [
         axis for axis in range(op.f) if any(t.factors[axis] is not None for t in op.terms)
     ]
-    reduced = TensorOperator(
+    reduced = from_terms(
         len(kept),
         op.dim,
-        tuple(TensorTerm(t.scalar, tuple(t.factors[a] for a in kept)) for t in op.terms),
+        [TensorTerm(t.scalar, tuple(t.factors[a] for a in kept)) for t in op.terms],
     )
     return float(np.linalg.norm(dense_matrix(reduced), 2))
 
@@ -545,7 +550,7 @@ def operator_on_shifts(rng, dim, shifts, n_terms):
         )
         scalar = complex(rng.standard_normal(), rng.standard_normal())
         terms.append(TensorTerm(scalar, factors))
-    return TensorOperator(len(shifts[0]), dim, tuple(terms))
+    return from_terms(len(shifts[0]), dim, terms)
 
 
 def random_factor(rng, dim, tagged):
@@ -555,7 +560,7 @@ def random_factor(rng, dim, tagged):
 def random_operator(rng, f, dim, n_terms, factor=weighted_shift):
     """Sum of random complex multiples of elementary tensors of random
     factors (weighted shifts by default), a quarter of them the identity."""
-    return TensorOperator(
+    return from_terms(
         f,
         dim,
         tuple(
@@ -682,7 +687,33 @@ class TestFactorTable:
         F = t_block(2, 2, Q, N)
         tid = table.intern(F)
         assert table.intern(FactorMatrix(F.delta, F.amps, F.provenance)) == tid
-        assert len(table) == 2 and table[tid] is F
+        assert len(table) == 2 and same_factor(table[tid], F)
+
+    def test_interning_keeps_no_reference_to_the_factor(self):
+        table = FactorTable()
+        F = FactorMatrix(-1, [0.0, 0.5j, -0.25], ("T11", "T21"))
+        alive = weakref.ref(F)
+        tid = table.intern(F)
+        del F
+        gc.collect()
+        assert alive() is None
+        assert table.tags[tid] == ("T11", "T21") and table.dims[tid] == 3
+
+    def test_snapshot_is_a_new_read_only_copy_of_the_row(self):
+        table = FactorTable()
+        F = t_block(1, 1, Q, N).matmul(t_block(2, 1, Q, N))
+        tid = table.intern(F)
+        G, H = table[tid], table[tid]
+        assert G is not F and G is not H
+        assert G.delta == F.delta and G.provenance == F.provenance
+        assert G.amps.tobytes() == F.amps.tobytes() and G.dim == F.dim
+        with pytest.raises(ValueError, match="read-only"):
+            G.amps[0] = 1.0
+        with pytest.raises(AttributeError):
+            G.delta = 0
+        assert table[0] is None
+        with pytest.raises(IndexError):
+            table[len(table)]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(65, 160))
@@ -714,14 +745,14 @@ class TestFactorTable:
             table.intern(F)
         assert table.amps.shape == (128, 5)
         for columns in (table, FACTORS):
-            for name in ("deltas", "lead", "adjoint", "amps"):
+            for name in ("deltas", "dims", "lead", "adjoint", "amps"):
                 column = getattr(columns, name)
                 with pytest.raises(ValueError, match="read-only"):
                     # the same value, so a write that got through changes nothing
                     column[0] = column[0]
         F = weighted_shift(rng, 4, 1)
         tid = table.intern(F)
-        assert table[tid] is F and table.intern(F) == tid
+        assert same_factor(table[tid], F) and table.intern(F) == tid
         assert table.deltas[tid] == -1 and table.lead[tid] == 1
         assert table.amps[tid, :4].tobytes() == F.amps.tobytes()
 
@@ -896,8 +927,14 @@ class TestWeightedShiftOracle:
         F = FactorMatrix(delta, amps)
         assert np.array_equal(F.entries, dense)
         assert np.array_equal(F.adjoint().entries, dense.conj().T)
-        assert F.norm() == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
-        data = json.loads(json.dumps(operator_to_json(single(1.0, [F], dim=dim))))
+        op = single(1.0, [F], dim=dim)
+        assert norm_bound(op) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+        data = json.loads(json.dumps(operator_to_json(op)))
+        if dim < 2:
+            # the JSON boundary, like every truncation check, asks for 2 levels
+            with pytest.raises(ValueError, match="at least 2"):
+                operator_from_json(data)
+            return
         (back,) = operator_from_json(data).terms[0].factors
         assert back.delta == F.delta and np.array_equal(back.amps, F.amps)
 
@@ -951,6 +988,52 @@ class TestWeightedShiftOracle:
             data[key] = value
             with pytest.raises(ValueError):
                 operator_from_json(data)
+
+    @pytest.mark.parametrize(
+        "f, dim, scalar, factors, message",
+        [
+            (-1, 3, None, None, "f must be at least 0"),
+            (1, 0, None, None, "at least 2"),
+            (1, -2, [1.0, 0.0], ["I"], "at least 2"),
+            (1, 3, [float("nan"), 0.0], ["I"], "finite"),
+            (0, 3, [0.0, float("inf")], [], "finite"),
+            (1, 3, [1.0, 0.0], [0], '"I" or an object'),
+            (1, 3, [1.0, 0.0], [None], '"I" or an object'),
+            (1, 3, [1.0, 0.0], [["I"]], '"I" or an object'),
+            (2, 3, [1.0, 0.0], ["I"], "1 factors, operator has f=2"),
+            (1, 3, [1.0, 0.0], ["I", "I"], "2 factors, operator has f=1"),
+        ],
+        ids=[
+            "negative-f",
+            "dim-0",
+            "negative-dim",
+            "nan-scalar",
+            "inf-scalar",
+            "number-factor",
+            "null-factor",
+            "list-factor",
+            "too-few-factors",
+            "too-many-factors",
+        ],
+    )
+    def test_json_boundary_rejects(self, f, dim, scalar, factors, message):
+        terms = [] if scalar is None else [{"scalar": scalar, "factors": factors}]
+        with pytest.raises(ValueError, match=message):
+            operator_from_json({"f": f, "dim": dim, "terms": terms})
+
+    def test_rejected_json_interns_no_factor(self, monkeypatch):
+        # the first term is valid and the second is not: nothing is interned
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        entry = {"delta": 0, "amps": [[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]]}
+        terms = [
+            {"scalar": [1.0, 0.0], "factors": [entry]},
+            {"scalar": [float("nan"), 0.0], "factors": ["I"]},
+        ]
+        with pytest.raises(ValueError, match="finite"):
+            operator_from_json({"f": 1, "dim": 3, "terms": terms})
+        assert len(table) == 1
+        assert operator_from_json({"f": 1, "dim": 3, "terms": terms[:1]}).ids.tolist() == [[1]]
 
 
 class TestNormBound:
@@ -1105,7 +1188,7 @@ class TestResidualDenseOracle:
                 factors[int(rng.integers(f))] = vanishing_factor()
                 scalar = complex(rng.standard_normal(), rng.standard_normal())
                 terms.insert(int(rng.integers(len(terms) + 1)), TensorTerm(scalar, factors))
-            return TensorOperator(f, dim, terms)
+            return from_terms(f, dim, terms)
 
         a2, b2 = with_vanishing(a), with_vanishing(b)
         for chunk in (1, qoperator._CHUNK_ELEMENTS):
@@ -1133,7 +1216,7 @@ class TestResidualDenseOracle:
                     for axis in range(3)
                 )
                 terms.append(TensorTerm(complex(rng.standard_normal(), 1.0), factors))
-        a = TensorOperator(3, dim, terms)
+        a = from_terms(3, dim, terms)
         b = TensorOperator.identity(3, dim).scale(0.5)
         got = {}
         for chunk in (1, 28, qoperator._CHUNK_ELEMENTS):
