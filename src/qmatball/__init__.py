@@ -13,7 +13,6 @@ from .permgroup import (
     gf_counts,
     is_admissible,
     l_exponent,
-    length,
     minimal_coset_rep,
     reduced_word,
     twist_phases,
@@ -48,7 +47,6 @@ from .matrixball import (
     fock_rep,
     rep_from_string,
     shilov_eval,
-    vacuum_expectation,
     verify_relations,
     z_monomial,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import diagramcalc, matrixball, permgroup
 from .permgroup import AdmissibleString, Permutation
-from .qoperator import TensorOperator, operator_to_json
+from .qoperator import TensorOperator, operator_to_json, vacuum_matrix_element
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -120,7 +120,7 @@ def cmd_build(cfg: CommandConfig) -> int:
         payload = {}
         for k in range(1, g.n + 1):
             for j in range(1, g.n + 1):
-                value = matrixball.vacuum_expectation(g, g.gen(k, j))
+                value = vacuum_matrix_element(g.gen(k, j))
                 payload[f"z_{k}^{j}"] = [value.real, value.imag]
     _dump_json({"n": g.n, "q": g.q, "trunc": g.N, "factors": g.f, cfg.emit: payload},
                cfg.out_path)

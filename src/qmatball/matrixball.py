@@ -26,7 +26,6 @@ from .qoperator import (
     # unused here; kept because perfbench/tracing.py wraps matrixball.norm_estimate
     norm_estimate,  # noqa: F401
     residual_on_window,
-    vacuum_matrix_element,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "zaa4_case_coefficients",
     "zaa4_r_coefficients",
     "z_monomial",
-    "vacuum_expectation",
     "shilov_eval",
     "classify_case",
     "coherent_check",
@@ -137,7 +135,7 @@ def fock_word(n: int) -> ReducedWord:
     return ReducedWord(2 * n, tuple(letters))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def fock_rep(n: int, q: float, N: int, /) -> GeneratorImages:
     """Vacuum representation on n^2 truncated shift factors.
 
@@ -150,20 +148,24 @@ def fock_rep(n: int, q: float, N: int, /) -> GeneratorImages:
     ``rep_from_string`` included; sharing is safe because the images are
     frozen and their operator arrays read-only.  The parameters are
     positional-only, so each ``(n, q, N)`` has a single cache entry.  Invalid
-    arguments raise on every call (exceptions are not cached).
+    arguments raise on every call (exceptions are not cached); n and N are
+    read through ``operator.index``, and the cache is typed, so a float
+    such as 4.0 is refused even once 4 is cached (an ``np.int64(4)`` gets
+    an entry of its own, with ``N == 4`` an int).
     ``fock_rep.cache_clear()`` drops the built images.
     """
+    n = _index(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
-    rep = SoibelmanRep(2 * n, fock_word(n), q, N)
+    rep = SoibelmanRep(fock_word(n), q, N)
     table = tuple(
         tuple(
-            rep_generator(rep, n + k, n + j).scale((-q) ** (k - n))
+            rep_generator(rep, n + k, n + j).scale((-rep.q) ** (k - n))
             for j in range(1, n + 1)
         )
         for k in range(1, n + 1)
     )
-    return GeneratorImages(n, q, N, table, provenance=f"fock(n={n})")
+    return GeneratorImages(n, rep.q, rep.N, table, provenance=f"fock(n={n})")
 
 
 def _string_evaluation(string: AdmissibleString) -> FactorEvaluation:
@@ -191,7 +193,7 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
         for k in range(1, string.n + 1)
     )
     return GeneratorImages(
-        string.n, q, N, table, provenance=f"string{string.pairs()!r}"
+        string.n, base.q, base.N, table, provenance=f"string{string.pairs()!r}"
     )
 
 
@@ -464,14 +466,13 @@ def _case_rhs(
     return op + g.identity().scale(1.0 - q**2)
 
 
-def z_monomial(
-    g: GeneratorImages, A: MonomialExponent, degree_cap: int | None = None
-) -> TensorOperator:
+def z_monomial(g: GeneratorImages, A: MonomialExponent) -> TensorOperator:
     """Ordered monomial: subscripts descend n..1 outermost, superscripts
-    descend n..1 within each subscript."""
+    descend n..1 within each subscript.  Its degree may be at most
+    ``g.N - DEFAULT_DEGREE_MARGIN``."""
     if A.n != g.n:
         raise ValueError(f"exponent matrix is {A.n} x {A.n}, representation has n={g.n}")
-    cap = g.N - DEFAULT_DEGREE_MARGIN if degree_cap is None else degree_cap
+    cap = g.N - DEFAULT_DEGREE_MARGIN
     if A.degree() > cap:
         raise ValueError(f"monomial degree {A.degree()} exceeds cap {cap}")
     op = g.identity()
@@ -480,12 +481,6 @@ def z_monomial(
             for _ in range(A.power(k, j)):
                 op = op * g.gen(k, j)
     return op
-
-
-def vacuum_expectation(g: GeneratorImages, op: TensorOperator) -> complex:
-    if op.f != g.f or op.dim != g.N:
-        raise ValueError("operator shape does not match the representation")
-    return vacuum_matrix_element(op)
 
 
 def vacuum_annihilation_exact(g: GeneratorImages) -> bool:

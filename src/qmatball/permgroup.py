@@ -32,7 +32,6 @@ __all__ = [
     "ReducedWord",
     "CosetFactorization",
     "AdmissibleString",
-    "length",
     "reduced_word",
     "cycle_c",
     "is_admissible",
@@ -119,11 +118,6 @@ class Permutation:
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
         return cls(_index(data["m"], "m"), tuple(data["images"]))
-
-
-def length(sigma: Permutation) -> int:
-    """Inversion count of ``sigma``."""
-    return sigma.length()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from .qoperator import (
     FACTORS,
     FactorMatrix,
     TensorOperator,
+    _check_dim,
+    _check_q,
     t_block,
     t_block_ids,
     vacuum_matrix_element,
@@ -54,26 +56,28 @@ def pi_elementary(i: int, m: int, q: float, N: int, k: int, l: int):
 @dataclass(frozen=True)
 class SoibelmanRep:
     """Tensor-product representation attached to a reduced word, with an
-    optional character twist on the right."""
+    optional character twist on the right.  Its size ``m`` is the word's.
+    ``q`` and ``N`` are checked and stored as the engine's factor builders
+    read them: q a float in (0, 1), N an integer of at least 2 taken
+    through ``operator.index``; anything else raises ``ValueError``."""
 
-    m: int
     word: ReducedWord
     q: float
     N: int
     phases: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.word.m != self.m:
-            raise ValueError("word size differs from representation size")
-        if not 0.0 < self.q < 1.0:
-            raise ValueError("deformation parameter must lie in (0, 1)")
-        if self.N < 2:
-            raise ValueError("truncation level must be at least 2")
+        object.__setattr__(self, "q", _check_q(self.q))
+        object.__setattr__(self, "N", _check_dim(self.N))
         if self.phases is not None:
             phases = tuple(float(x) for x in self.phases)
             if len(phases) != self.m:
                 raise ValueError(f"expected {self.m} phases, got {len(phases)}")
             object.__setattr__(self, "phases", phases)
+
+    @property
+    def m(self) -> int:
+        return self.word.m
 
     @property
     def f(self) -> int:
@@ -87,7 +91,7 @@ class SoibelmanRep:
         N: int,
         phases: Sequence[float] | None = None,
     ) -> "SoibelmanRep":
-        return cls(s.m, reduced_word(s), q, N, tuple(phases) if phases else None)
+        return cls(reduced_word(s), q, N, tuple(phases) if phases else None)
 
 
 def rep_generator(rep: SoibelmanRep, k: int, l: int) -> TensorOperator:
@@ -160,9 +164,7 @@ def _tags_value(tags: tuple[str, ...] | None, phi: float) -> complex:
         raise ValueError("factor not expressible in the primitive set")
     value = 1.0 + 0.0j
     for tag in tags:
-        if tag == "I":
-            continue
-        elif tag == "T11":
+        if tag == "T11":
             value *= cmath.exp(-1j * phi)
         elif tag == "T22":
             value *= cmath.exp(1j * phi)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .permgroup import _index
+
 __all__ = [
     "FactorMatrix",
     "FactorTable",
@@ -49,6 +51,10 @@ __all__ = [
 # residual_on_window for what it counts
 MAX_RESIDUAL_ELEMENTS = 64_000_000
 
+# most elements one residual call may compute: the term blocks it builds and
+# the squares it adds; see residual_on_window
+MAX_RESIDUAL_WORK = 1 << 30
+
 # elements in one chunk of term blocks that a residual call builds at once;
 # a term whose block is larger is built alone
 _CHUNK_ELEMENTS = 1 << 12
@@ -58,7 +64,7 @@ _ID = np.int32
 
 # self-adjointness pattern of the four corner operators: T11* = T22, the two
 # off-diagonal blocks are real diagonal
-_ADJOINT_TAG = {"I": "I", "T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"}
+_ADJOINT_TAG = {"T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +74,14 @@ class FactorMatrix:
     outside 0..N-1.  The corner operators and all their products have this
     shape, so products, adjoints and norms act on the amplitude vector.
 
-    The provenance tuple lists primitive tags ("T11", "T12", "T21", "T22",
-    "I") in product order; scalar evaluation of a factor multiplies the
-    character values of its tags.
+    The provenance tuple lists primitive tags ("T11", "T12", "T21", "T22")
+    in product order; scalar evaluation of a factor multiplies the character
+    values of its tags.  The identity is no factor: operators give it id 0,
+    whose tags are ``()``.
+
+    The shift must satisfy ``|delta| < 2^31``, or ``ValueError`` is raised:
+    no truncation a run can hold comes near it, and the shift of a product,
+    the sum of two stored shifts, then fits the table's int64 column.
 
     Equality and hashing are by identity: two separately built factors with
     equal amplitudes compare unequal.
@@ -86,10 +97,9 @@ class FactorMatrix:
             raise ValueError(f"amplitudes must be a nonempty vector, got shape {amps.shape}")
         if not np.isfinite(amps).all():
             raise ValueError("factor entries must be finite")
-        try:
-            delta = operator.index(self.delta)
-        except TypeError:
-            raise ValueError(f"shift must be an integer, got {self.delta!r}") from None
+        delta = _index(self.delta, "shift")
+        if not -(2**31) < delta < 2**31:
+            raise ValueError(f"shift must lie strictly between -2^31 and 2^31, got {delta}")
         # columns whose image would leave the truncation
         outside = amps[max(amps.size - delta, 0):] if delta > 0 else amps[:-delta]
         if np.count_nonzero(outside):
@@ -119,8 +129,10 @@ class FactorMatrix:
         prov = None
         if self.provenance is not None and all(t in _ADJOINT_TAG for t in self.provenance):
             prov = tuple(_ADJOINT_TAG[t] for t in reversed(self.provenance))
-        # column c of the adjoint is row c of self, hit by column c - delta
-        return FactorMatrix(-self.delta, _rolled(self.amps, -self.delta).conj(), prov)
+        # column c of the adjoint is row c of self, hit by column c - delta;
+        # where c - delta wraps around, the adjoint's column c leaves the
+        # truncation, and the zero amplitude of self there cancels it
+        return FactorMatrix(-self.delta, np.roll(self.amps, self.delta).conj(), prov)
 
     def matmul(self, other: "FactorMatrix") -> "FactorMatrix":
         if self.dim != other.dim:
@@ -129,17 +141,10 @@ class FactorMatrix:
         if self.provenance is not None and other.provenance is not None:
             prov = self.provenance + other.provenance
         # column c of other lands on row c + other.delta, where self's column
-        # amplitude applies
-        amps = other.amps * _rolled(self.amps, other.delta)
+        # amplitude applies; where c + other.delta wraps around, other's own
+        # zero amplitude at c cancels the wrapped entry
+        amps = other.amps * np.roll(self.amps, -other.delta)
         return FactorMatrix(self.delta + other.delta, amps, prov)
-
-
-def _rolled(amps: np.ndarray, k: int) -> np.ndarray:
-    """``amps[(c + k) mod N]`` for every column c.  Wherever c + k wraps
-    around, the caller's column c leaves the truncation, so its own zero
-    amplitude cancels the wrapped entry."""
-    k %= amps.size
-    return np.concatenate((amps[k:], amps[:k]))
 
 
 class FactorTable:
@@ -273,17 +278,11 @@ class FactorTable:
             else:
                 # a pair with the identity (0 on either side) is the other id
                 ids.append(a | b)
-        # the positions of the new keys in the merged store: stored keys
-        # below each, plus the new keys before it (merged by hand, since
-        # np.insert sorts its positions, and the table runs no numpy sort)
-        at = np.searchsorted(self._pair_keys, keys) + np.arange(len(keys))
-        old = np.ones(self._pair_keys.size + len(keys), dtype=bool)
-        old[at] = False
-        merged_keys = np.empty(old.size, dtype=np.int64)
-        merged_keys[at], merged_keys[old] = keys, self._pair_keys
-        merged_ids = np.empty(old.size, dtype=_ID)
-        merged_ids[at], merged_ids[old] = ids, self._pair_ids
-        self._pair_keys, self._pair_ids = merged_keys, merged_ids
+        # ascending keys get nondecreasing positions, and np.insert puts the
+        # keys that share a position in the order given
+        at = np.searchsorted(self._pair_keys, keys)
+        self._pair_keys = np.insert(self._pair_keys, at, keys)
+        self._pair_ids = np.insert(self._pair_ids, at, ids)
 
     def adjoints(self, ids: np.ndarray) -> np.ndarray:
         """Ids of the adjoints of the factors ``ids``."""
@@ -301,14 +300,18 @@ class FactorTable:
 FACTORS = FactorTable()
 
 
-def _check_dim(N: int) -> None:
+def _check_dim(N: int) -> int:
+    """N read through ``operator.index`` (so 3.5, 4.0 and "4" raise
+    ``ValueError``), checked to be at least 2."""
+    N = _index(N, "truncation level")
     if N < 2:
         raise ValueError("truncation level must be at least 2")
+    return N
 
 
 def shift(N: int) -> FactorMatrix:
     """Isometric shift truncated to N levels: e_k -> e_{k+1}, e_{N-1} -> 0."""
-    _check_dim(N)
+    N = _check_dim(N)
     amps = np.ones(N)
     amps[-1] = 0.0
     return FactorMatrix(1, amps)
@@ -335,14 +338,14 @@ def _d_amps(q: float, N: int) -> np.ndarray:
 def c_q(q: float, N: int) -> FactorMatrix:
     """Diagonal operator e_m -> sqrt(1 - q^{2m}) e_m; kills e_0."""
     q = _check_q(q)
-    _check_dim(N)
+    N = _check_dim(N)
     return FactorMatrix(0, _c_amps(q, N))
 
 
 def d_q(q: float, N: int) -> FactorMatrix:
     """Diagonal operator e_m -> q^m e_m."""
     q = _check_q(q)
-    _check_dim(N)
+    N = _check_dim(N)
     return FactorMatrix(0, _d_amps(q, N))
 
 
@@ -354,7 +357,7 @@ def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
     if i not in (1, 2) or j not in (1, 2):
         raise ValueError(f"block index ({i}, {j}) outside {{1,2}}^2")
     q = _check_q(q)
-    _check_dim(N)
+    N = _check_dim(N)
     if (i, j) == (1, 1):
         # S* C_q sends e_m to sqrt(1 - q^{2m}) e_{m-1}; the e_0 amplitude is 0
         delta, amps = -1, _c_amps(q, N)
@@ -370,10 +373,12 @@ def t_block(i: int, j: int, q: float, N: int) -> FactorMatrix:
     return FactorMatrix(delta, amps, provenance=(f"T{i}{j}",))
 
 
-@functools.cache
+@functools.lru_cache(maxsize=None, typed=True)
 def t_block_ids(q: float, N: int) -> dict[tuple[int, int], int]:
     """Factor-table ids of the four corner blocks at (q, N), built once, so
-    every representation at (q, N) shares its base factors."""
+    every representation at (q, N) shares its base factors.  The cache is
+    typed, so N = 4.0 reaches the check of ``t_block`` even once N = 4 is
+    cached."""
     return {(i, j): FACTORS.intern(t_block(i, j, q, N)) for i in (1, 2) for j in (1, 2)}
 
 
@@ -637,6 +642,15 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     elements, and are in complex128 elements.  Before allocating any of
     these arrays the call raises ``ValueError`` when the count of its path
     exceeds ``MAX_RESIDUAL_ELEMENTS``.
+
+    Time is limited by the work, the elements of all the term blocks the
+    call builds (W per term on the scatter path, W_c per term of a class on
+    the class-by-class path) plus ``classes * W`` for the squares added over
+    the window.  After the memory limit, and still before allocating any
+    of these arrays, the call raises ``ValueError`` when the work exceeds
+    ``MAX_RESIDUAL_WORK``: a call within the memory limit can still take
+    hours, such as the first of ``verify --fock 5 --trunc 4`` (25 axes at
+    window 2, 3748 terms in 939 classes, 3.2e10 elements of work).
     """
     a._check_compatible(b)
     dim = a.dim
@@ -676,6 +690,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     scatter = terms * size <= _CHUNK_ELEMENTS
     if scatter:
         needed = terms * (2 * size + gathered) + count * size + buffers
+        work = (terms + count) * size
     else:
         # each class's scalars and ids in term order, on the axes it uses,
         # and how many of its blocks are built at once
@@ -683,7 +698,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         for term, key in enumerate(classes):
             members[key].append(term)
         plan = []
-        chunk, build = 0, 0
+        chunk, build, work = 0, 0, count * size
         for rows in members:
             own = ids[rows]
             use = own.any(axis=0)
@@ -691,6 +706,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
             width = window ** own.shape[1]
             part = min(len(rows), max(1, _CHUNK_ELEMENTS // width))
             plan.append((scalars[rows], own, use, part))
+            work += len(rows) * width
             elements = part * (width + width // window + own.shape[1] * window)
             if elements > build:
                 chunk, build = part, elements
@@ -704,6 +720,13 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
             f"residual at N={dim}, d={d} over {axes} axes would hold {needed} "
             f"elements ({held}; {window}^{axes} per term or class), more than "
             f"the limit {MAX_RESIDUAL_ELEMENTS}"
+        )
+    if work > MAX_RESIDUAL_WORK:
+        raise ValueError(
+            f"residual at N={dim}, d={d} over {axes} axes would take {work} "
+            f"elements of work ({terms} term blocks of at most {window}^{axes}, "
+            f"{count} class squares of {window}^{axes}), more than the work limit "
+            f"{MAX_RESIDUAL_WORK}"
         )
     # distinct shift vectors hit distinct basis vectors, so the squared
     # column norm splits as a sum of |amplitude|^2 over shift classes
@@ -831,12 +854,13 @@ def _factor_from_json(entry, dim: int) -> FactorMatrix | None:
 def operator_from_json(data: dict) -> TensorOperator:
     """Inverse of ``operator_to_json``, by interning each factor entry.
     Malformed input raises ``ValueError``: f < 0, dim < 2, a non-finite
-    scalar, a term without f factors, a factor not "I" or of size dim."""
+    scalar, a term without f factors, a factor not "I" or of size dim, a
+    shift of modulus 2^31 or more."""
     try:
-        f, dim = operator.index(data["f"]), operator.index(data["dim"])
+        f = operator.index(data["f"])
         if f < 0:
             raise ValueError(f"factor count f must be at least 0, got {f}")
-        _check_dim(dim)
+        dim = _check_dim(data["dim"])
         scalars, rows = [], []
         for raw in data["terms"]:
             scalars.append(_complex_from_json(raw["scalar"]))

@@ -36,7 +36,6 @@ from qmatball.permgroup import (
     enumerate_admissible,
     gf_counts,
     l_exponent,
-    length,
     minimal_coset_rep,
 )
 from qmatball.qgrouprep import SoibelmanRep, rep_generator, twist_check
@@ -83,7 +82,7 @@ def test_criterion_2_coset_oracle():
             sigma = Permutation(m, images)
             fact = minimal_coset_rep(sigma)
             assert fact.h * fact.w * fact.g == sigma
-            assert length(sigma) == length(fact.w) + length(fact.g) + length(fact.h)
+            assert sigma.length() == fact.w.length() + fact.g.length() + fact.h.length()
             key = sigma.images
             if key not in seen:
                 orbit = brute_force_orbit(sigma)
@@ -105,12 +104,12 @@ def test_criterion_3_bijection_length_boundary():
     for n in range(1, 4):
         for ks in enumerate_admissible(n):
             w = compose(ks)
-            assert length(w) == sum(ks)
+            assert w.length() == sum(ks)
             assert decompose(w) == list(ks)
     for n in range(1, 5):
         for ks in enumerate_admissible(n):
             w = compose(ks)
-            assert length(w) == sum(ks)
+            assert w.length() == sum(ks)
             assert boundary_set(ks) == {
                 j for j in range(1, n + 1) if 1 <= w(n + j) <= n
             }
@@ -241,7 +240,7 @@ def test_criterion_8_matrix_element_formula(rng):
             double_worded += 1
         for phases in phase_draws:
             for letters in words:
-                rep = SoibelmanRep(4, ReducedWord(4, letters), q, trunc, phases)
+                rep = SoibelmanRep(ReducedWord(4, letters), q, trunc, phases)
                 for i in range(1, 5):
                     for j in range(1, 5):
                         got = vacuum_matrix_element(rep_generator(rep, i, j))

@@ -264,6 +264,25 @@ class TestVerify:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("verify", "--q", "1.5", "q must lie in (0, 1), got 1.5"),
+            ("verify", "--q", "0", "q must lie in (0, 1), got 0.0"),
+            ("verify", "--trunc", "2", "truncation level must be at least 3, got 2"),
+            ("build", "--trunc", "2", "truncation level must be at least 3, got 2"),
+        ],
+    )
+    def test_q_or_trunc_out_of_range_exit_2(self, capsys, tmp_path, command, flag, value, message):
+        if command == "verify":
+            source = ["--fock", "2"]
+        else:
+            source = ["--string", write_string(tmp_path, AdmissibleString(2, (2, 2)))]
+        code, out, err = run(capsys, command, *source, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_nan_after_the_first_report_fails(self, capsys, monkeypatch):
         a_m_checks = cli.matrixball.a_m_checks
 

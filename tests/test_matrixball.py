@@ -21,7 +21,6 @@ from qmatball.matrixball import (
     rep_from_string,
     shilov_eval,
     vacuum_annihilation_exact,
-    vacuum_expectation,
     verify_relations,
     z_monomial,
     zaa4_case_coefficients,
@@ -39,6 +38,7 @@ from qmatball.qoperator import (
     MAX_RESIDUAL_ELEMENTS,
     TensorOperator,
     residual_on_window,
+    vacuum_matrix_element,
 )
 
 from conftest import random_phases_for, term_signature, vacuum
@@ -114,7 +114,7 @@ class TestFockRep:
                         * (1.0 if n + k == s(n + j) else 0.0)
                     )
                     assert want == 0.0
-                    got = vacuum_expectation(g, g.gen(k, j))
+                    got = vacuum_matrix_element(g.gen(k, j))
                     assert abs(got - want) < 1e-14
 
 
@@ -161,11 +161,24 @@ class TestFockRepCache:
         assert fock_rep(2, Q, 6) is g
         assert fock_rep.cache_info().currsize == entries
 
-    @pytest.mark.parametrize("args", [(0, Q, 6), (2, 1.0, 6), (2, Q, 1)])
+    def test_numpy_integer_truncation_is_read_as_int(self):
+        g = fock_rep(2, Q, np.int64(4))
+        assert type(g.N) is int and g.N == 4
+        string = AdmissibleString(2, (1, 0), (0.3, 0.0))
+        assert type(rep_from_string(string, Q, np.int64(4)).N) is int
+
+    @pytest.mark.parametrize(
+        "args",
+        [(0, Q, 6), (2, 1.0, 6), (2, Q, 1), (2, Q, 3.5), (2, Q, 4.0), (2, Q, "4"), (2.0, Q, 4)],
+    )
     def test_invalid_arguments_raise_on_every_call(self, args):
+        # an equal integer entry cached first must not answer for a float
+        fock_rep(2, Q, 4)
+        entries = fock_rep.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError):
                 fock_rep(*args)
+        assert fock_rep.cache_info().currsize == entries
 
 
 class TestRepFromString:
@@ -349,13 +362,13 @@ def _exponents(n, max_degree):
 class TestVacuumFunctional:
     def test_identity(self):
         g = fock_rep(2, Q, 6)
-        assert vacuum_expectation(g, g.identity()) == pytest.approx(1.0)
+        assert vacuum_matrix_element(g.identity()) == pytest.approx(1.0)
 
     def test_single_generators_vanish(self):
         g = fock_rep(2, Q, 6)
         for k in (1, 2):
             for j in (1, 2):
-                assert abs(vacuum_expectation(g, g.gen(k, j))) < 1e-14
+                assert abs(vacuum_matrix_element(g.gen(k, j))) < 1e-14
 
     def test_gram_matrix_diagonal(self):
         g = fock_rep(2, Q, 6)
@@ -379,7 +392,7 @@ class TestShilov:
         op, residual = shilov_eval(g, 2, 2)
         assert residual > 0.1
         # vacuum expectation alone is already far from zero
-        assert abs(vacuum_expectation(g, op)) > 0.5
+        assert abs(vacuum_matrix_element(op)) > 0.5
 
     @pytest.mark.parametrize("n,trunc", [(2, 6), (3, 4)])
     def test_annihilation_iff_strictly_interior_string(self, n, trunc, rng):
@@ -634,13 +647,13 @@ class TestStructuralInvariants:
     def test_factor_count_equals_total_string_weight(self, rng):
         # white cells per row = k_j, so f = sum(ks) = length of the
         # composed minimal element
-        from qmatball.permgroup import compose, length
+        from qmatball.permgroup import compose
 
         for n, trunc in [(1, 6), (2, 5), (3, 4)]:
             for ks in enumerate_admissible(n):
                 s = random_phases_for(ks, rng)
                 g = rep_from_string(s, Q, trunc)
-                assert g.f == sum(ks) == length(compose(ks))
+                assert g.f == sum(ks) == compose(ks).length()
 
     def test_coherent_rep_keeps_a_vacuum_survivor(self):
         # negative control: the coherent family has z*_1^1 Omega != 0, so

@@ -19,7 +19,6 @@ from qmatball.permgroup import (
     gf_counts,
     is_admissible,
     l_exponent,
-    length,
     minimal_coset_rep,
     reduced_word,
     twist_phases,
@@ -40,10 +39,10 @@ def all_perms(m):
 
 class TestLength:
     def test_identity(self):
-        assert length(Permutation.identity(4)) == 0
+        assert Permutation.identity(4).length() == 0
 
     def test_single_transposition(self):
-        assert length(Permutation(2, (2, 1))) == 1
+        assert Permutation(2, (2, 1)).length() == 1
 
     def test_block_swap(self):
         # oracle: straight double loop over index pairs
@@ -55,7 +54,7 @@ class TestLength:
             if sigma(j) < sigma(i)
         )
         assert inversions == 4
-        assert length(sigma) == 4
+        assert sigma.length() == 4
 
 
 class TestReducedWord:
@@ -99,8 +98,8 @@ class TestGroupBasics:
     def test_length_subadditive(self, sigma, data):
         tau_images = data.draw(st.permutations(list(range(1, sigma.m + 1))))
         tau = Permutation(sigma.m, tuple(tau_images))
-        assert length(sigma * tau) <= length(sigma) + length(tau)
-        assert length(sigma.inverse()) == length(sigma)
+        assert (sigma * tau).length() <= sigma.length() + tau.length()
+        assert sigma.inverse().length() == sigma.length()
 
 
 class TestCycles:
@@ -114,7 +113,7 @@ class TestCycles:
         for n in range(1, 5):
             for j in range(1, n + 1):
                 for k in range(n + 1):
-                    assert length(cycle_c(k, j, n)) == k
+                    assert cycle_c(k, j, n).length() == k
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
@@ -156,7 +155,7 @@ class TestComposeDecompose:
     def test_length_additive_n_le_4(self):
         for n in range(1, 5):
             for ks in enumerate_admissible(n):
-                assert length(compose(ks)) == sum(ks)
+                assert compose(ks).length() == sum(ks)
 
     def test_decompose_examples(self):
         assert decompose(Permutation.identity(4)) == [0, 0]
@@ -204,10 +203,10 @@ class TestMinimalCosetRep:
         for sigma in all_perms(2 * n):
             fact = minimal_coset_rep(sigma)
             assert fact.h * fact.w * fact.g == sigma
-            assert length(sigma) == length(fact.w) + length(fact.g) + length(fact.h)
+            assert sigma.length() == fact.w.length() + fact.g.length() + fact.h.length()
             orbit = brute_force_orbit(sigma)
             best = min(p.length() for p in orbit)
-            assert length(fact.w) == best
+            assert fact.w.length() == best
             assert {p for p in orbit if p.length() == best} == {fact.w}
 
 
@@ -280,7 +279,7 @@ class TestLExponent:
 
     def test_sums_to_length_over_s4(self):
         for sigma in all_perms(4):
-            assert sum(l_exponent(sigma, j) for j in range(1, 5)) == length(sigma)
+            assert sum(l_exponent(sigma, j) for j in range(1, 5)) == sigma.length()
 
 
 class TestAdmissibleString:
@@ -323,7 +322,7 @@ def test_coset_oracle_n4_opt_in():
     for images in itertools.permutations(range(1, 9)):
         sigma = Permutation(8, images)
         fact = minimal_coset_rep(sigma)
-        assert length(sigma) == length(fact.w) + length(fact.g) + length(fact.h)
+        assert sigma.length() == fact.w.length() + fact.g.length() + fact.h.length()
         assert fact.h * fact.w * fact.g == sigma
         if images not in minimizer_of:
             orbit = brute_force_orbit(sigma)

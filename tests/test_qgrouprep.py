@@ -57,9 +57,26 @@ class TestElementary:
             pi_elementary(1, 3, Q, N, 0, 1)
 
 
+class TestSoibelmanRep:
+    def test_size_is_the_words(self):
+        rep = SoibelmanRep(ReducedWord(4, (1, 2)), Q, N)
+        assert (rep.m, rep.f) == (4, 2)
+
+    @pytest.mark.parametrize(
+        "q, trunc", [(1.5, N), (0.0, N), (Q, 1), (Q, 3.5), (Q, 4.0), (Q, "4")]
+    )
+    def test_checks_q_and_N_as_the_factor_builders_do(self, q, trunc):
+        with pytest.raises(ValueError):
+            SoibelmanRep(ReducedWord(3, (1,)), q, trunc)
+
+    def test_stores_the_checked_values(self):
+        rep = SoibelmanRep(ReducedWord(3, (1,)), np.float64(Q), np.int64(4))
+        assert type(rep.q) is float and type(rep.N) is int and rep.N == 4
+
+
 class TestRepGenerator:
     def test_empty_word_is_counit(self):
-        rep = SoibelmanRep(3, ReducedWord(3, ()), Q, N)
+        rep = SoibelmanRep(ReducedWord(3, ()), Q, N)
         for k in range(1, 4):
             for l in range(1, 4):
                 op = rep_generator(rep, k, l)
@@ -73,7 +90,7 @@ class TestRepGenerator:
         # increasing-run word in an 8-point group: at most one term survives
         # the coproduct sum, and entries two or more steps below the diagonal
         # die out entirely
-        rep = SoibelmanRep(8, ReducedWord(8, (6, 7)), Q, N)
+        rep = SoibelmanRep(ReducedWord(8, (6, 7)), Q, N)
         for k in range(1, 9):
             for l in range(1, 9):
                 op = rep_generator(rep, k, l)
@@ -84,7 +101,7 @@ class TestRepGenerator:
     def test_vacuum_formula_s3_exhaustive(self):
         phases = (0.3, 0.9, -1.2 + 2 * math.pi)
         for sigma in all_perms(3):
-            rep = SoibelmanRep(3, reduced_word(sigma), Q, N, phases=phases)
+            rep = SoibelmanRep(reduced_word(sigma), Q, N, phases=phases)
             for i in range(1, 4):
                 for j in range(1, 4):
                     got = vacuum_matrix_element(rep_generator(rep, i, j))
@@ -100,7 +117,7 @@ class TestRepGenerator:
         words = all_reduced_words(sigma)
         assert len(words) >= 2
         for letters in words[:3]:
-            rep = SoibelmanRep(4, ReducedWord(4, letters), Q, N)
+            rep = SoibelmanRep(ReducedWord(4, letters), Q, N)
             for i in range(1, 5):
                 for j in range(1, 5):
                     got = vacuum_matrix_element(rep_generator(rep, i, j))
@@ -113,7 +130,7 @@ class TestRepGenerator:
         from qmatball.matrixball import fock_word
 
         n = 3
-        rep = SoibelmanRep(2 * n, fock_word(n), Q, N)
+        rep = SoibelmanRep(fock_word(n), Q, N)
         for k in range(1, n + 1):
             for j in range(1, n + 1):
                 op = rep_generator(rep, n + k, n + j)
@@ -126,7 +143,7 @@ class TestHomomorphismSpotChecks:
         [s for s in all_perms(4) if s.length() in (2, 3, 4)][::4],
     )
     def test_defining_relations_vanish(self, sigma):
-        rep = SoibelmanRep(4, reduced_word(sigma), Q, N)
+        rep = SoibelmanRep(reduced_word(sigma), Q, N)
         m = 4
 
         def t(row, col):
@@ -186,7 +203,7 @@ class TestApplyTau:
         # representation to the counit delta_{ij}
         for images in [(2, 3, 1, 4), (4, 3, 2, 1), (1, 3, 4, 2)]:
             sigma = Permutation(4, images)
-            rep = SoibelmanRep(4, reduced_word(sigma), Q, N)
+            rep = SoibelmanRep(reduced_word(sigma), Q, N)
             ev = FactorEvaluation(tuple((p, 0.0) for p in range(1, rep.f + 1)))
             for i in range(1, 5):
                 for j in range(1, 5):

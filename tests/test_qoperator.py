@@ -27,6 +27,7 @@ from qmatball.qoperator import (
     residual_on_window,
     shift,
     t_block,
+    t_block_ids,
     vacuum_matrix_element,
 )
 
@@ -71,6 +72,21 @@ class TestPrimitives:
             c_q(1.0, 4)
         with pytest.raises(ValueError):
             shift(1)
+
+    @pytest.mark.parametrize("trunc", [3.5, 4.0, "4"])
+    def test_truncation_level_must_be_an_integer(self, trunc):
+        # the ids at N = 4 cached first must not answer for N = 4.0
+        t_block_ids(Q, 4)
+        builders = (
+            shift,
+            lambda N: c_q(Q, N),
+            lambda N: d_q(Q, N),
+            lambda N: t_block(1, 1, Q, N),
+            lambda N: t_block_ids(Q, N),
+        )
+        for build in builders:
+            with pytest.raises(ValueError, match="truncation level must be an integer"):
+                build(trunc)
 
 
 class TestTBlocks:
@@ -264,6 +280,47 @@ class TestResidualWindow:
         finally:
             tracemalloc.stop()
         assert peak < size * np.dtype(np.complex128).itemsize
+
+    def test_refused_on_work_before_any_array(self, monkeypatch):
+        # two one-term shift classes on three axes, well within the memory
+        # limit: two term blocks and two class squares of the whole window
+        dim, d = 20, 1
+        size = (dim - d) ** 3
+        work = 4 * size
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_WORK", work - 1)
+        a = single(1.0, [t_block(1, 1, Q, dim)] * 3, dim=dim)
+        b = single(1.0, [t_block(2, 2, Q, dim)] * 3, dim=dim)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"would take {work} elements of work"):
+                residual_on_window(a, b, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size * np.dtype(np.complex128).itemsize
+
+    @pytest.mark.parametrize("path", ["scatter", "classes"])
+    def test_work_counted_exactly_on_two_classes(self, monkeypatch, path):
+        # window 3 on three axes (W = 27): class 0 holds two terms on the
+        # first axis only (W_c = 3), class 1 one term on all three.  The
+        # scatter path builds every term on W; the class-by-class path
+        # builds each class's terms on its own axes.  Both add two squares
+        # of W.
+        dim, d, size = 4, 1, 27
+        t11, t22 = t_block(1, 1, Q, dim), t_block(2, 2, Q, dim)
+        a = single(1.0, [t11, None, None], dim=dim) + single(0.5, [t11, None, None], dim=dim)
+        b = single(0.25, [t22, t22, t22], dim=dim)
+        want = residual_on_window(a, b, d)
+        if path == "scatter":
+            work = 3 * size + 2 * size
+        else:
+            monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 3 * size - 1)
+            work = 2 * 3 + size + 2 * size
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"would take {work} elements of work"):
+            residual_on_window(a, b, d)
+        monkeypatch.setattr(qoperator, "MAX_RESIDUAL_WORK", work)
+        assert residual_on_window(a, b, d) == want
 
     def test_limit_counts_classes_chunk_and_sum_exactly(self, monkeypatch):
         # window 5 on 6 axes: 5^6 elements per array, four terms in three
@@ -1002,6 +1059,8 @@ class TestWeightedShiftOracle:
             (1, 3, [1.0, 0.0], [["I"]], '"I" or an object'),
             (2, 3, [1.0, 0.0], ["I"], "1 factors, operator has f=2"),
             (1, 3, [1.0, 0.0], ["I", "I"], "2 factors, operator has f=1"),
+            (1, 3, [1.0, 0.0], [{"delta": 2**63, "amps": [[0.0, 0.0]] * 3}], "2\\^31"),
+            (1, 3, [1.0, 0.0], [{"delta": -(2**63) - 1, "amps": [[0.0, 0.0]] * 3}], "2\\^31"),
         ],
         ids=[
             "negative-f",
@@ -1014,6 +1073,8 @@ class TestWeightedShiftOracle:
             "list-factor",
             "too-few-factors",
             "too-many-factors",
+            "delta-2^63",
+            "delta-below--2^63",
         ],
     )
     def test_json_boundary_rejects(self, f, dim, scalar, factors, message):
