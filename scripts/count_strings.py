@@ -6,7 +6,7 @@ Usage: python scripts/count_strings.py [N_MAX]
 
 import sys
 
-from qmatball.permgroup import enumerate_admissible, gf_counts
+from qmatball.permgroup import gf_counts, iter_admissible
 
 
 def main() -> int:
@@ -14,7 +14,7 @@ def main() -> int:
     series = gf_counts(n_max)
     print(f"{'n':>3} {'enumerated':>12} {'series':>12}")
     for n in range(n_max + 1):
-        enumerated = len(enumerate_admissible(n))
+        enumerated = sum(1 for _ in iter_admissible(n))
         flag = "" if enumerated == series[n] else "  <-- MISMATCH"
         print(f"{n:>3} {enumerated:>12} {series[n]:>12}{flag}")
         if enumerated != series[n]:

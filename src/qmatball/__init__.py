@@ -12,6 +12,7 @@ from .permgroup import (
     enumerate_admissible,
     gf_counts,
     is_admissible,
+    iter_admissible,
     l_exponent,
     minimal_coset_rep,
     reduced_word,

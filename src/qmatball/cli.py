@@ -73,7 +73,7 @@ def _load_string(path: str) -> AdmissibleString:
 
 
 def cmd_count(cfg: CommandConfig) -> int:
-    enumerated = len(permgroup.enumerate_admissible(cfg.n))
+    enumerated = sum(1 for _ in permgroup.iter_admissible(cfg.n))
     from_gf = permgroup.gf_counts(cfg.n)[cfg.n]
     ok = enumerated == from_gf
     _emit(f"{enumerated} {from_gf} {'OK' if ok else 'MISMATCH'}", cfg.out_path)

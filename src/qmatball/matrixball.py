@@ -337,11 +337,30 @@ def _holomorphic_relations(
 
 class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
-    computed once, and the operators of relation sides."""
+    computed once, and the operators of relation sides, all built for the
+    columns whose indices lie below ``window`` on every axis.
 
-    def __init__(self, g: GeneratorImages) -> None:
+    A product X Y is X times Y restricted to the window (``restrict``, held
+    once per name): Y acts as its restriction on window columns, so X Y
+    does too.  A dropped term of Y has a factor F with zero amplitudes on
+    the window, or a zero scalar; every product of it has the factor G F,
+    zero wherever F is, and the scalar x y, so the window residual would
+    drop it as well, provided x y, times the coefficient of its side, is
+    finite.  A non-finite scalar makes NaN, which the residual keeps, so Y
+    is restricted only when every generator image scalar is finite with
+    modulus below 2^300 and q^-2 is below 2^300.  A side's scalar is then a
+    coefficient of modulus at most 4 q^-2 times a product of two image
+    scalars, or a coefficient of at most 1 times an image scalar and one of
+    A_m, itself a product of two, and stays below 2^1000."""
+
+    def __init__(self, g: GeneratorImages, window: int) -> None:
         self.g = g
+        self.window = window
+        self._restrict = g.q > 2.0**-150 and all(
+            (abs(z.scalars) < 2.0**300).all() for row in g.z for z in row
+        )
         self._named: dict[_Name, TensorOperator] = {}
+        self._on_window: dict[_Name, TensorOperator] = {}
         self._products: dict[tuple, TensorOperator] = {}
 
     def op(self, name: _Name) -> TensorOperator:
@@ -357,12 +376,19 @@ class _Products:
                 self._named[name] = self.side([(_ONE, ())] + minus)
         return self._named[name]
 
+    def product(self, left: _Name, right: _Name) -> TensorOperator:
+        """``left`` times ``right`` restricted to the window, not cached."""
+        if right not in self._on_window:
+            op = self.op(right)
+            self._on_window[right] = op.restrict(self.window) if self._restrict else op
+        return self.op(left) * self._on_window[right]
+
     def __call__(self, *word: _Name) -> TensorOperator:
         """The operator of a word; products of two names are cached."""
         if len(word) < 2:
             return self.op(*word) if word else self.g.identity()
         if word not in self._products:
-            self._products[word] = self.op(word[0]) * self.op(word[1])
+            self._products[word] = self.product(*word)
         return self._products[word]
 
     def side(self, side: _Side) -> TensorOperator:
@@ -403,7 +429,7 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     n = g.n
     d = 2
     reports: list[RelationReport] = []
-    prod = _Products(g)
+    prod = _Products(g, g.N - d)
     quadruples = list(itertools.product(range(1, n + 1), repeat=4))
 
     for indices in quadruples:
@@ -422,7 +448,7 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
         if case != rform:
             raise AssertionError(f"exchange coefficient tables disagree at {indices}")
         # used by this instance only, so not cached
-        lhs = prod.op(("zs", b, beta)) * prod.op(("z", a, alpha))
+        lhs = prod.product(("zs", b, beta), ("z", a, alpha))
         reports.append(
             RelationReport.of(
                 _zaa4_case_id(*indices), indices, lhs, _case_rhs(g, *indices, prod), d
@@ -497,7 +523,10 @@ def shilov_eval(
     g: GeneratorImages, alpha: int, beta: int
 ) -> tuple[TensorOperator, float]:
     """Boundary-ideal generator sum_j q^{2n-alpha-beta} z_j^alpha z*_j^beta
-    minus delta, with its window residual from zero."""
+    minus delta, with its window residual from zero.  The operator is built
+    for the window of depth 2 (see ``_Products``): it equals the generator
+    on every column with indices below N - 2, and may lack terms that
+    vanish there."""
     n = g.n
     if not (1 <= alpha <= n and 1 <= beta <= n):
         raise ValueError(f"indices ({alpha}, {beta}) outside 1..{n}")
@@ -505,7 +534,7 @@ def shilov_eval(
     side = [(weight, _z_zs(j, alpha, j, beta)) for j in range(1, n + 1)]
     if alpha == beta:
         side.append((_lp((0, -1)), ()))
-    op = _Products(g).side(side)
+    op = _Products(g, g.N - 2).side(side)
     residual = residual_on_window(op, TensorOperator.zero(g.f, g.N), 2)
     return op, residual
 
@@ -546,6 +575,13 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     Family (m, j, 1): q^2 z_j^n A_m = A_m z_j^n for j >= m (word length 3).
     Family (m, 0, 2): (1 - q^2) A_m = z*_m^n z_m^n - z_m^n z*_m^n, the
     commutator form with its denominator cleared (word length 2).
+
+    One ``_Products`` serves both depths, with the window N - 2 of depth 2,
+    the larger one.  Its A_m is built from products restricted to N - 2,
+    so it equals the true A_m on columns below N - 2, and is only ever
+    applied there: in the depth-2 family directly; in z A_m through its
+    own restriction to N - 2; in A_m z after z, which moves each axis by
+    at most 1, so a window column below N - 3 lands below N - 2.
     """
     n = g.n
     if n < 2:
@@ -559,7 +595,7 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
             families.append(((m, j, int(j >= m)), lhs, [(_ONE, (a_m, z))], A_M_DEPTH))
         rhs = [(_ONE, (("zs", m, n), ("z", m, n))), (_lp((0, -1)), _z_zs(m, n, m, n))]
         families.append(((m, 0, 2), [(_lp((0, 1), (2, -1)), (a_m,))], rhs, 2))
-    prod = _Products(g)
+    prod = _Products(g, g.N - 2)
     return [
         RelationReport.of("A_m-comm", indices, prod.side(lhs), prod.side(rhs), depth)
         for indices, lhs, rhs, depth in families

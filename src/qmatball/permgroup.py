@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +41,7 @@ __all__ = [
     "minimal_coset_rep",
     "boundary_set",
     "enumerate_admissible",
+    "iter_admissible",
     "gf_counts",
     "twist_phases",
     "l_exponent",
@@ -298,27 +299,36 @@ def boundary_set(ks: Sequence[int], n: int | None = None) -> set[int]:
     return {j for j in range(1, n + 1) if ks[n - j] == admissible_bound(ks, j)}
 
 
-def enumerate_admissible(n: int) -> list[tuple[int, ...]]:
-    """All admissible strings ``[k_n, ..., k_1]`` in lexicographic order."""
+def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
+    """The admissible strings ``[k_n, ..., k_1]`` one at a time, in
+    lexicographic order, holding only the string being built."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        j = n - len(prefix)
-        if j == 0:
-            out.append(tuple(prefix))
+    # an odometer: the entries so far and the bound of each
+    ks: list[int] = []
+    bounds: list[int] = []
+    while True:
+        # fill the remaining rows with 0
+        while len(ks) < n:
+            j = n - len(ks)
+            bound = j
+            for i in range(j + 1, n + 1):
+                bound = max(bound, ks[n - i] + j + 1 - i)
+            ks.append(0)
+            bounds.append(bound)
+        yield tuple(ks)
+        # step the last row below its bound, dropping the rows at theirs
+        while ks and ks[-1] == bounds[-1]:
+            ks.pop()
+            bounds.pop()
+        if not ks:
             return
-        bound = j
-        for i in range(j + 1, n + 1):
-            bound = max(bound, prefix[n - i] + j + 1 - i)
-        for k in range(bound + 1):
-            prefix.append(k)
-            extend(prefix)
-            prefix.pop()
+        ks[-1] += 1
 
-    extend([])
-    return out
+
+def enumerate_admissible(n: int) -> list[tuple[int, ...]]:
+    """All admissible strings ``[k_n, ..., k_1]`` in lexicographic order."""
+    return list(iter_admissible(n))
 
 
 def _poly_mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:

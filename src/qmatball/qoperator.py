@@ -494,10 +494,23 @@ class TensorOperator:
 
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
         self._check_compatible(other)
+        if not (self.scalars.size and other.scalars.size):
+            # what the lookup below would give, without it
+            return TensorOperator.zero(self.f, self.dim)
         scalars = _cmul(self.scalars[:, None], other.scalars[None, :]).reshape(-1)
         ids = FACTORS.products(self.ids[:, None, :], other.ids[None, :, :])
         ids = ids.reshape(scalars.size, self.f)
         return TensorOperator._of(self.f, self.dim, scalars, ids)
+
+    def restrict(self, window: int) -> "TensorOperator":
+        """The operator without its terms that vanish on every column whose
+        indices all lie below ``window`` (see ``_live_on_window``), so that
+        it acts as ``self`` on those columns; ``self`` itself when no term
+        vanishes there."""
+        live = _live_on_window(self.scalars, self.ids, window)
+        if live.all():
+            return self
+        return TensorOperator._of(self.f, self.dim, self.scalars[live], self.ids[live])
 
     def adjoint(self) -> "TensorOperator":
         return TensorOperator._of(
@@ -536,6 +549,20 @@ def vacuum_matrix_element(op: TensorOperator) -> complex:
                 value *= FACTORS.amps[tid, 0] if FACTORS.deltas[tid] == 0 else 0.0
         total += value
     return total
+
+
+def _live_on_window(scalars: np.ndarray, ids: np.ndarray, window: int) -> np.ndarray:
+    """Which terms may be nonzero on a column whose indices all lie below
+    ``window``.  A term is dead there when its scalar is zero, or when its
+    scalar is finite and one of its factors has a ``lead`` in ``FACTORS``
+    of at least the window: it is then +-0 at every such column.  A
+    non-finite scalar makes NaN there, so its term stays live.  The leads
+    are gathered only when some factor in the table has a lead of at least
+    the window."""
+    live = scalars != 0
+    if window <= FACTORS.max_lead:
+        live &= (FACTORS.lead[ids] < window).all(axis=1) | ~np.isfinite(scalars)
+    return live
 
 
 def _shift_classes(keys: np.ndarray) -> tuple[list[int], int]:
@@ -598,12 +625,9 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     ``operator.index`` (so ``True`` is depth 1) and must satisfy 0 <= d < N,
     or ``ValueError`` is raised.
 
-    First the terms that vanish on the window are dropped: those with a
-    zero scalar, and those with a finite scalar and a factor whose ``lead``
-    in ``FACTORS`` is at least the window, which are +-0 at every window
-    element; adding +-0 changes only the sign of a zero, which the modulus
-    removes.  The lead check runs only when some factor in the table has a
-    lead of at least the window.
+    First the terms that vanish on the window are dropped (those that
+    ``_live_on_window`` finds dead), which are +-0 at every window element;
+    adding +-0 changes only the sign of a zero, which the modulus removes.
     Every count below is of the live terms that remain, and of the axes on
     which one of them is not the identity.
 
@@ -667,11 +691,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         raise ValueError(f"window is empty: N={dim}, d={d}")
     scalars = np.concatenate((a.scalars, -b.scalars))
     ids = np.concatenate((a.ids, b.ids))
-    live = scalars != 0
-    if window <= FACTORS.max_lead:
-        # drop terms that are +-0 on the whole window; a non-finite scalar
-        # makes NaN there, so its term stays
-        live &= (FACTORS.lead[ids] < window).all(axis=1) | ~np.isfinite(scalars)
+    live = _live_on_window(scalars, ids, window)
     scalars, ids = scalars[live], ids[live]
     # axes that every term treats as identity do not affect any column norm
     ids = ids[:, ids.any(axis=0)]

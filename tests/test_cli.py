@@ -44,6 +44,15 @@ class TestCount:
         assert code == 0
         assert out.strip() == "1546 1546 OK"
 
+    def test_counts_without_listing(self, capsys, monkeypatch):
+        # the strings are counted one at a time, never held as a list
+        def refuse(n):
+            raise AssertionError("count built the list of strings")
+
+        monkeypatch.setattr(cli.permgroup, "enumerate_admissible", refuse)
+        code, out, _ = run(capsys, "count", "--n", "4")
+        assert (code, out.strip()) == (0, "209 209 OK")
+
     def test_mismatch_is_a_verification_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.permgroup, "gf_counts", lambda n: [0] * (n + 1))
         code, out, _ = run(capsys, "count", "--n", "2")

@@ -309,6 +309,148 @@ class TestRelations:
             assert max(r.residual for r in reports) < 1e-10, s
 
 
+class FullProducts:
+    """Operators of relation sides from unrestricted products, ``op(a) *
+    op(b)`` for every word: the oracle for ``matrixball._Products``, which
+    restricts right operands to the window."""
+
+    def __init__(self, g):
+        self.g = g
+        self.a_m = {}
+
+    def op(self, name):
+        kind, k, j = name
+        if kind == "z":
+            return self.g.gen(k, j)
+        if kind == "zs":
+            return self.g.gen(k, j).adjoint()
+        if k not in self.a_m:
+            n = self.g.n
+            minus = [
+                (matrixball._lp((0, -1)), matrixball._z_zs(i, n, i, n)) for i in range(k, n + 1)
+            ]
+            self.a_m[k] = self.side([(matrixball._ONE, ())] + minus)
+        return self.a_m[k]
+
+    def __call__(self, *word):
+        if not word:
+            return self.g.identity()
+        if len(word) == 1:
+            return self.op(word[0])
+        return self.op(word[0]) * self.op(word[1])
+
+    def side(self, side):
+        q = self.g.q
+        terms = [
+            self(*word) if c == matrixball._ONE else self(*word).scale(matrixball._lp_eval(c, q))
+            for c, word in side
+        ]
+        return sum(terms[1:], terms[0])
+
+
+def full_product_relations(g):
+    """The reports of ``verify_relations``, in its order, from full products."""
+    n, d = g.n, 2
+    full = FullProducts(g)
+    quadruples = list(itertools.product(range(1, n + 1), repeat=4))
+    out = []
+    for indices in quadruples:
+        for relation, lhs, rhs in matrixball._holomorphic_relations(*indices):
+            adjoint = (relation + "*", matrixball._adjoint_side(lhs), matrixball._adjoint_side(rhs))
+            for name, left, right in ((relation, lhs, rhs), adjoint):
+                residual = residual_on_window(full.side(left), full.side(right), d)
+                out.append((name, indices, residual.hex(), d))
+    for indices in quadruples:
+        a, b, alpha, beta = indices
+        lhs = full(("zs", b, beta), ("z", a, alpha))
+        rhs = matrixball._case_rhs(g, *indices, full)
+        case = matrixball._zaa4_case_id(*indices)
+        out.append((case, indices, residual_on_window(lhs, rhs, d).hex(), d))
+        rform = [(c, word) for word, c in sorted(zaa4_r_coefficients(n, *indices).items())]
+        out.append(("R-form", indices, residual_on_window(lhs, full.side(rform), d).hex(), d))
+    return out
+
+
+def full_product_a_m(g):
+    """The reports of ``a_m_checks``, in its order, from full products."""
+    n, lp, one = g.n, matrixball._lp, matrixball._ONE
+    full = FullProducts(g)
+    out = []
+    for m in range(1, n + 1):
+        a_m = ("A", m, 0)
+        for j in range(1, n + 1):
+            z = ("z", j, n)
+            lhs = [(one if j < m else lp((2, 1)), (z, a_m))]
+            residual = residual_on_window(full.side(lhs), full(a_m, z), 3)
+            out.append(("A_m-comm", (m, j, int(j >= m)), residual.hex(), 3))
+        lhs = full.side([(lp((0, 1), (2, -1)), (a_m,))])
+        z, zs = ("z", m, n), ("zs", m, n)
+        rhs = full.side([(one, (zs, z)), (lp((0, -1)), (z, zs))])
+        out.append(("A_m-comm", (m, 0, 2), residual_on_window(lhs, rhs, 2).hex(), 2))
+    return out
+
+
+def hexed(reports):
+    return [(r.relation, r.indices, r.residual.hex(), r.depth) for r in reports]
+
+
+def damaged(g, k, j, term, scalar):
+    """``g`` with the scalar of term ``term`` of z_k^j replaced."""
+    z = [list(row) for row in g.z]
+    op = z[k - 1][j - 1]
+    scalars = op.scalars.copy()
+    scalars[term] = scalar
+    z[k - 1][j - 1] = TensorOperator.from_ids(op.f, op.dim, scalars, op.ids)
+    return GeneratorImages(g.n, g.q, g.N, tuple(map(tuple, z)), "damaged")
+
+
+class TestWindowProducts:
+    """Relation sides are built from products whose right operands are
+    restricted to the window; every report keeps the bits that full
+    products give."""
+
+    @pytest.mark.parametrize("n,N", [(2, 4), (3, 4), (4, 3)])
+    def test_reports_match_full_products_bit_for_bit(self, n, N):
+        g = fock_rep(n, Q, N)
+        assert hexed(verify_relations(g)) == full_product_relations(g)
+        if N > matrixball.A_M_DEPTH:
+            assert hexed(a_m_checks(g)) == full_product_a_m(g)
+        else:
+            for run in (a_m_checks, full_product_a_m):
+                with pytest.raises(ValueError, match="window is empty"):
+                    run(g)
+
+    def test_products_drop_the_terms_dead_on_the_window(self):
+        # at N = 3 the window of depth 2 is the vacuum, which every z*
+        # kills: each z z* is built empty, and the full one is not
+        g = fock_rep(3, Q, 3)
+        prod = matrixball._Products(g, 1)
+        word = (("z", 1, 1), ("zs", 2, 2))
+        assert prod(*word).scalars.size == 0
+        assert FullProducts(g)(*word).scalars.size > 0
+
+    @pytest.mark.parametrize(
+        "N,k,j,term,scalar",
+        [
+            (3, 1, 1, 1, 1e200),
+            (3, 2, 2, 0, complex(math.inf, 0.0)),
+            (4, 1, 1, 0, complex(math.inf, 0.0)),
+        ],
+    )
+    def test_huge_scalars_keep_their_nans(self, N, k, j, term, scalar):
+        # an infinite scalar, or one whose products overflow, times a term
+        # dead on the window makes NaN, which the residual keeps: such
+        # images are multiplied in full.  At N = 3 a restricted product
+        # would lose a NaN of zaa44 (1e200) or of zaa42 (inf).
+        g = damaged(fock_rep(2, Q, N), k, j, term, scalar)
+        with np.errstate(invalid="ignore", over="ignore"):
+            reports = hexed(verify_relations(g))
+            assert reports == full_product_relations(g)
+            if N > matrixball.A_M_DEPTH:
+                assert hexed(a_m_checks(g)) == full_product_a_m(g)
+        assert any(residual == "nan" for _, _, residual, _ in reports)
+
+
 class TestMonomials:
     def test_zero_exponent_is_identity(self):
         g = fock_rep(2, Q, 6)

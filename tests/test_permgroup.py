@@ -18,6 +18,7 @@ from qmatball.permgroup import (
     enumerate_admissible,
     gf_counts,
     is_admissible,
+    iter_admissible,
     l_exponent,
     minimal_coset_rep,
     reduced_word,
@@ -138,6 +139,26 @@ class TestAdmissibility:
         for n in range(1, 5):
             for ks in enumerate_admissible(n):
                 assert all(k <= n for k in ks)
+
+    def test_iterator_yields_the_enumeration_in_order(self):
+        counts = gf_counts(6)
+        for n in range(7):
+            strings = iter_admissible(n)
+            assert iter(strings) is strings
+            strings = list(strings)
+            assert strings == enumerate_admissible(n)
+            assert len(strings) == counts[n]
+            # strictly increasing, so lexicographic and without repeats
+            assert all(x < y for x, y in zip(strings, strings[1:]))
+            if n <= 4:
+                grid = itertools.product(range(n + 1), repeat=n)
+                assert strings == [ks for ks in grid if is_admissible(ks)]
+
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_admissible(-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(iter_admissible(-1))
 
 
 class TestComposeDecompose:

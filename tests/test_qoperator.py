@@ -916,8 +916,20 @@ class TestFactorTable:
         monkeypatch.setattr(qoperator, "FACTORS", FactorTable())
         A = random_operator(np.random.default_rng(2), 3, 4, 5)
         empty = TensorOperator.zero(3, 4)
+
+        # an empty operand returns at once, without a product lookup
+        def refuse(left, right):
+            raise AssertionError("product lookup for an empty operand")
+
+        monkeypatch.setattr(qoperator.FACTORS, "products", refuse)
         for P in (empty * A, A * empty, empty * empty):
             assert P.ids.shape == (0, 3) and P.scalars.shape == (0,)
+            assert P.ids.dtype == A.ids.dtype and P.scalars.dtype == A.scalars.dtype
+            assert not (P.ids.flags.writeable or P.scalars.flags.writeable)
+        # the shapes are still checked first
+        for other in (TensorOperator.zero(2, 4), TensorOperator.zero(3, 5)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                empty * other
 
 
 parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
@@ -1162,7 +1174,7 @@ class TestResidualDenseOracle:
 
         g = fock_rep(2, Q, 5)
         lhs = g.gen(1, 1).adjoint() * g.gen(1, 1)
-        rhs = _case_rhs(g, 1, 1, 1, 1, _Products(g))
+        rhs = _case_rhs(g, 1, 1, 1, 1, _Products(g, g.N - 2))
         got = residual_on_window(lhs, rhs, 2)
         want = self._window_max(lhs, rhs, 2)
         assert got == pytest.approx(want, abs=1e-13)
@@ -1305,6 +1317,78 @@ class TestResidualDenseOracle:
         assert residual_on_window(a, b, d) == pytest.approx(
             self._window_max(a, b, d), rel=1e-12, abs=1e-13
         )
+
+
+def leading_zeros(rng, dim):
+    """A weighted shift whose first nonzero column varies: a random number
+    of leading amplitudes, and now and then all of them, set to zero."""
+    F = weighted_shift(rng, dim)
+    amps = F.amps.copy()
+    amps[: int(rng.integers(0, dim + 1))] = 0.0
+    return FactorMatrix(F.delta, amps)
+
+
+def operator_with_zeros(rng, f, dim, n_terms):
+    """``random_operator`` with ``leading_zeros`` factors and a zero scalar
+    now and then."""
+    op = random_operator(rng, f, dim, n_terms, factor=leading_zeros)
+    scalars = np.where(rng.random(n_terms) < 0.2, 0.0, op.scalars)
+    return TensorOperator.from_ids(f, dim, scalars, op.ids)
+
+
+class TestRestrict:
+    """``restrict`` drops only terms that vanish on the window: a product
+    with a restricted right operand gives the window residual the same bits
+    as the full product, when the scalars are finite."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 5), st.integers(1, 4))
+    def test_residual_of_restricted_product(self, seed, f, dim, d):
+        rng = np.random.default_rng(seed)
+        d = min(d, dim - 1)
+        window = dim - d
+        a, b, c = (operator_with_zeros(rng, f, dim, int(rng.integers(1, 6))) for _ in range(3))
+        restricted = b.restrict(window)
+        # b's terms in order, less those with a zero scalar or a factor
+        # whose first ``window`` amplitudes are all zero
+        dead = [
+            t.scalar == 0 or any(F is not None and not F.amps[:window].any() for F in t.factors)
+            for t in b.terms
+        ]
+        assert restricted.scalars.tolist() == [
+            z for z, out in zip(b.scalars.tolist(), dead) if not out
+        ]
+        assert restricted.ids.tolist() == [row for row, out in zip(b.ids.tolist(), dead) if not out]
+        if restricted.scalars.size == b.scalars.size:
+            assert restricted is b
+        full = residual_on_window(a * b, c, d)
+        assert residual_on_window(a * restricted, c, d).hex() == full.hex()
+        # and the restriction acts as b on every window column
+        columns = [
+            sum(m * dim**(f - 1 - axis) for axis, m in enumerate(index))
+            for index in itertools.product(range(window), repeat=f)
+        ]
+        assert np.array_equal(dense_matrix(restricted)[:, columns], dense_matrix(b)[:, columns])
+
+    def test_an_infinite_left_scalar_needs_the_full_product(self):
+        # a term of b that is zero on the window, times an infinite scalar,
+        # is NaN there, and the residual keeps it: restricting b would lose
+        # the NaN, so products restrict only operands whose products with
+        # every left term are finite (see matrixball._Products)
+        dim, d = 4, 2
+        dead = FactorMatrix(0, [0.0, 0.0, 1.0, 1.0])
+        a = single(complex(np.inf, 0.0), [t_block(2, 1, Q, dim)], dim)
+        b = single(1.0, [dead], dim)
+        zero = TensorOperator.zero(1, dim)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(residual_on_window(a * b, zero, d))
+        assert residual_on_window(a * b.restrict(dim - d), zero, d) == 0.0
+
+    def test_no_term_dropped_returns_self(self):
+        op = single(1.0, [t_block(1, 1, Q, N), None]) + single(0.5, [None, t_block(2, 2, Q, N)])
+        # T11 kills e_0, so its term is dead on the vacuum and alive on any wider window
+        assert op.restrict(2) is op and op.restrict(N) is op
+        assert op.restrict(1).scalars.tolist() == [0.5]
 
 
 class TestApplyDenseOracle:
