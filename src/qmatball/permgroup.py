@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -331,50 +330,20 @@ def enumerate_admissible(n: int) -> list[tuple[int, ...]]:
     return list(iter_admissible(n))
 
 
-def _poly_mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * order
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(order - i, len(b))):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
 def gf_counts(n_max: int) -> list[int]:
-    """String counts A_0..A_{n_max} as ``n! [x^n] exp(x/(1-x)) / (1-x)``.
+    """String counts A_0..A_{n_max}, where A_n = n! [x^n] exp(x/(1-x)) / (1-x).
 
-    Exact rational series arithmetic; every coefficient must come out an
-    integer, which is asserted.
+    The series expands as exp(x/(1-x)) / (1-x) = sum_k x^k / (k! (1-x)^(k+1)),
+    and [x^n] x^k / (1-x)^(k+1) = C(n, k).  So A_n = sum_k C(n, k) n!/k!, and
+    with k -> n - k, since n!/(n-k)! = C(n, k) k!, A_n = sum_k C(n, k)^2 k!:
+    a closed form in integers that shares no code with ``iter_admissible``.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    order = n_max + 1
-    u = [Fraction(0)] + [Fraction(1)] * (order - 1)  # x/(1-x)
-    series = [Fraction(0)] * order
-    series[0] = Fraction(1)
-    u_pow = [Fraction(0)] * order
-    u_pow[0] = Fraction(1)
-    k_factorial = 1
-    for k in range(1, order):
-        u_pow = _poly_mul_trunc(u_pow, u, order)
-        k_factorial *= k
-        for i in range(order):
-            if u_pow[i]:
-                series[i] += u_pow[i] / k_factorial
-    counts: list[int] = []
-    running = Fraction(0)  # multiplication by 1/(1-x) is a prefix sum
-    n_factorial = 1
-    for n, coeff in enumerate(series):
-        running += coeff
-        if n:
-            n_factorial *= n
-        value = running * n_factorial
-        if value.denominator != 1:
-            raise AssertionError(f"A_{n} is not an integer: {value}")
-        counts.append(int(value))
-    return counts
+    return [
+        sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
+        for n in range(n_max + 1)
+    ]
 
 
 def twist_phases(s: Permutation, phases: Sequence[float]) -> list[float]:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,17 @@ class TestVerify:
         assert summary["pass"] is False
         assert np.isnan(summary["max_residual"])
 
+    def test_overflowing_perturbation_fails_without_a_warning(self, capsys):
+        # 1e308 overflows the damaged products to inf and NaN; the NaN fails
+        # the gate through max_residual, and numpy stays silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(
+                capsys, "verify", "--fock", "2", "--trunc", "4", "--perturb", "1e308"
+            )
+        assert code == 1
+        assert np.isnan(json.loads(out)["summary"]["max_residual"])
+
     def test_perturbed_scales_only_the_first_scalar(self):
         g = cli.matrixball.fock_rep(2, 0.5, 5)
         damaged = cli._perturbed(g, 1e-3)
@@ -416,6 +428,12 @@ class TestPaths:
         code, out, _ = run(capsys, "paths", "--n", "3", "--k", "1", "--j", "1")
         assert code == 0
         assert len(json.loads(out)) == 6
+
+    def test_label_outside_the_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "paths", "--n", "3", "--k", "4", "--j", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: boundary labels (4, 1) outside 1..3\n"
 
 
 class TestOutputFile:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,14 @@ class TestGridFromString:
         assert all(
             grid.cell(r, c).kind == "white" for r in (1, 2) for c in (1, 2)
         )
+
+    def test_cells_and_grids_are_checked(self):
+        with pytest.raises(ValueError, match="unknown cell kind 'grey'"):
+            Cell("grey")
+        with pytest.raises(ValueError, match="dark cells carry no phase"):
+            Cell("dark", 0.5)
+        with pytest.raises(ValueError, match="expected an 2 x 2 grid"):
+            GridDiagram(2, ((Cell("white"), Cell("white")), (Cell("white"),)))
 
     def test_factor_index_matches_published_numbering(self):
         # 2 x 2 figure: lower-left 1, upper-left 2, lower-right 3, upper-right 4
@@ -213,8 +222,21 @@ class TestRender:
                 assert parse_ascii(render_ascii(grid)) == grid
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown glyph"):
             parse_ascii("xx 1\nxx 2\n12")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (" \n\n", "empty grid text"),
+            ("#.. 1\n#.. 2\n##o 3", "truncated grid text"),
+            ("#.. 1\n#.. 2\n##o 3\n123\no(3,3)=0.9", "bad phase annotation"),
+            ("#.. 1\n#. 2\n##o 3\n123", "row 2 has 2 cells, expected 3"),
+        ],
+    )
+    def test_parse_rejects_malformed_text(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_ascii(text)
 
 
 @settings(max_examples=30, deadline=None)

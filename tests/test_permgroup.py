@@ -254,6 +254,12 @@ class TestCounting:
     def test_gf_values(self):
         assert gf_counts(5) == [1, 2, 7, 34, 209, 1546]
 
+    def test_gf_recurrence(self):
+        # A002720: a(n) = 2n a(n-1) - (n-1)^2 a(n-2)
+        a = gf_counts(30)
+        for n in range(2, 31):
+            assert a[n] == 2 * n * a[n - 1] - (n - 1) ** 2 * a[n - 2]
+
     def test_enumeration_matches_gf(self):
         counts = gf_counts(5)
         for n in range(6):
