@@ -425,6 +425,14 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     a transcription bug).  All relations are quadratic, hence window depth 2.
     Every residual is reported, whatever its size: ``tol`` is accepted and
     ignored, because callers such as the benchmark workloads pass it.
+
+    Both exchange right-hand sides are built, each by its own route.  When
+    the R-matrix one has the per-case one's term list bit for bit
+    (``TensorOperator.same_terms``), its report takes the per-case residual:
+    ``residual_on_window`` is a deterministic function of the two operators'
+    arrays, so that is the value a second call would return.  This holds
+    for 72 of the 81 instances at (n, N) = (3, 5), and for every instance at
+    N = 3 for n = 4 to 6; the others are checked by a call of their own.
     """
     n = g.n
     d = 2
@@ -449,13 +457,15 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
             raise AssertionError(f"exchange coefficient tables disagree at {indices}")
         # used by this instance only, so not cached
         lhs = prod.product(("zs", b, beta), ("z", a, alpha))
-        reports.append(
-            RelationReport.of(
-                _zaa4_case_id(*indices), indices, lhs, _case_rhs(g, *indices, prod), d
-            )
-        )
+        case_rhs = _case_rhs(g, *indices, prod)
+        case_report = RelationReport.of(_zaa4_case_id(*indices), indices, lhs, case_rhs, d)
+        reports.append(case_report)
         rform_side = [(c, word) for word, c in sorted(rform.items())]
-        reports.append(RelationReport.of("R-form", indices, lhs, prod.side(rform_side), d))
+        rform_rhs = prod.side(rform_side)
+        if rform_rhs.same_terms(case_rhs):
+            reports.append(RelationReport("R-form", indices, case_report.residual, d))
+        else:
+            reports.append(RelationReport.of("R-form", indices, lhs, rform_rhs, d))
     return reports
 
 

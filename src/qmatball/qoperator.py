@@ -470,6 +470,18 @@ class TensorOperator:
     def is_zero(self) -> bool:
         return not np.any(self.scalars)
 
+    def same_terms(self, other: "TensorOperator") -> bool:
+        """Whether ``other`` has the same shape and the same term list, bit
+        for bit: equal ``ids`` and ``scalars`` bytes, so -0.0 differs from
+        0.0 and a NaN equals only a NaN of the same bits.  Operators equal
+        as maps may still differ here, which is why this is no ``__eq__``."""
+        return (
+            self.f == other.f
+            and self.dim == other.dim
+            and self.ids.tobytes() == other.ids.tobytes()
+            and self.scalars.tobytes() == other.scalars.tobytes()
+        )
+
     def _check_compatible(self, other: "TensorOperator") -> None:
         if self.f != other.f or self.dim != other.dim:
             raise ValueError(

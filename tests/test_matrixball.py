@@ -294,7 +294,41 @@ class TestRelations:
         )
         reports = verify_relations(g)
         assert len(reports) == 234
-        assert calls == {"mul": 306, "adjoint": 9, "residual": 234}
+        assert calls == {"mul": 306, "adjoint": 9, "residual": 162}
+
+    def test_differing_exchange_routes_are_each_computed(self, monkeypatch):
+        # the R-form report reuses the per-case residual only when the two
+        # right-hand sides agree bit for bit; moving one scalar of the
+        # per-case side by one ulp makes every R-form instance a call
+        g = fock_rep(3, Q, 5)
+        case_rhs = matrixball._case_rhs
+
+        def nudged(*args):
+            op = case_rhs(*args)
+            scalars = op.scalars.copy()
+            scalars[0] = complex(np.nextafter(scalars[0].real, np.inf), scalars[0].imag)
+            return TensorOperator.from_ids(op.f, op.dim, scalars, op.ids)
+
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return residual_on_window(*args)
+
+        monkeypatch.setattr(matrixball, "_case_rhs", nudged)
+        monkeypatch.setattr(matrixball, "residual_on_window", counted)
+        reports = verify_relations(g)
+        assert calls == 234
+        prod = matrixball._Products(g, g.N - 2)
+        rform = [r for r in reports if r.relation == "R-form"]
+        assert len(rform) == 81
+        for report in rform:
+            a, b, alpha, beta = report.indices
+            lhs = prod.product(("zs", b, beta), ("z", a, alpha))
+            coefficients = zaa4_r_coefficients(3, *report.indices)
+            rhs = prod.side([(c, word) for word, c in sorted(coefficients.items())])
+            assert report.residual.hex() == residual_on_window(lhs, rhs, 2).hex()
 
     def test_all_strings_n2(self, rng):
         for ks in enumerate_admissible(2):
@@ -409,7 +443,7 @@ class TestWindowProducts:
     restricted to the window; every report keeps the bits that full
     products give."""
 
-    @pytest.mark.parametrize("n,N", [(2, 4), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("n,N", [(2, 4), (3, 4), (3, 5), (4, 3)])
     def test_reports_match_full_products_bit_for_bit(self, n, N):
         g = fock_rep(n, Q, N)
         assert hexed(verify_relations(g)) == full_product_relations(g)

@@ -1391,6 +1391,47 @@ class TestRestrict:
         assert op.restrict(1).scalars.tolist() == [0.5]
 
 
+class TestSameTerms:
+    """``same_terms`` is bit-for-bit identity of shape and term list, the
+    test under which one window residual stands for another."""
+
+    def op(self):
+        return single(0.5, [t_block(1, 1, Q, N), None]) + single(-2.0j, [None, t_block(2, 2, Q, N)])
+
+    def test_rebuild_from_the_same_arrays(self):
+        op = self.op()
+        rebuilt = TensorOperator.from_ids(op.f, op.dim, op.scalars.copy(), op.ids.copy())
+        assert rebuilt is not op
+        assert op.same_terms(rebuilt) and rebuilt.same_terms(op)
+
+    def test_empty_operators(self):
+        assert TensorOperator.zero(2, N).same_terms(TensorOperator.zero(2, N))
+        assert not TensorOperator.zero(2, N).same_terms(TensorOperator.zero(3, N))
+        assert not TensorOperator.zero(2, N).same_terms(TensorOperator.zero(2, N + 1))
+
+    def test_scalars_compare_by_bits(self):
+        ids = [[0, 0]]
+
+        def of(scalar):
+            return TensorOperator.from_ids(2, N, [scalar], ids)
+
+        nan = complex(np.nan, 0.0)
+        assert of(nan).same_terms(of(nan))
+        assert not of(nan).same_terms(of(complex(-np.nan, 0.0)))
+        assert not of(0.0).same_terms(of(-0.0))
+        assert not of(complex(1.0, 0.0)).same_terms(of(complex(1.0, -0.0)))
+
+    def test_order_ids_and_shape_matter(self):
+        op = self.op()
+        swapped = TensorOperator.from_ids(op.f, op.dim, op.scalars[::-1], op.ids[::-1])
+        assert not op.same_terms(swapped)
+        ids = op.ids.copy()
+        ids[0, 0] = ids[1, 1]
+        assert not op.same_terms(TensorOperator.from_ids(op.f, op.dim, op.scalars, ids))
+        assert not TensorOperator.identity(2, N).same_terms(TensorOperator.identity(2, N + 1))
+        assert not TensorOperator.identity(2, N).same_terms(TensorOperator.identity(1, N))
+
+
 class TestApplyDenseOracle:
     def test_apply_matches_dense_matvec(self, rng):
         op = (
