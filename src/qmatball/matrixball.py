@@ -430,9 +430,8 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     the R-matrix one has the per-case one's term list bit for bit
     (``TensorOperator.same_terms``), its report takes the per-case residual:
     ``residual_on_window`` is a deterministic function of the two operators'
-    arrays, so that is the value a second call would return.  This holds
-    for 72 of the 81 instances at (n, N) = (3, 5), and for every instance at
-    N = 3 for n = 4 to 6; the others are checked by a call of their own.
+    arrays, so that is the value a second call would return.  Otherwise
+    the R-form report is checked by a call of its own.
     """
     n = g.n
     d = 2
