@@ -16,9 +16,18 @@ import itertools
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .diagramcalc import factor_index, grid_from_string
 from .permgroup import AdmissibleString, ReducedWord, _index
-from .qgrouprep import FactorEvaluation, SoibelmanRep, apply_tau, rep_generator
+from .qgrouprep import (
+    FactorEvaluation,
+    SoibelmanRep,
+    # unused here; kept because perfbench/tracing.py wraps matrixball.apply_tau
+    apply_tau,  # noqa: F401
+    evaluate_terms,
+    rep_generator,
+)
 from .qoperator import (
     TensorOperator,
     is_exact_zero_on_vacuum,
@@ -185,16 +194,31 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     """Representation classified by an admissible string: scalar-evaluate the
     colored factors of the memoized vacuum representation ``fock_rep(n, q,
     N)`` (dark at phase 0, light at the row phase); the result acts on the
-    white factors only."""
+    white factors only.
+
+    The terms of all n^2 Fock images are stacked into one list and evaluated
+    by one ``evaluate_terms`` pass, whose bits are those of ``apply_tau`` on
+    each image; the surviving terms are cut at the images' term offsets, so
+    each image keeps its own terms in their order.  The images are slices of
+    two read-only arrays."""
     base = fock_rep(string.n, q, N)
-    evaluation = _string_evaluation(string)
-    table = tuple(
-        tuple(apply_tau(base.gen(k, j), evaluation) for j in range(1, string.n + 1))
-        for k in range(1, string.n + 1)
+    images = [op for row in base.z for op in row]
+    offsets = np.cumsum([0] + [op.scalars.size for op in images])
+    ids = np.concatenate([op.ids for op in images])
+    scalars, kept, keep = evaluate_terms(
+        np.concatenate([op.scalars for op in images]), ids, _string_evaluation(string)
     )
-    return GeneratorImages(
-        string.n, base.q, base.N, table, provenance=f"string{string.pairs()!r}"
-    )
+    ids = ids.take(kept, axis=0).take(keep, axis=1)
+    scalars.setflags(write=False)
+    ids.setflags(write=False)
+    cuts = np.searchsorted(kept, offsets).tolist()
+    ops = [
+        TensorOperator._of(len(keep), base.N, scalars[a:b], ids[a:b])
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    n = string.n
+    table = tuple(tuple(ops[k * n : (k + 1) * n]) for k in range(n))
+    return GeneratorImages(n, base.q, base.N, table, provenance=f"string{string.pairs()!r}")
 
 
 # ---------------------------------------------------------------------------

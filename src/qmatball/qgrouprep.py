@@ -15,6 +15,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .permgroup import Permutation, ReducedWord, _index, reduced_word, twist_phases
 from .qoperator import (
     FACTORS,
@@ -22,6 +24,7 @@ from .qoperator import (
     TensorOperator,
     _check_dim,
     _check_q,
+    _cmul,
     t_block,
     t_block_ids,
     vacuum_matrix_element,
@@ -33,6 +36,7 @@ __all__ = [
     "pi_elementary",
     "rep_generator",
     "apply_tau",
+    "evaluate_terms",
     "tau_factor_value",
     "twist_check",
 ]
@@ -179,34 +183,64 @@ def tau_factor_value(factor: FactorMatrix | None, phi: float) -> complex:
     return _tags_value(() if factor is None else factor.provenance, phi)
 
 
+def evaluate_terms(
+    scalars: np.ndarray, ids: np.ndarray, ev: FactorEvaluation
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Scalar-evaluates the assigned factors of a term list in one pass.
+
+    ``scalars`` (T,) and ``ids`` (T, f) are the terms, as in a
+    ``TensorOperator``; any number of operators on the same factors may be
+    stacked into one list.  Returns the surviving scalars, the indices of
+    their terms (ascending) and the kept axes (0-based, ascending).  For
+    each assigned axis, in assignment order, every scalar is multiplied by
+    the character value of its term's factor on that axis, read from a table
+    that ``_tags_value`` fills once per distinct id and axis; a term whose
+    product is 0 is dropped at the end.
+
+    The bits are those of a per-term loop that computes ``scalar *= value``
+    as Python complex numbers in assignment order and drops a term at its
+    first zero: ``_cmul`` rounds each step as CPython's ``complex *
+    complex`` does (numpy's own complex multiply may fuse), and character
+    values are finite (unit-modulus exponentials, 1 or 0), so a product
+    that reaches 0 stays 0 and a non-finite one never becomes 0.  Where that
+    loop raised only for a term not yet zeroed, the table raises
+    ``ValueError`` whenever any term holds an untagged factor, or one with a
+    tag without a scalar evaluation, on an assigned axis.
+    """
+    f = ids.shape[1]
+    axes = [i - 1 for i, _ in ev.assignments]
+    if any(axis >= f for axis in axes):
+        raise ValueError(f"assignment index exceeds factor count {f}")
+    assigned = set(axes)
+    keep = [axis for axis in range(f) if axis not in assigned]
+    block = ids[:, axes]
+    distinct = np.unique(block)
+    table = np.array(
+        [[_tags_value(FACTORS.tags[tid], phi) for _, phi in ev.assignments]
+         for tid in distinct.tolist()],
+        dtype=np.complex128,
+    ).reshape(distinct.size, len(axes))
+    values = table[distinct.searchsorted(block), np.arange(len(axes))]
+    # an inf or NaN scalar may meet a value of 0 (giving NaN) or overflow,
+    # as in the loop, which numpy would otherwise warn about
+    with np.errstate(invalid="ignore", over="ignore"):
+        for column in values.T:
+            scalars = _cmul(scalars, column)
+        kept = np.flatnonzero(scalars != 0)
+    return scalars[kept], kept, keep
+
+
 def apply_tau(op: TensorOperator, ev: FactorEvaluation) -> TensorOperator:
     """Scalar-evaluate the assigned factors and drop them from the tensor.
 
     Terms acquiring scalar zero are removed; the factor count shrinks by the
-    number of assignments.
+    number of assignments.  One pass of ``evaluate_terms`` over the terms,
+    whose docstring states why the bits are a per-term loop's and when an
+    unevaluable factor raises.
     """
-    table = ev.as_dict()
-    if any(i > op.f for i in table):
-        raise ValueError(f"assignment index exceeds factor count {op.f}")
-    keep = [axis for axis in range(op.f) if (axis + 1) not in table]
-    # character value of each (assigned position, factor id) met so far
-    values: dict[tuple[int, int], complex] = {}
-    scalars = []
-    rows = []
-    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
-        for index, phi in table.items():
-            tid = row[index - 1]
-            value = values.get((index, tid))
-            if value is None:
-                value = values[(index, tid)] = _tags_value(FACTORS.tags[tid], phi)
-            scalar *= value
-            if scalar == 0:
-                break
-        if scalar == 0:
-            continue
-        scalars.append(scalar)
-        rows.append([row[a] for a in keep])
-    return TensorOperator.from_ids(len(keep), op.dim, scalars, rows)
+    scalars, kept, keep = evaluate_terms(op.scalars, op.ids, ev)
+    ids = op.ids.take(kept, axis=0).take(keep, axis=1)
+    return TensorOperator._of(len(keep), op.dim, scalars, ids)
 
 
 def twist_check(

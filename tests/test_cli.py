@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -186,6 +187,43 @@ class TestBuild:
         code, _, err = run(capsys, "build", "--string", str(path))
         assert code == 2
         assert "row 1" in err
+
+
+class TestBuildBytes:
+    """sha256 of ``build`` outputs written by commit 6252573, before string
+    representations were evaluated in one stacked pass: a change that moves
+    one bit of a string image, or of its printing, fails here."""
+
+    STRINGS = {
+        "n3": ({"n": 3, "pairs": [[3, 0.0], [3, 0.0], [2, 1.25]]}, "3"),
+        "n4-light": ({"n": 4, "pairs": [[4, 0.0], [2, 0.7], [1, 2.0], [0, 0.0]]}, "4"),
+        "n4-dark": ({"n": 4, "pairs": [[2, 0.4], [1, 2.5], [0, 5.0], [1, 0.0]]}, "3"),
+    }
+
+    @pytest.mark.parametrize(
+        "name, emit, digest",
+        [
+            ("n3", "z", "4266a859376d5fdcc1a948f14949a329d22f236f142bd31ee5bd0981e50423b9"),
+            ("n3", "matrix-elements",
+             "476fe1f974161c4499bcc22dc994585ca544b96b3b005c82e1b094ba9875b0ca"),
+            ("n4-light", "z", "faad957b2aab6d108c037b8fe60256cf9d191bc78400401aa56f56a153f228e7"),
+            ("n4-light", "matrix-elements",
+             "11191227e9f5747df6a501647825f5069c18e863066f4a1b74995100fff7299f"),
+            ("n4-dark", "z", "b2481b79d5bec77f76b9f96cf98ccdb144e83c285ae0d2654ba5d745172de3be"),
+            ("n4-dark", "matrix-elements",
+             "9837579325523b457b8eaa54afeba23f32ef311542a7358ac6ea06cf5d992a94"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, name, emit, digest):
+        payload, trunc = self.STRINGS[name]
+        path = tmp_path / "string.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out.json"
+        code = main(
+            ["build", "--string", str(path), "--trunc", trunc, "--emit", emit, "--out", str(out)]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestIntegerInput:

@@ -216,6 +216,19 @@ class TestRepFromString:
         assert z22 == pytest.approx(cmath.exp(1j * phi2))
         assert g.gen(1, 2).is_zero() and g.gen(2, 1).is_zero()
 
+    def test_images_are_read_only_through_their_bases(self, rng):
+        # the images are slices of arrays shared by all n^2 of them, so a
+        # writable base would let one image be written through another
+        strings = [random_phases_for(ks, rng) for ks in enumerate_admissible(3)]
+        for s in strings + [AdmissibleString(2, (2, 2)), AdmissibleString(2, (0, 0))]:
+            g = rep_from_string(s, Q, 4)
+            for row in g.z:
+                for op in row:
+                    for array in (op.scalars, op.ids):
+                        while array is not None:
+                            assert not array.flags.writeable
+                            array = array.base
+
 
 class TestRelations:
     def test_fock_n2(self):

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qmatball import matrixball
 from qmatball.permgroup import (
     Permutation,
     ReducedWord,
+    enumerate_admissible,
     l_exponent,
     reduced_word,
 )
@@ -15,6 +19,7 @@ from qmatball.qgrouprep import (
     FactorEvaluation,
     SoibelmanRep,
     apply_tau,
+    evaluate_terms,
     pi_elementary,
     rep_generator,
     tau_factor_value,
@@ -29,13 +34,45 @@ from qmatball.qoperator import (
     vacuum_matrix_element,
 )
 
-from conftest import all_reduced_words
+from conftest import all_reduced_words, random_phases_for
 
 Q, N = 0.5, 5
 
 
 def all_perms(m):
     return [Permutation(m, images) for images in itertools.permutations(range(1, m + 1))]
+
+
+def apply_tau_loop(op, ev):
+    """The per-term loop that ``evaluate_terms`` replaced, kept as the
+    reference for its bits: each term's scalar is multiplied, as a Python
+    complex, by the character value of each assigned factor in assignment
+    order, and the term is dropped at its first zero."""
+    table = ev.as_dict()
+    keep = [axis for axis in range(op.f) if (axis + 1) not in table]
+    values = {}
+    scalars = []
+    rows = []
+    for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
+        for index, phi in table.items():
+            tid = row[index - 1]
+            if (index, tid) not in values:
+                values[(index, tid)] = tau_factor_value(FACTORS[tid], phi)
+            scalar *= values[(index, tid)]
+            if scalar == 0:
+                break
+        if scalar == 0:
+            continue
+        scalars.append(scalar)
+        rows.append([row[a] for a in keep])
+    return TensorOperator.from_ids(len(keep), op.dim, scalars, rows)
+
+
+def assert_same_bits(got, want):
+    assert (got.f, got.dim) == (want.f, want.dim)
+    assert got.ids.shape == want.ids.shape
+    assert got.ids.tobytes() == want.ids.tobytes()
+    assert got.scalars.tobytes() == want.scalars.tobytes()
 
 
 class TestElementary:
@@ -221,6 +258,82 @@ class TestApplyTau:
             FactorEvaluation(((1.9, 0.3),))
         pairs = FactorEvaluation(((True, 0.3), (np.int64(2), 0.0))).assignments
         assert pairs == ((1, 0.3), (2, 0.0))
+
+
+class TestEvaluateTerms:
+    """``evaluate_terms`` against the per-term loop: equal factor counts,
+    ids bytes and scalars bytes."""
+
+    @pytest.mark.parametrize("trunc", [3, 4])
+    def test_string_representations_of_n4_match_the_loop(self, rng, trunc):
+        strings = [random_phases_for(ks, rng) for ks in enumerate_admissible(4)]
+        assert len(strings) == 209
+        base = matrixball.fock_rep(4, Q, trunc)
+        for s in strings:
+            g = matrixball.rep_from_string(s, Q, trunc)
+            ev = matrixball._string_evaluation(s)
+            for k in range(1, 5):
+                for j in range(1, 5):
+                    assert_same_bits(g.gen(k, j), apply_tau_loop(base.gen(k, j), ev))
+
+    def test_stacked_terms_keep_their_indices(self):
+        rep = SoibelmanRep(reduced_word(Permutation(3, (3, 2, 1))), Q, N, (0.3, 1.0, 2.0))
+        ops = [rep_generator(rep, k, l) for k in (1, 2, 3) for l in (1, 2, 3)]
+        ev = FactorEvaluation(((2, 0.7),))
+        ids = np.concatenate([op.ids for op in ops])
+        scalars, kept, keep = evaluate_terms(
+            np.concatenate([op.scalars for op in ops]), ids, ev
+        )
+        assert keep == [0, 2] and 0 < kept.size < ids.shape[0]
+        offsets = np.cumsum([0] + [op.scalars.size for op in ops])
+        cuts = np.searchsorted(kept, offsets)
+        for op, a, b in zip(ops, cuts, cuts[1:]):
+            want = apply_tau_loop(op, ev)
+            assert scalars[a:b].tobytes() == want.scalars.tobytes()
+            assert ids[kept[a:b]][:, keep].tobytes() == want.ids.tobytes()
+
+    def test_unevaluable_factor_raises_even_on_a_zeroed_term(self):
+        # the loop stopped at the straight arrow's zero and never read the
+        # untagged factor after it; the table reads every assigned factor
+        raw = FACTORS.intern(FactorMatrix(0, np.ones(N)))
+        arrow = FACTORS.intern(t_block(1, 2, Q, N))
+        op = TensorOperator.from_ids(2, N, [1.0], [[arrow, raw]])
+        ev = FactorEvaluation(((1, 0.3), (2, 0.0)))
+        assert apply_tau_loop(op, ev).is_zero()
+        with pytest.raises(ValueError, match="primitive set"):
+            apply_tau(op, ev)
+
+    def test_assignment_beyond_the_factors_rejected(self):
+        op = TensorOperator.identity(2, N)
+        with pytest.raises(ValueError, match="exceeds factor count 2"):
+            apply_tau(op, FactorEvaluation(((3, 0.0),)))
+
+
+_PHASES = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10.0, 10.0)
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e-320]
+_PARTS = st.sampled_from(_SPECIAL) | st.floats(-1e3, 1e3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hypothesis_word_representations_match_the_loop(data):
+    m = data.draw(st.integers(1, 4))
+    sigma = Permutation(m, tuple(data.draw(st.permutations(range(1, m + 1)))))
+    phases = data.draw(st.none() | st.lists(_PHASES, min_size=m, max_size=m))
+    rep = SoibelmanRep(reduced_word(sigma), Q, 3, phases)
+    axes = data.draw(st.permutations(range(1, rep.f + 1)))
+    axes = axes[: data.draw(st.integers(0, rep.f))]
+    ev = FactorEvaluation(tuple((axis, data.draw(_PHASES)) for axis in axes))
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            op = rep_generator(rep, k, l)
+            if data.draw(st.booleans()):
+                size = op.scalars.size
+                parts = st.tuples(_PARTS, _PARTS).map(lambda p: complex(*p))
+                drawn = data.draw(st.lists(parts, min_size=size, max_size=size))
+                op = TensorOperator.from_ids(op.f, op.dim, drawn, op.ids)
+            assert_same_bits(apply_tau(op, ev), apply_tau_loop(op, ev))
 
 
 class TestTwist:
