@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import diagramcalc, matrixball, permgroup
+from . import diagramcalc, matrixball, permgroup, relations
 from .permgroup import AdmissibleString, Permutation
 from .qoperator import TensorOperator, operator_to_json, vacuum_matrix_element
 
@@ -136,11 +136,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         string = AdmissibleString(args.fock, (args.fock,) * args.fock)
     else:
         string = _load_string(args.string_path)
-    if string.n >= 2 and args.trunc <= matrixball.A_M_DEPTH:
+    if string.n >= 2 and args.trunc <= relations.A_M_DEPTH:
         raise ValueError(
             f"--trunc {args.trunc} is too small at n={string.n}: the A_m commutation "
-            f"families (words of length {matrixball.A_M_DEPTH}) would have an empty "
-            f"window; use --trunc {matrixball.A_M_DEPTH + 1} or more"
+            f"families (words of length {relations.A_M_DEPTH}) would have an empty "
+            f"window; use --trunc {relations.A_M_DEPTH + 1} or more"
         )
     if is_fock:
         g = matrixball.fock_rep(args.fock, args.q, args.trunc)

@@ -1,6 +1,6 @@
 """The quantized matrix ball layer: Fock representation, representations from
-admissible strings, the full commutation-relation verifier, vacuum and
-monomial checks, boundary-ideal generators, and the kernel-based case split.
+admissible strings, the float evaluation of the relation instances of
+``relations``, vacuum and monomial checks, and the kernel-based case split.
 
 Generators z_k^j (k = bottom-edge entry column, j = right-edge exit row) are
 realized as (-q)^{k-n} times the corresponding entry of the block-swap word
@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,17 @@ from .qoperator import (
     norm_estimate,  # noqa: F401
     residual_on_window,
 )
+from .relations import (
+    _ONE,
+    _Name,
+    _Side,
+    _lp_eval,
+    a_m_instances,
+    a_m_side,
+    boundary_side,
+    exchange_instances,
+    holomorphic_instances,
+)
 
 __all__ = [
     "GeneratorImages",
@@ -45,8 +55,6 @@ __all__ = [
     "fock_rep",
     "rep_from_string",
     "verify_relations",
-    "zaa4_case_coefficients",
-    "zaa4_r_coefficients",
     "z_monomial",
     "shilov_eval",
     "classify_case",
@@ -58,11 +66,6 @@ __all__ = [
 
 # monomials are kept inside the exact region of the truncation
 DEFAULT_DEGREE_MARGIN = 2
-
-# longest generator word in the A_m commutation families; their window keeps
-# indices 0..N-1-A_M_DEPTH, so they need N > A_M_DEPTH
-A_M_DEPTH = 3
-
 
 @dataclass(frozen=True)
 class GeneratorImages:
@@ -221,144 +224,6 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     return GeneratorImages(n, base.q, base.N, table, provenance=f"string{string.pairs()!r}")
 
 
-# ---------------------------------------------------------------------------
-# relations as data: a side is a list of (LaurentPoly, word), a word being a
-# product of at most two named operators and () the identity; only
-# _Products.side evaluates a coefficient at q
-# ---------------------------------------------------------------------------
-
-LaurentPoly = dict[int, int]
-
-
-def _lp(*pairs: tuple[int, int]) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for power, coeff in pairs:
-        coeff = operator.index(coeff)
-        if coeff:
-            out[power] = out.get(power, 0) + coeff
-    return {p: c for p, c in out.items() if c}
-
-
-def _lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = dict(a)
-    for p, c in b.items():
-        out[p] = out.get(p, 0) + c
-    return {p: c for p, c in out.items() if c}
-
-
-def _lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out: LaurentPoly = {}
-    for p1, c1 in a.items():
-        for p2, c2 in b.items():
-            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
-    return {p: c for p, c in out.items() if c}
-
-
-def _lp_eval(a: LaurentPoly, q: float) -> float:
-    return float(sum(float(c) * q**p for p, c in a.items()))
-
-
-_ONE = _lp((0, 1))
-
-# ("z", k, j) names z_k^j, ("zs", k, j) its adjoint and ("A", m, 0) the A_m
-# of a_m_checks
-_Name = tuple[str, int, int]
-_Word = tuple[_Name, ...]
-_Side = list[tuple[LaurentPoly, _Word]]
-
-
-def _z_zs(a: int, alpha: int, b: int, beta: int) -> _Word:
-    return (("z", a, alpha), ("zs", b, beta))
-
-
-def _r_coefficients(i: int, j: int, n: int) -> dict[tuple[int, int], LaurentPoly]:
-    """Nonzero entries (k, l) -> coefficient of the exchange R-matrix row (i, j)."""
-    out: dict[tuple[int, int], LaurentPoly] = {}
-    if i != j:
-        out[(i, j)] = _lp((-1, 1))
-    else:
-        out[(i, i)] = _ONE
-        for l in range(j + 1, n + 1):
-            out[(l, l)] = _lp((-2, -1), (0, 1))  # -(q^{-2} - 1)
-    return out
-
-
-def zaa4_r_coefficients(
-    n: int, a: int, b: int, alpha: int, beta: int
-) -> dict[_Word, LaurentPoly]:
-    """Right-hand side of the exchange relation for z*_{b,beta} z_{a,alpha},
-    expanded through the R-matrix coefficients, keyed by word."""
-    out: dict[_Word, LaurentPoly] = {}
-    q2 = _lp((2, 1))
-    for (b2, a2), left in _r_coefficients(b, a, n).items():
-        for (beta2, alpha2), right in _r_coefficients(beta, alpha, n).items():
-            key = _z_zs(a2, alpha2, b2, beta2)
-            contribution = _lp_mul(q2, _lp_mul(left, right))
-            out[key] = _lp_add(out.get(key, {}), contribution)
-    if a == b and alpha == beta:
-        out[()] = _lp((0, 1), (2, -1))  # 1 - q^2
-    return {k: v for k, v in out.items() if v}
-
-
-def zaa4_case_coefficients(
-    n: int, a: int, b: int, alpha: int, beta: int
-) -> dict[_Word, LaurentPoly]:
-    """Right-hand side of the exchange relation written per index case, keyed
-    as in ``zaa4_r_coefficients``."""
-    out: dict[_Word, LaurentPoly] = {}
-    if a != b and alpha != beta:
-        out[_z_zs(a, alpha, b, beta)] = _ONE
-    elif a == b and alpha != beta:
-        out[_z_zs(a, alpha, a, beta)] = _lp((1, 1))
-        for j in range(a + 1, n + 1):
-            out[_z_zs(j, alpha, j, beta)] = _lp((-1, -1), (1, 1))  # -(q^{-1} - q)
-    elif a != b and alpha == beta:
-        out[_z_zs(a, alpha, b, alpha)] = _lp((1, 1))
-        for j in range(alpha + 1, n + 1):
-            out[_z_zs(a, j, b, j)] = _lp((-1, -1), (1, 1))
-    else:
-        out[_z_zs(a, alpha, a, alpha)] = _lp((2, 1))
-        # the words below are distinct, so no coefficient needs adding up
-        for j in range(alpha + 1, n + 1):
-            out[_z_zs(a, j, a, j)] = _lp((0, -1), (2, 1))
-        for j in range(a + 1, n + 1):
-            out[_z_zs(j, alpha, j, alpha)] = _lp((0, -1), (2, 1))
-        for j in range(alpha + 1, n + 1):
-            for m in range(a + 1, n + 1):
-                # q^{-2}(1-q^2)^2
-                out[_z_zs(m, j, m, j)] = _lp((-2, 1), (0, -2), (2, 1))
-        out[()] = _lp((0, 1), (2, -1))
-    return {k: v for k, v in out.items() if v}
-
-
-def _star(name: _Name) -> _Name:
-    return ("zs" if name[0] == "z" else "z",) + name[1:]
-
-
-def _adjoint_side(side: _Side) -> _Side:
-    """The adjoint of a side: each word reversed and each name starred; the
-    coefficients stay as they are, since q is real."""
-    return [(c, tuple(_star(name) for name in reversed(word))) for c, word in side]
-
-
-def _holomorphic_relations(
-    a: int, b: int, alpha: int, beta: int
-) -> list[tuple[str, _Side, _Side]]:
-    """The holomorphic families zaa1, zaa2, zaa3 that hold at (a, b, alpha,
-    beta), each as (name, lhs, rhs)."""
-    za, zb = ("z", a, alpha), ("z", b, beta)
-    relations = []
-    if (a == b and alpha < beta) or (a < b and alpha == beta):
-        relations.append(("zaa1", [(_ONE, (za, zb))], [(_lp((1, 1)), (zb, za))]))
-    if alpha < beta and a > b:
-        relations.append(("zaa2", [(_ONE, (za, zb))], [(_ONE, (zb, za))]))
-    if alpha < beta and a < b:
-        lhs = [(_ONE, (za, zb)), (_lp((0, -1)), (zb, za))]
-        rhs = [(_lp((1, 1), (-1, -1)), (("z", a, beta), ("z", b, alpha)))]
-        relations.append(("zaa3", lhs, rhs))
-    return relations
-
-
 class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
     computed once, and the operators of relation sides, all built for the
@@ -394,10 +259,8 @@ class _Products:
         if name not in self._named:
             if kind == "zs":
                 self._named[name] = self.g.gen(k, j).adjoint()
-            else:  # A_m = I - sum_{i >= m} z_i^n z*_i^n, m = k
-                n = self.g.n
-                minus = [(_lp((0, -1)), _z_zs(i, n, i, n)) for i in range(k, n + 1)]
-                self._named[name] = self.side([(_ONE, ())] + minus)
+            else:  # ("A", m, 0)
+                self._named[name] = self.side(a_m_side(self.g.n, k))
         return self._named[name]
 
     def product(self, left: _Name, right: _Name) -> TensorOperator:
@@ -429,66 +292,47 @@ class _Products:
         self._products.clear()
 
 
-def _zaa4_case_id(a: int, b: int, alpha: int, beta: int) -> str:
-    if a != b and alpha != beta:
-        return "zaa41"
-    if a == b and alpha != beta:
-        return "zaa42"
-    if a != b and alpha == beta:
-        return "zaa43"
-    return "zaa44"
-
-
 def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationReport]:
-    """Window residuals for every defining-relation instance.
+    """Window residuals for every defining-relation instance of
+    ``relations.holomorphic_instances`` and ``relations.exchange_instances``,
+    in their order: the three holomorphic families, each with its adjoint
+    family, then per (a, b, alpha, beta) the exchange relation twice, once
+    with its per-case right-hand side (the family zaa41 to zaa44) and once
+    in the R-matrix form ("R-form").  All relations are quadratic, hence
+    window depth 2.  Every residual is reported, whatever its size: ``tol``
+    is accepted and ignored, because callers such as the benchmark
+    workloads pass it.
 
-    Covers the three holomorphic families, each with its adjoint family
-    derived through the *-structure, the four-case exchange expansion, and
-    the R-matrix form of the exchange relation; the two coefficient tables
-    are also compared exactly (raising on any mismatch, which would indicate
-    a transcription bug).  All relations are quadratic, hence window depth 2.
-    Every residual is reported, whatever its size: ``tol`` is accepted and
-    ignored, because callers such as the benchmark workloads pass it.
-
-    Both exchange right-hand sides are built, each by its own route.  When
-    the R-matrix one has the per-case one's term list bit for bit
-    (``TensorOperator.same_terms``), its report takes the per-case residual:
-    ``residual_on_window`` is a deterministic function of the two operators'
-    arrays, so that is the value a second call would return.  Otherwise
-    the R-form report is checked by a call of its own.
+    Both exchange right-hand sides are built, each by its own route: the
+    per-case one from floats by ``_case_rhs``, the R-matrix one from the
+    instance's coefficient table.  When the R-matrix one has the per-case
+    one's term list bit for bit (``TensorOperator.same_terms``), its report
+    takes the per-case residual: ``residual_on_window`` is a deterministic
+    function of the two operators' arrays, so that is the value a second
+    call would return.  Otherwise the R-form report is checked by a call of
+    its own.
     """
     n = g.n
-    d = 2
     reports: list[RelationReport] = []
-    prod = _Products(g, g.N - d)
-    quadruples = list(itertools.product(range(1, n + 1), repeat=4))
-
-    for indices in quadruples:
-        for relation, lhs, rhs in _holomorphic_relations(*indices):
-            adjoint = (relation + "*", _adjoint_side(lhs), _adjoint_side(rhs))
-            for name, left, right in ((relation, lhs, rhs), adjoint):
-                left_op, right_op = prod.side(left), prod.side(right)
-                reports.append(RelationReport.of(name, indices, left_op, right_op, d))
+    prod = _Products(g, g.N - 2)
+    for family, indices, lhs, rhs, depth in holomorphic_instances(n):
+        left, right = prod.side(lhs), prod.side(rhs)
+        reports.append(RelationReport.of(family, indices, left, right, depth))
 
     # the exchange families below share only the products z * z*
     prod.forget_products()
-    for indices in quadruples:
-        a, b, alpha, beta = indices
-        case = zaa4_case_coefficients(n, *indices)
-        rform = zaa4_r_coefficients(n, *indices)
-        if case != rform:
-            raise AssertionError(f"exchange coefficient tables disagree at {indices}")
+    for family, indices, lhs, rhs, depth in exchange_instances(n):
         # used by this instance only, so not cached
-        lhs = prod.product(("zs", b, beta), ("z", a, alpha))
+        [(_, word)] = lhs
+        left = prod.product(*word)
         case_rhs = _case_rhs(g, *indices, prod)
-        case_report = RelationReport.of(_zaa4_case_id(*indices), indices, lhs, case_rhs, d)
+        case_report = RelationReport.of(family, indices, left, case_rhs, depth)
         reports.append(case_report)
-        rform_side = [(c, word) for word, c in sorted(rform.items())]
-        rform_rhs = prod.side(rform_side)
+        rform_rhs = prod.side(rhs)
         if rform_rhs.same_terms(case_rhs):
-            reports.append(RelationReport("R-form", indices, case_report.residual, d))
+            reports.append(RelationReport("R-form", indices, case_report.residual, depth))
         else:
-            reports.append(RelationReport.of("R-form", indices, lhs, rform_rhs, d))
+            reports.append(RelationReport.of("R-form", indices, left, rform_rhs, depth))
     return reports
 
 
@@ -563,11 +407,7 @@ def shilov_eval(
     n = g.n
     if not (1 <= alpha <= n and 1 <= beta <= n):
         raise ValueError(f"indices ({alpha}, {beta}) outside 1..{n}")
-    weight = _lp((2 * n - alpha - beta, 1))
-    side = [(weight, _z_zs(j, alpha, j, beta)) for j in range(1, n + 1)]
-    if alpha == beta:
-        side.append((_lp((0, -1)), ()))
-    op = _Products(g, g.N - 2).side(side)
+    op = _Products(g, g.N - 2).side(boundary_side(n, alpha, beta))
     residual = residual_on_window(op, TensorOperator.zero(g.f, g.N), 2)
     return op, residual
 
@@ -602,12 +442,9 @@ def coherent_check(q: float, N: int, phi: float) -> float:
 
 
 def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
-    """Commutation identities of A_m = I - sum_{j >= m} z_j^n z*_j^n.
-
-    Family (m, j, 0): plain commutation for j < m (word length 3).
-    Family (m, j, 1): q^2 z_j^n A_m = A_m z_j^n for j >= m (word length 3).
-    Family (m, 0, 2): (1 - q^2) A_m = z*_m^n z_m^n - z_m^n z*_m^n, the
-    commutator form with its denominator cleared (word length 2).
+    """Window residuals of the commutation identities of A_m = I - sum_{j >= m}
+    z_j^n z*_j^n, the instances of ``relations.a_m_instances`` in their
+    order.
 
     One ``_Products`` serves both depths, with the window N - 2 of depth 2,
     the larger one.  Its A_m is built from products restricted to N - 2,
@@ -616,22 +453,12 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     own restriction to N - 2; in A_m z after z, which moves each axis by
     at most 1, so a window column below N - 3 lands below N - 2.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise ValueError("the commutation families need n >= 2")
-    families = []
-    for m in range(1, n + 1):
-        a_m = ("A", m, 0)
-        for j in range(1, n + 1):
-            z = ("z", j, n)
-            lhs = [(_ONE if j < m else _lp((2, 1)), (z, a_m))]
-            families.append(((m, j, int(j >= m)), lhs, [(_ONE, (a_m, z))], A_M_DEPTH))
-        rhs = [(_ONE, (("zs", m, n), ("z", m, n))), (_lp((0, -1)), _z_zs(m, n, m, n))]
-        families.append(((m, 0, 2), [(_lp((0, 1), (2, -1)), (a_m,))], rhs, 2))
     prod = _Products(g, g.N - 2)
     return [
-        RelationReport.of("A_m-comm", indices, prod.side(lhs), prod.side(rhs), depth)
-        for indices, lhs, rhs, depth in families
+        RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
+        for family, indices, lhs, rhs, depth in a_m_instances(g.n)
     ]
 
 

@@ -155,9 +155,6 @@ class FactorEvaluation:
         if any(i < 1 for i in indices):
             raise ValueError("factor indices are 1-based")
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.assignments)
-
 
 # character values of the primitive tags at phase phi: the underlying shift
 # goes to e^{i phi}, so its defect projection (hence both straight-arrow

@@ -23,8 +23,6 @@ from qmatball.matrixball import (
     vacuum_annihilation_exact,
     verify_relations,
     z_monomial,
-    zaa4_case_coefficients,
-    zaa4_r_coefficients,
 )
 from qmatball.permgroup import (
     AdmissibleString,
@@ -46,6 +44,7 @@ from qmatball.qoperator import (
     t_block,
     vacuum_matrix_element,
 )
+from qmatball.relations import zaa4_case_coefficients, zaa4_r_coefficients
 
 from conftest import (
     all_reduced_words,

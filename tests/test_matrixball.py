@@ -1,4 +1,6 @@
 import cmath
+import collections
+import hashlib
 import itertools
 import math
 import runpy
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmatball import matrixball, qoperator
+from qmatball import matrixball, qoperator, relations
 from qmatball.matrixball import (
     GeneratorImages,
     MonomialExponent,
@@ -23,8 +25,6 @@ from qmatball.matrixball import (
     vacuum_annihilation_exact,
     verify_relations,
     z_monomial,
-    zaa4_case_coefficients,
-    zaa4_r_coefficients,
 )
 from qmatball.permgroup import (
     AdmissibleString,
@@ -40,6 +40,7 @@ from qmatball.qoperator import (
     residual_on_window,
     vacuum_matrix_element,
 )
+from qmatball.relations import zaa4_case_coefficients, zaa4_r_coefficients
 
 from conftest import random_phases_for, term_signature, vacuum
 
@@ -271,14 +272,14 @@ class TestRelations:
     def test_adjoint_side_reverses_stars_and_conjugates(self):
         # the coefficients are Laurent polynomials with integer coefficients
         # in the real q, so each is its own conjugate and stays as it is
-        lp = matrixball._lp
+        lp = relations._lp
         side = [
             (lp((0, 1)), (("z", 1, 2), ("z", 2, 1))),
             (lp((1, 1), (-1, -1)), (("zs", 1, 1), ("z", 2, 2))),
             (lp((0, -1)), (("z", 3, 1),)),
             (lp((2, 1)), ()),
         ]
-        assert matrixball._adjoint_side(side) == [
+        assert relations._adjoint_side(side) == [
             (lp((0, 1)), (("zs", 2, 1), ("zs", 1, 2))),
             (lp((1, 1), (-1, -1)), (("zs", 2, 2), ("z", 1, 1))),
             (lp((0, -1)), (("zs", 3, 1),)),
@@ -372,11 +373,7 @@ class FullProducts:
         if kind == "zs":
             return self.g.gen(k, j).adjoint()
         if k not in self.a_m:
-            n = self.g.n
-            minus = [
-                (matrixball._lp((0, -1)), matrixball._z_zs(i, n, i, n)) for i in range(k, n + 1)
-            ]
-            self.a_m[k] = self.side([(matrixball._ONE, ())] + minus)
+            self.a_m[k] = self.side(relations.a_m_side(self.g.n, k))
         return self.a_m[k]
 
     def __call__(self, *word):
@@ -389,52 +386,38 @@ class FullProducts:
     def side(self, side):
         q = self.g.q
         terms = [
-            self(*word) if c == matrixball._ONE else self(*word).scale(matrixball._lp_eval(c, q))
+            self(*word) if c == relations._ONE else self(*word).scale(relations._lp_eval(c, q))
             for c, word in side
         ]
         return sum(terms[1:], terms[0])
 
 
 def full_product_relations(g):
-    """The reports of ``verify_relations``, in its order, from full products."""
-    n, d = g.n, 2
+    """The reports of ``verify_relations``, in its order, from full products:
+    each exchange instance is checked against both right-hand sides, each by
+    a call of its own."""
     full = FullProducts(g)
-    quadruples = list(itertools.product(range(1, n + 1), repeat=4))
     out = []
-    for indices in quadruples:
-        for relation, lhs, rhs in matrixball._holomorphic_relations(*indices):
-            adjoint = (relation + "*", matrixball._adjoint_side(lhs), matrixball._adjoint_side(rhs))
-            for name, left, right in ((relation, lhs, rhs), adjoint):
-                residual = residual_on_window(full.side(left), full.side(right), d)
-                out.append((name, indices, residual.hex(), d))
-    for indices in quadruples:
-        a, b, alpha, beta = indices
-        lhs = full(("zs", b, beta), ("z", a, alpha))
-        rhs = matrixball._case_rhs(g, *indices, full)
-        case = matrixball._zaa4_case_id(*indices)
-        out.append((case, indices, residual_on_window(lhs, rhs, d).hex(), d))
-        rform = [(c, word) for word, c in sorted(zaa4_r_coefficients(n, *indices).items())]
-        out.append(("R-form", indices, residual_on_window(lhs, full.side(rform), d).hex(), d))
+    for family, indices, lhs, rhs, depth in relations.instances(g.n):
+        if family == "A_m-comm":
+            continue
+        left = full.side(lhs)
+        if family.startswith("zaa4"):
+            case_rhs = matrixball._case_rhs(g, *indices, full)
+            out.append((family, indices, residual_on_window(left, case_rhs, depth).hex(), depth))
+            family = "R-form"
+        out.append((family, indices, residual_on_window(left, full.side(rhs), depth).hex(), depth))
     return out
 
 
 def full_product_a_m(g):
     """The reports of ``a_m_checks``, in its order, from full products."""
-    n, lp, one = g.n, matrixball._lp, matrixball._ONE
     full = FullProducts(g)
-    out = []
-    for m in range(1, n + 1):
-        a_m = ("A", m, 0)
-        for j in range(1, n + 1):
-            z = ("z", j, n)
-            lhs = [(one if j < m else lp((2, 1)), (z, a_m))]
-            residual = residual_on_window(full.side(lhs), full(a_m, z), 3)
-            out.append(("A_m-comm", (m, j, int(j >= m)), residual.hex(), 3))
-        lhs = full.side([(lp((0, 1), (2, -1)), (a_m,))])
-        z, zs = ("z", m, n), ("zs", m, n)
-        rhs = full.side([(one, (zs, z)), (lp((0, -1)), (z, zs))])
-        out.append(("A_m-comm", (m, 0, 2), residual_on_window(lhs, rhs, 2).hex(), 2))
-    return out
+    return [
+        (family, indices, residual_on_window(full.side(lhs), full.side(rhs), depth).hex(), depth)
+        for family, indices, lhs, rhs, depth in relations.instances(g.n)
+        if family == "A_m-comm"
+    ]
 
 
 def hexed(reports):
@@ -460,7 +443,7 @@ class TestWindowProducts:
     def test_reports_match_full_products_bit_for_bit(self, n, N):
         g = fock_rep(n, Q, N)
         assert hexed(verify_relations(g)) == full_product_relations(g)
-        if N > matrixball.A_M_DEPTH:
+        if N > relations.A_M_DEPTH:
             assert hexed(a_m_checks(g)) == full_product_a_m(g)
         else:
             for run in (a_m_checks, full_product_a_m):
@@ -493,7 +476,7 @@ class TestWindowProducts:
         with np.errstate(invalid="ignore", over="ignore"):
             reports = hexed(verify_relations(g))
             assert reports == full_product_relations(g)
-            if N > matrixball.A_M_DEPTH:
+            if N > relations.A_M_DEPTH:
                 assert hexed(a_m_checks(g)) == full_product_a_m(g)
         assert any(residual == "nan" for _, _, residual, _ in reports)
 
@@ -712,11 +695,10 @@ class TestRelationData:
                 shilov_eval(g, a, b)
 
         sides = _recorded_sides(monkeypatch, run)
-        for indices in itertools.product(range(1, n + 1), repeat=4):
-            for _, lhs, rhs in matrixball._holomorphic_relations(*indices):
-                sides += [lhs, rhs]
-            for table in (zaa4_case_coefficients, zaa4_r_coefficients):
-                sides.append([(c, word) for word, c in table(n, *indices).items()])
+        for family, indices, lhs, rhs, _ in relations.instances(n):
+            sides += [lhs, rhs]
+            if family.startswith("zaa4"):
+                sides.append([(c, w) for w, c in zaa4_case_coefficients(n, *indices).items()])
         names = set()
         for side in sides:
             assert side
@@ -730,10 +712,11 @@ class TestRelationData:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
     def test_coefficients_evaluate_to_the_inline_floats(self, monkeypatch, q):
         # the floats that the relations used to be written with
-        ev = matrixball._lp_eval
-        (_, _, zaa1), = matrixball._holomorphic_relations(1, 1, 1, 2)
+        ev = relations._lp_eval
+        sides = {(f, i): (lhs, rhs) for f, i, lhs, rhs, _ in relations.instances(2)}
+        _, zaa1 = sides["zaa1", (1, 1, 1, 2)]
         assert ev(zaa1[0][0], q).hex() == q.hex()
-        (_, zaa3_lhs, zaa3), = matrixball._holomorphic_relations(1, 2, 1, 2)
+        zaa3_lhs, zaa3 = sides["zaa3", (1, 2, 1, 2)]
         assert ev(zaa3[0][0], q).hex() == (q - 1.0 / q).hex()
         assert ev(zaa3_lhs[1][0], q) == -1.0
 
@@ -756,7 +739,7 @@ class TestRelationData:
             (side,) = _recorded_sides(monkeypatch, lambda: shilov_eval(g, alpha, beta))
             want = (q ** (2 * n - alpha - beta)).hex()
             assert [ev(c, q).hex() for c, _ in side[:n]] == [want] * n
-            assert side[n:] == ([(matrixball._lp((0, -1)), ())] if alpha == beta else [])
+            assert side[n:] == ([(relations._lp((0, -1)), ())] if alpha == beta else [])
 
     @pytest.mark.parametrize("n,N", [(2, 6), (3, 5)])
     def test_damaged_generator_fails_exactly_its_a_m_families(self, n, N):
@@ -779,6 +762,51 @@ class TestRelationData:
         assert failed[(1, 0, 2)] == pytest.approx(
             (1 - Q**2) * 2.000001000146412e-06, rel=1e-9
         )
+
+
+def _group(family):
+    if family.startswith("zaa4"):
+        return "exchange"
+    return "A_m" if family == "A_m-comm" else "holomorphic"
+
+
+class TestRelationInstances:
+    """``relations.instances`` lists every relation instance once, and the
+    checkers report them in its order."""
+
+    TOTALS = {3: 165, 4: 516, 5: 1255, 6: 2598, 7: 4809, 8: 8200}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_family_counts_follow_the_closed_forms(self, n):
+        instances = list(relations.instances(n))
+        counts = collections.Counter(_group(family) for family, *_ in instances)
+        assert counts["holomorphic"] == 2 * (n * n * (n - 1) + 2 * math.comb(n, 2) ** 2)
+        assert counts["exchange"] == n**4
+        assert counts["A_m"] == n * (n + 1)
+        assert len({(family, indices) for family, indices, *_ in instances}) == len(instances)
+        if n in self.TOTALS:
+            assert len(instances) == self.TOTALS[n]
+
+    # sha256 of repr([(relation, indices, depth), ...]) over the reports of
+    # verify_relations followed by those of a_m_checks (run where N >= 4),
+    # written by commit 5545b87, before the instances were enumerated in
+    # one place: a change that moves, renames or drops one report fails here
+    @pytest.mark.parametrize(
+        "n, N, count, digest",
+        [
+            (2, 4, 50, "2b903f3e50779fc04db3848d74f950f7d05c7b087040b792da2eb79640507605"),
+            (3, 5, 246, "4d7759c92c19ac89597db1d75e584c8c43ba9079841ad5e236fc199980593a67"),
+            (4, 4, 772, "7b3ad7fd491e8d04b88ef780ddd631fb9bb464353d4416764685238dc4cdcdbe"),
+            (5, 3, 1850, "c5a84cf4e6c9add688aa2023f6ceae70ea0bdfe4a341588f1eb0247f49f2e060"),
+            (6, 3, 3852, "2cb767e56795358885ea36176945d9d3fec95c310e30363b3765cd73cd0c99d3"),
+        ],
+    )
+    def test_report_order_is_pinned(self, n, N, count, digest):
+        g = fock_rep(n, Q, N)
+        reports = verify_relations(g) + (a_m_checks(g) if N >= 4 else [])
+        order = [(r.relation, r.indices, r.depth) for r in reports]
+        assert len(order) == count
+        assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
 class TestContractions:

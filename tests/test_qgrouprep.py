@@ -48,7 +48,7 @@ def apply_tau_loop(op, ev):
     reference for its bits: each term's scalar is multiplied, as a Python
     complex, by the character value of each assigned factor in assignment
     order, and the term is dropped at its first zero."""
-    table = ev.as_dict()
+    table = dict(ev.assignments)
     keep = [axis for axis in range(op.f) if (axis + 1) not in table]
     values = {}
     scalars = []
