@@ -1,8 +1,10 @@
 """Batch command surface: counting, coset minimization, representation
 building, relation verification, and grid rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid input.  All output
-goes to stdout (JSON or plain text); ``--out FILE`` redirects it.
+Exit codes: 0 success, 1 verification failure, 2 invalid input: an option
+out of range, any malformed input file, or work over a fixed limit (such as
+``enumerate`` beyond ``MAX_ENUMERATED_STRINGS``).  All output goes to stdout
+(JSON or plain text); ``--out FILE`` redirects it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from .qoperator import TensorOperator, operator_to_json, vacuum_matrix_element
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
+
+# most strings ``enumerate`` lists: n = 8 (1,441,729 strings) runs, n = 9
+# (17,572,114) would hold gigabytes before printing any
+MAX_ENUMERATED_STRINGS = 2_000_000
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -54,6 +60,12 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    count = permgroup.gf_counts(args.n)[args.n]
+    if count > MAX_ENUMERATED_STRINGS:
+        raise ValueError(
+            f"enumerate --n {args.n} would list {count} strings, more than the "
+            f"limit {MAX_ENUMERATED_STRINGS}; count --n {args.n} counts them"
+        )
     strings = permgroup.enumerate_admissible(args.n)
     _dump_json([list(ks) for ks in strings], args.out_path)
     return EXIT_OK
@@ -284,6 +296,8 @@ def _check(args: argparse.Namespace) -> None:
         raise ValueError(f"perturbation must be finite, got {args.perturb}")
     if args.subcommand == "verify" and (args.string_path is None) == (args.fock is None):
         raise ValueError("verify needs exactly one of --string or --fock")
+    if "fock" in args and args.fock is not None and args.fock < 1:
+        raise ValueError(f"--fock must be at least 1, got {args.fock}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -291,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check(args)
         return args.handler(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -34,7 +34,6 @@ __all__ = [
     "enumerate_paths",
     "synthesize_z",
     "render_ascii",
-    "parse_ascii",
 ]
 
 VERT_PASS = "VertPass"
@@ -50,7 +49,6 @@ _ARROW_BLOCK = {
 }
 
 _GLYPHS = {"white": ".", "light": "o", "dark": "#"}
-_KINDS = {v: k for k, v in _GLYPHS.items()}
 
 
 @dataclass(frozen=True)
@@ -238,38 +236,6 @@ def render_ascii(grid: GridDiagram) -> str:
             if cell.kind == "light":
                 lines.append(f"o@({row},{col})={cell.phase!r}")
     return "\n".join(lines)
-
-
-def parse_ascii(text: str) -> GridDiagram:
-    lines = [line for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty grid text")
-    n = len(lines[0].split()[0])
-    if len(lines) < n + 1:
-        raise ValueError("truncated grid text")
-    phases: dict[tuple[int, int], float] = {}
-    for line in lines[n + 1 :]:
-        head, _, value = line.partition("=")
-        if not head.startswith("o@(") or not head.endswith(")"):
-            raise ValueError(f"bad phase annotation {line!r}")
-        row_s, col_s = head[3:-1].split(",")
-        phases[(int(row_s), int(col_s))] = float(value)
-    rows = []
-    for row in range(1, n + 1):
-        glyphs = lines[row - 1].split()[0]
-        if len(glyphs) != n:
-            raise ValueError(f"row {row} has {len(glyphs)} cells, expected {n}")
-        cells = []
-        for col, glyph in enumerate(glyphs, start=1):
-            if glyph not in _KINDS:
-                raise ValueError(f"unknown glyph {glyph!r}")
-            kind = _KINDS[glyph]
-            if kind == "light":
-                cells.append(Cell("light", phases.get((row, col), 0.0)))
-            else:
-                cells.append(Cell(kind))
-        rows.append(tuple(cells))
-    return GridDiagram(n, tuple(rows))
 
 
 def path_to_json(path: LatticePath) -> dict:

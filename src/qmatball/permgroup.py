@@ -55,6 +55,25 @@ def _index(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _real(value, what: str) -> float:
+    """``float(value)``, raising ``ValueError`` for a value that is no number."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
+def _json_fields(data, *keys) -> list:
+    """The values of ``keys`` in the JSON object ``data``, raising
+    ``ValueError`` when ``data`` is no object or lacks one of them."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    return [data[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..m} in one-line notation: ``images[i-1] = sigma(i)``."""
@@ -117,7 +136,12 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
-        return cls(_index(data["m"], "m"), tuple(data["images"]))
+        m, images = _json_fields(data, "m", "images")
+        try:
+            images = tuple(images)
+        except TypeError:
+            raise ValueError(f"images must be a list, got {images!r}") from None
+        return cls(_index(m, "m"), images)
 
 
 @dataclass(frozen=True)
@@ -200,13 +224,10 @@ def admissible_bound(ks: Sequence[int], j: int) -> int:
     return best
 
 
-def is_admissible(ks: Sequence[int], n: int | None = None) -> bool:
+def is_admissible(ks: Sequence[int]) -> bool:
     """Whether ``[k_n, ..., k_1]`` satisfies every row bound."""
     ks = [_index(x, "k") for x in ks]
-    if n is None:
-        n = len(ks)
-    if n != len(ks):
-        raise ValueError(f"expected {n} entries, got {len(ks)}")
+    n = len(ks)
     return all(0 <= ks[n - j] <= admissible_bound(ks, j) for j in range(1, n + 1))
 
 
@@ -285,15 +306,14 @@ def minimal_coset_rep(sigma: Permutation) -> CosetFactorization:
     return CosetFactorization(w=w, g=g_sort.inverse(), h=h_sort.inverse())
 
 
-def boundary_set(ks: Sequence[int], n: int | None = None) -> set[int]:
+def boundary_set(ks: Sequence[int]) -> set[int]:
     """Rows sitting at their bound: ``{ j : k_j == admissible_bound(ks, j) }``.
 
     These are exactly the rows j with 1 <= compose(ks)(n+j) <= n.
     """
     ks = [_index(x, "k") for x in ks]
-    if n is None:
-        n = len(ks)
-    if not is_admissible(ks, n):
+    n = len(ks)
+    if not is_admissible(ks):
         raise ValueError(f"inadmissible string {ks}")
     return {j for j in range(1, n + 1) if ks[n - j] == admissible_bound(ks, j)}
 
@@ -383,7 +403,7 @@ class AdmissibleString:
 
     def __post_init__(self) -> None:
         ks = tuple(_index(x, "k") for x in self.ks)
-        phases = tuple(float(x) for x in self.phases) if self.phases else (0.0,) * self.n
+        phases = tuple(_real(x, "phase") for x in self.phases) if self.phases else (0.0,) * self.n
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "phases", phases)
         if len(ks) != self.n or len(phases) != self.n:
@@ -412,15 +432,20 @@ class AdmissibleString:
         return [(self.k(j), self.phase(j)) for j in range(self.n, 0, -1)]
 
     def boundary(self) -> set[int]:
-        return boundary_set(self.ks, self.n)
+        return boundary_set(self.ks)
 
     def to_json(self) -> dict:
         return {"n": self.n, "pairs": [[k, phi] for k, phi in self.pairs()]}
 
     @classmethod
     def from_json(cls, data: dict) -> "AdmissibleString":
-        n = _index(data["n"], "n")
-        pairs = data["pairs"]
+        n, pairs = _json_fields(data, "n", "pairs")
+        n = _index(n, "n")
+        if not isinstance(pairs, list):
+            raise ValueError(f"pairs must be a list, got {pairs!r}")
         if len(pairs) != n:
             raise ValueError(f"expected {n} pairs, got {len(pairs)}")
-        return cls(n, tuple(p[0] for p in pairs), tuple(float(p[1]) for p in pairs))
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2):
+                raise ValueError(f"each pair must be [k, phi], got {p!r}")
+        return cls(n, tuple(k for k, _ in pairs), tuple(phi for _, phi in pairs))

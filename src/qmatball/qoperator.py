@@ -497,9 +497,6 @@ class TensorOperator:
             np.concatenate((self.ids, other.ids)),
         )
 
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        return self + other.scale(-1.0)
-
     def scale(self, c: complex) -> "TensorOperator":
         scalars = _cmul(complex(c), self.scalars)
         return TensorOperator._of(self.f, self.dim, scalars, self.ids)

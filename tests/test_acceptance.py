@@ -271,7 +271,7 @@ def test_criterion_9_operator_identities():
     adjoint_ok = residual_on_window(T[(1, 1)], T[(2, 2)].adjoint(), 1)
     fundamental = [
         # quantum-determinant line, asserted equal to the identity
-        (T[(1, 1)] * T[(2, 2)] - (T[(1, 2)] * T[(2, 1)]).scale(q), I),
+        (T[(1, 1)] * T[(2, 2)], (T[(1, 2)] * T[(2, 1)]).scale(q) + I),
         (T[(1, 2)] * T[(2, 1)], T[(2, 1)] * T[(1, 2)]),
         (T[(1, 1)] * T[(1, 2)], (T[(1, 2)] * T[(1, 1)]).scale(q)),
         (T[(1, 1)] * T[(2, 1)], (T[(2, 1)] * T[(1, 1)]).scale(q)),

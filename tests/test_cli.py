@@ -75,6 +75,24 @@ class TestEnumerate:
         _, second, _ = run(capsys, "enumerate", "--n", "3")
         assert first == second
 
+    def test_refused_over_the_limit_before_listing(self, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError("enumerate built the list of strings")
+
+        monkeypatch.setattr(cli, "MAX_ENUMERATED_STRINGS", 33)
+        monkeypatch.setattr(cli.permgroup, "enumerate_admissible", refuse)
+        code, out, err = run(capsys, "enumerate", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: enumerate --n 3 would list 34 strings, more than the limit 33; "
+            "count --n 3 counts them\n"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_ENUMERATED_STRINGS", 34)
+        code, out, _ = run(capsys, "enumerate", "--n", "3")
+        assert code == 0 and len(json.loads(out)) == 34
+
 
 class TestMinimize:
     def test_identity(self, capsys, tmp_path):
@@ -268,6 +286,41 @@ class TestIntegerInput:
         assert all(type(x) is int for x in perm.images)
 
 
+class TestMalformedInput:
+    """Every malformed input file exits 2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "command, flag, data, message",
+        [
+            ("verify", "--string", {"n": 2, "pairs": 5}, "pairs must be a list, got 5"),
+            ("verify", "--string", [1, 2], "expected a JSON object, got list"),
+            ("verify", "--string", {"n": 2}, "missing key 'pairs'"),
+            ("render", "--string", {"n": 2, "pairs": [[1], [0, 0.0]]},
+             "each pair must be [k, phi], got [1]"),
+            ("build", "--string", {"n": 2, "pairs": [None, [0, 0.0]]},
+             "each pair must be [k, phi], got None"),
+            ("build", "--string", {"n": 1, "pairs": [[1, None]]},
+             "phase must be a number, got None"),
+            ("minimize", "--perm", {"m": 4, "images": 7}, "images must be a list, got 7"),
+            ("minimize", "--perm", {"images": [1, 2]}, "missing key 'm'"),
+        ],
+    )
+    def test_exits_2_without_a_traceback(self, capsys, tmp_path, command, flag, data, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unreadable_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text('{"n": 2,')
+        code, out, err = run(capsys, "render", "--string", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestVerify:
     def test_fock_2_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "5")
@@ -427,6 +480,12 @@ class TestVerify:
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_fock_below_1_exit_2(self, capsys, value):
+        code, out, err = run(capsys, "verify", "--fock", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --fock must be at least 1, got {value}\n"
 
 
 class TestParser:

@@ -125,10 +125,10 @@ class TestCycles:
 
 class TestAdmissibility:
     def test_listed_examples(self):
-        assert is_admissible([2, 2], 2)
-        assert not is_admissible([0, 2], 2)
+        assert is_admissible([2, 2])
+        assert not is_admissible([0, 2])
         assert admissible_bound([0, 2], 1) == 1
-        assert is_admissible([0], 1) and is_admissible([1], 1)
+        assert is_admissible([0]) and is_admissible([1])
 
     def test_entries_are_not_truncated(self):
         with pytest.raises(ValueError, match="k must be an integer"):

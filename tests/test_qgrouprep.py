@@ -199,8 +199,10 @@ class TestHomomorphismSpotChecks:
                             rhs = t(beta, b) * t(alpha, a)
                             assert residual_on_window(lhs, rhs, 2) < 1e-10
                         elif alpha < beta and a < b:
-                            lhs = t(alpha, a) * t(beta, b) - t(beta, b) * t(alpha, a)
-                            rhs = (t(beta, a) * t(alpha, b)).scale(Q - 1.0 / Q)
+                            lhs = t(alpha, a) * t(beta, b)
+                            rhs = t(beta, b) * t(alpha, a) + (
+                                t(beta, a) * t(alpha, b)
+                            ).scale(Q - 1.0 / Q)
                             assert residual_on_window(lhs, rhs, 2) < 1e-10
 
 

@@ -117,7 +117,7 @@ class TestTBlocks:
         checks = [
             (T[(1, 1)], T[(2, 2)].adjoint()),
             # the quantum-determinant line: equals the identity, not zero
-            (T[(1, 1)] * T[(2, 2)] - T[(1, 2)] * T[(2, 1)].scale(q), I),
+            (T[(1, 1)] * T[(2, 2)], T[(1, 2)] * T[(2, 1)].scale(q) + I),
             (T[(1, 2)] * T[(2, 1)], T[(2, 1)] * T[(1, 2)]),
             (T[(1, 1)] * T[(1, 2)], (T[(1, 2)] * T[(1, 1)]).scale(q)),
             (T[(1, 1)] * T[(2, 1)], (T[(2, 1)] * T[(1, 1)]).scale(q)),
