@@ -2,9 +2,10 @@
 building, relation verification, and grid rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input: an option
-out of range, any malformed input file, or work over a fixed limit (such as
-``enumerate`` beyond ``MAX_ENUMERATED_STRINGS``).  All output goes to stdout
-(JSON or plain text); ``--out FILE`` redirects it.
+out of range, any malformed input file (a JSON boolean or string where a
+number belongs included), or work over a fixed limit (``enumerate`` beyond
+``MAX_ENUMERATED_STRINGS``, ``paths`` beyond ``MAX_LISTED_PATHS``).  All
+output goes to stdout (JSON or plain text); ``--out FILE`` redirects it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ EXIT_BAD_INPUT = 2
 # most strings ``enumerate`` lists: n = 8 (1,441,729 strings) runs, n = 9
 # (17,572,114) would hold gigabytes before printing any
 MAX_ENUMERATED_STRINGS = 2_000_000
+
+# most paths ``paths`` lists, each kept for the life of the process: at
+# k = j = 1, n = 10 (48,620 paths, 379 MB) runs, n = 11 (184,756) peaks
+# near 1.5 GB
+MAX_LISTED_PATHS = 100_000
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -219,7 +225,13 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    paths = diagramcalc.enumerate_paths(args.n, args.k, args.j)
+    n, k, j = args.n, args.k, args.j
+    diagramcalc._check_labels(n, k, j)
+    count = math.comb(2 * n - k - j, n - k)
+    if count > MAX_LISTED_PATHS:
+        raise ValueError(f"paths --n {n} --k {k} --j {j} would list {count} paths, "
+                         f"more than the limit {MAX_LISTED_PATHS}")
+    paths = diagramcalc.enumerate_paths(n, k, j)
     _dump_json([diagramcalc.path_to_json(p) for p in paths], args.out_path)
     return EXIT_OK
 

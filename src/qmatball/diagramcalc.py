@@ -18,7 +18,7 @@ import cmath
 import functools
 from dataclasses import dataclass
 
-from .permgroup import AdmissibleString, admissible_bound
+from .permgroup import AdmissibleString, _real, admissible_bound
 from .qoperator import TensorOperator, t_block_ids
 
 __all__ = [
@@ -59,7 +59,7 @@ class Cell:
     def __post_init__(self) -> None:
         if self.kind not in _GLYPHS:
             raise ValueError(f"unknown cell kind {self.kind!r}")
-        object.__setattr__(self, "phase", float(self.phase))
+        object.__setattr__(self, "phase", _real(self.phase, "phase"))
         if self.kind != "light" and self.phase != 0.0:
             raise ValueError(f"{self.kind} cells carry no phase")
 
@@ -146,10 +146,14 @@ def enumerate_paths(n: int, k: int, j: int) -> list[LatticePath]:
     return list(_staircase_paths(n, k, j))
 
 
-@functools.cache
-def _staircase_paths(n: int, k: int, j: int) -> tuple[LatticePath, ...]:
+def _check_labels(n: int, k: int, j: int) -> None:
     if not (1 <= k <= n and 1 <= j <= n):
         raise ValueError(f"boundary labels ({k}, {j}) outside 1..{n}")
+
+
+@functools.cache
+def _staircase_paths(n: int, k: int, j: int) -> tuple[LatticePath, ...]:
+    _check_labels(n, k, j)
     paths: list[LatticePath] = []
     steps: list[tuple[int, int, str]] = []
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagramcalc import factor_index, grid_from_string
-from .permgroup import AdmissibleString, ReducedWord, _index
+from .permgroup import AdmissibleString, ReducedWord, _index, _real
 from .qgrouprep import (
     FactorEvaluation,
     SoibelmanRep,
@@ -161,7 +161,7 @@ def fock_rep(n: int, q: float, N: int, /) -> GeneratorImages:
     frozen and their operator arrays read-only.  The parameters are
     positional-only, so each ``(n, q, N)`` has a single cache entry.  Invalid
     arguments raise on every call (exceptions are not cached); n and N are
-    read through ``operator.index``, and the cache is typed, so a float
+    read by ``permgroup._index``, and the cache is typed, so a float
     such as 4.0 is refused even once 4 is cached (an ``np.int64(4)`` gets
     an entry of its own, with ``N == 4`` an int).
     ``fock_rep.cache_clear()`` drops the built images.
@@ -430,9 +430,10 @@ def coherent_check(q: float, N: int, phi: float) -> float:
     z*_j^i Omega = 0 away from (i, j) = (1, 1) and z*_1^1 Omega =
     e^{-i phi} Omega.
     """
-    string = AdmissibleString(3, (3, 3, 2), (0.0, 0.0, float(phi)))
+    phi = _real(phi, "phase")
+    string = AdmissibleString(3, (3, 3, 2), (0.0, 0.0, phi))
     g = rep_from_string(string, q, N)
-    expected = {(1, 1): g.identity().scale(cmath.exp(-1j * float(phi)))}
+    expected = {(1, 1): g.identity().scale(cmath.exp(-1j * phi))}
     zero = TensorOperator.zero(g.f, g.N)
     # the window of depth N - 1 holds only Omega
     return max(

@@ -56,11 +56,22 @@ def _index(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """``float(value)``, raising ``ValueError`` for a value that is no number."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    """``float(value)``, raising ``ValueError`` for a value that is no number,
+    a string included (``float`` would parse ``"0.5"``)."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _json_number(value, what: str):
+    """``value`` from a JSON document, where ``true`` and ``false`` are no
+    numbers (in Python a bool is an int, so the readers would take them)."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {str(value).lower()}")
+    return value
 
 
 def _json_fields(data, *keys) -> list:
@@ -82,6 +93,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _index(self.m, "m"))
         images = tuple(_index(x, "image") for x in self.images)
         object.__setattr__(self, "images", images)
         if self.m < 0 or len(images) != self.m:
@@ -138,10 +150,10 @@ class Permutation:
     def from_json(cls, data: dict) -> "Permutation":
         m, images = _json_fields(data, "m", "images")
         try:
-            images = tuple(images)
+            images = tuple(_json_number(x, "image") for x in images)
         except TypeError:
             raise ValueError(f"images must be a list, got {images!r}") from None
-        return cls(_index(m, "m"), images)
+        return cls(_json_number(m, "m"), images)
 
 
 @dataclass(frozen=True)
@@ -156,6 +168,7 @@ class ReducedWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "m", _index(self.m, "m"))
         letters = tuple(_index(x, "letter") for x in self.letters)
         object.__setattr__(self, "letters", letters)
         for i in letters:
@@ -237,10 +250,9 @@ def compose(ks: Sequence[int]) -> Permutation:
     For admissible input this is the minimal element of its double-coset
     orbit and has length ``sum(ks)``.
     """
-    ks = [_index(x, "k") for x in ks]
     n = len(ks)
     if not is_admissible(ks):
-        raise ValueError(f"inadmissible string {ks}")
+        raise ValueError(f"inadmissible string {list(ks)}")
     result = Permutation.identity(2 * n)
     for idx in range(n):
         result = result * cycle_c(ks[idx], n - idx, n)
@@ -311,10 +323,9 @@ def boundary_set(ks: Sequence[int]) -> set[int]:
 
     These are exactly the rows j with 1 <= compose(ks)(n+j) <= n.
     """
-    ks = [_index(x, "k") for x in ks]
     n = len(ks)
     if not is_admissible(ks):
-        raise ValueError(f"inadmissible string {ks}")
+        raise ValueError(f"inadmissible string {list(ks)}")
     return {j for j in range(1, n + 1) if ks[n - j] == admissible_bound(ks, j)}
 
 
@@ -371,7 +382,7 @@ def twist_phases(s: Permutation, phases: Sequence[float]) -> list[float]:
 
     The phases must sum to 0 modulo 2*pi.
     """
-    phases = [float(x) for x in phases]
+    phases = [_real(x, "phase") for x in phases]
     if len(phases) != s.m:
         raise ValueError(f"expected {s.m} phases, got {len(phases)}")
     total = math.fmod(sum(phases), TWO_PI)
@@ -402,24 +413,24 @@ class AdmissibleString:
     phases: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _index(self.n, "n"))
         ks = tuple(_index(x, "k") for x in self.ks)
         phases = tuple(_real(x, "phase") for x in self.phases) if self.phases else (0.0,) * self.n
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "phases", phases)
         if len(ks) != self.n or len(phases) != self.n:
             raise ValueError(f"expected {self.n} pairs, got {len(ks)}/{len(phases)}")
+        # top-down, so each bound reads only rows already checked
         for j in range(self.n, 0, -1):
             bound = admissible_bound(ks, j)
-            kj = ks[self.n - j]
+            kj, phi = ks[self.n - j], phases[self.n - j]
             if not 0 <= kj <= bound:
                 raise ValueError(
                     f"inadmissible string: row {j} has k={kj} outside 0..{bound}"
                 )
-        for j in range(self.n, 0, -1):
-            phi = phases[self.n - j]
             if not -PHASE_TOL <= phi < TWO_PI:
                 raise ValueError(f"phase at row {j} outside [0, 2*pi): {phi}")
-            if self.k(j) == admissible_bound(ks, j) and abs(phi) > PHASE_TOL:
+            if kj == bound and abs(phi) > PHASE_TOL:
                 raise ValueError(f"row {j} sits at its bound, so its phase must be 0")
 
     def k(self, j: int) -> int:
@@ -440,7 +451,7 @@ class AdmissibleString:
     @classmethod
     def from_json(cls, data: dict) -> "AdmissibleString":
         n, pairs = _json_fields(data, "n", "pairs")
-        n = _index(n, "n")
+        n = _index(_json_number(n, "n"), "n")
         if not isinstance(pairs, list):
             raise ValueError(f"pairs must be a list, got {pairs!r}")
         if len(pairs) != n:
@@ -448,4 +459,5 @@ class AdmissibleString:
         for p in pairs:
             if not (isinstance(p, list) and len(p) == 2):
                 raise ValueError(f"each pair must be [k, phi], got {p!r}")
-        return cls(n, tuple(k for k, _ in pairs), tuple(phi for _, phi in pairs))
+        ks = tuple(_json_number(k, "k") for k, _ in pairs)
+        return cls(n, ks, tuple(_json_number(phi, "phase") for _, phi in pairs))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .permgroup import Permutation, ReducedWord, _index, reduced_word, twist_phases
+from .permgroup import Permutation, ReducedWord, _index, _real, reduced_word, twist_phases
 from .qoperator import (
     FACTORS,
     FactorMatrix,
@@ -25,7 +25,6 @@ from .qoperator import (
     _check_dim,
     _check_q,
     _cmul,
-    t_block,
     t_block_ids,
     vacuum_matrix_element,
 )
@@ -33,7 +32,6 @@ from .qoperator import (
 __all__ = [
     "SoibelmanRep",
     "FactorEvaluation",
-    "pi_elementary",
     "rep_generator",
     "apply_tau",
     "evaluate_terms",
@@ -42,28 +40,13 @@ __all__ = [
 ]
 
 
-def pi_elementary(i: int, m: int, q: float, N: int, k: int, l: int):
-    """Image of t_{kl} under the i-th elementary representation of size m.
-
-    Returns a FactorMatrix for (k, l) in {i, i+1}^2 and the Kronecker scalar
-    otherwise.
-    """
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"elementary index {i} outside 1..{m - 1}")
-    if not (1 <= k <= m and 1 <= l <= m):
-        raise ValueError(f"matrix entry ({k}, {l}) outside 1..{m}")
-    if k in (i, i + 1) and l in (i, i + 1):
-        return t_block(k - i + 1, l - i + 1, q, N)
-    return 1.0 + 0.0j if k == l else 0.0 + 0.0j
-
-
 @dataclass(frozen=True)
 class SoibelmanRep:
     """Tensor-product representation attached to a reduced word, with an
     optional character twist on the right.  Its size ``m`` is the word's.
     ``q`` and ``N`` are checked and stored as the engine's factor builders
-    read them: q a float in (0, 1), N an integer of at least 2 taken
-    through ``operator.index``; anything else raises ``ValueError``."""
+    read them: q a float in (0, 1), N an integer of at least 2 read by
+    ``permgroup._index``; anything else raises ``ValueError``."""
 
     word: ReducedWord
     q: float
@@ -74,7 +57,7 @@ class SoibelmanRep:
         object.__setattr__(self, "q", _check_q(self.q))
         object.__setattr__(self, "N", _check_dim(self.N))
         if self.phases is not None:
-            phases = tuple(float(x) for x in self.phases)
+            phases = tuple(_real(x, "phase") for x in self.phases)
             if len(phases) != self.m:
                 raise ValueError(f"expected {self.m} phases, got {len(phases)}")
             object.__setattr__(self, "phases", phases)
@@ -86,16 +69,6 @@ class SoibelmanRep:
     @property
     def f(self) -> int:
         return len(self.word)
-
-    @classmethod
-    def from_permutation(
-        cls,
-        s: Permutation,
-        q: float,
-        N: int,
-        phases: Sequence[float] | None = None,
-    ) -> "SoibelmanRep":
-        return cls(reduced_word(s), q, N, tuple(phases) if phases else None)
 
 
 def rep_generator(rep: SoibelmanRep, k: int, l: int) -> TensorOperator:
@@ -147,7 +120,9 @@ class FactorEvaluation:
     assignments: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((_index(i, "factor index"), float(phi)) for i, phi in self.assignments)
+        pairs = tuple(
+            (_index(i, "factor index"), _real(phi, "phase")) for i, phi in self.assignments
+        )
         object.__setattr__(self, "assignments", pairs)
         indices = [i for i, _ in pairs]
         if len(set(indices)) != len(indices):
@@ -251,10 +226,10 @@ def twist_check(
     matrix elements (which determine the equivalence class uniquely), so the
     comparison is made there, over all generator entries.
     """
-    phases = [float(x) for x in phases]
-    permuted = twist_phases(s, phases)
-    right = SoibelmanRep.from_permutation(s, q, N, phases)
-    plain = SoibelmanRep.from_permutation(s, q, N)
+    word = reduced_word(s)
+    right = SoibelmanRep(word, q, N, tuple(phases))
+    plain = SoibelmanRep(word, q, N)
+    permuted = twist_phases(s, right.phases)
     worst = 0.0
     for i in range(1, s.m + 1):
         for j in range(1, s.m + 1):

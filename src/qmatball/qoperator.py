@@ -21,12 +21,11 @@ infinite-dimensional action.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .permgroup import _index
+from .permgroup import _index, _json_number, _real
 
 __all__ = [
     "FactorMatrix",
@@ -301,7 +300,7 @@ FACTORS = FactorTable()
 
 
 def _check_dim(N: int) -> int:
-    """N read through ``operator.index`` (so 3.5, 4.0 and "4" raise
+    """N read by ``permgroup._index`` (so 3.5, 4.0 and "4" raise
     ``ValueError``), checked to be at least 2."""
     N = _index(N, "truncation level")
     if N < 2:
@@ -318,7 +317,7 @@ def shift(N: int) -> FactorMatrix:
 
 
 def _check_q(q: float) -> float:
-    q = float(q)
+    q = _real(q, "deformation parameter")
     if not 0.0 < q < 1.0:
         raise ValueError(f"deformation parameter must lie in (0, 1), got {q}")
     return q
@@ -630,8 +629,8 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
 
     The window keeps every component m_i <= N-1-d, where d bounds the length
     of the generator words involved, so an identity of the untruncated
-    algebra must come out zero up to floating point.  ``d`` is taken through
-    ``operator.index`` (so ``True`` is depth 1) and must satisfy 0 <= d < N,
+    algebra must come out zero up to floating point.  ``d`` is read by
+    ``permgroup._index`` (so ``True`` is depth 1) and must satisfy 0 <= d < N,
     or ``ValueError`` is raised.
 
     First the terms that vanish on the window are dropped (those that
@@ -687,12 +686,7 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     """
     a._check_compatible(b)
     dim = a.dim
-    try:
-        d = operator.index(d)
-    except TypeError:
-        raise ValueError(
-            f"window depth d must be an integer, got d={d!r} at N={dim}"
-        ) from None
+    d = _index(d, f"window depth d={d!r} at N={dim}")
     if d < 0:
         raise ValueError(f"window depth d must be at least 0, got d={d} at N={dim}")
     window = dim - d
@@ -866,7 +860,7 @@ def operator_to_json(op: TensorOperator) -> dict:
 
 def _complex_from_json(z) -> complex:
     re, im = z
-    return complex(re, im)
+    return complex(_json_number(re, "real part"), _json_number(im, "imaginary part"))
 
 
 def _factor_from_json(entry, dim: int) -> FactorMatrix | None:
@@ -874,7 +868,8 @@ def _factor_from_json(entry, dim: int) -> FactorMatrix | None:
         return None
     if not isinstance(entry, dict):
         raise ValueError(f'factor entry must be "I" or an object, got {entry!r}')
-    F = FactorMatrix(entry["delta"], [_complex_from_json(z) for z in entry["amps"]])
+    delta = _json_number(entry["delta"], "shift")
+    F = FactorMatrix(delta, [_complex_from_json(z) for z in entry["amps"]])
     if F.dim != dim:
         raise ValueError(f"factor of size {F.dim} in an operator of dim {dim}")
     return F
@@ -884,12 +879,12 @@ def operator_from_json(data: dict) -> TensorOperator:
     """Inverse of ``operator_to_json``, by interning each factor entry.
     Malformed input raises ``ValueError``: f < 0, dim < 2, a non-finite
     scalar, a term without f factors, a factor not "I" or of size dim, a
-    shift of modulus 2^31 or more."""
+    shift of modulus 2^31 or more, a JSON boolean where a number belongs."""
     try:
-        f = operator.index(data["f"])
+        f = _index(_json_number(data["f"], "factor count f"), "factor count f")
         if f < 0:
             raise ValueError(f"factor count f must be at least 0, got {f}")
-        dim = _check_dim(data["dim"])
+        dim = _check_dim(_json_number(data["dim"], "truncation level"))
         scalars, rows = [], []
         for raw in data["terms"]:
             scalars.append(_complex_from_json(raw["scalar"]))

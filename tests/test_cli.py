@@ -303,6 +303,16 @@ class TestMalformedInput:
              "phase must be a number, got None"),
             ("minimize", "--perm", {"m": 4, "images": 7}, "images must be a list, got 7"),
             ("minimize", "--perm", {"images": [1, 2]}, "missing key 'm'"),
+            ("render", "--string", {"n": 2, "pairs": [[1, "0.5"], [0, 0.0]]},
+             "phase must be a number, got '0.5'"),
+            ("render", "--string", {"n": 2, "pairs": [[1, True], [0, 0.0]]},
+             "phase must be a number, got true"),
+            ("build", "--string", {"n": True, "pairs": [[1, 0.0]]}, "n must be a number, got true"),
+            ("build", "--string", {"n": 1, "pairs": [[True, 0.0]]}, "k must be a number, got true"),
+            ("build", "--string", {"n": 1, "pairs": [[False, 0.0]]},
+             "k must be a number, got false"),
+            ("minimize", "--perm", {"m": 2, "images": [True, 2]},
+             "image must be a number, got true"),
         ],
     )
     def test_exits_2_without_a_traceback(self, capsys, tmp_path, command, flag, data, message):
@@ -439,6 +449,13 @@ class TestVerify:
             ("R-form", (1, 1, 1, 1), want),
         ]
 
+    def test_perturbing_a_zero_generator_raises(self):
+        # a damaged zero would still be zero, so the verifier could not flag it
+        zero = cli.TensorOperator.zero(1, 3)
+        g = cli.matrixball.GeneratorImages(1, 0.5, 3, ((zero,),), provenance="zero")
+        with pytest.raises(ValueError, match="cannot perturb a zero generator"):
+            cli._perturbed(g, 1e-3)
+
     def test_string_verification(self, capsys, tmp_path):
         path = write_string(tmp_path, AdmissibleString(2, (2, 1), (0.0, 0.5)))
         code, out, _ = run(capsys, "verify", "--string", path, "--trunc", "5")
@@ -526,11 +543,30 @@ class TestPaths:
         assert code == 0
         assert len(json.loads(out)) == 6
 
-    def test_label_outside_the_grid_exit_2(self, capsys):
+    def test_label_outside_the_grid_exit_2(self, capsys, monkeypatch):
+        # checked before the count, which labels outside the grid would skew
+        monkeypatch.setattr(cli, "MAX_LISTED_PATHS", 0)
         code, out, err = run(capsys, "paths", "--n", "3", "--k", "4", "--j", "1")
         assert code == 2
         assert out == ""
         assert err == "error: boundary labels (4, 1) outside 1..3\n"
+
+    def test_refused_over_the_limit_before_listing(self, capsys, monkeypatch):
+        def refuse(n, k, j):
+            raise AssertionError("paths listed the paths")
+
+        monkeypatch.setattr(cli, "MAX_LISTED_PATHS", 5)
+        monkeypatch.setattr(cli.diagramcalc, "enumerate_paths", refuse)
+        code, out, err = run(capsys, "paths", "--n", "3", "--k", "1", "--j", "1")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: paths --n 3 --k 1 --j 1 would list 6 paths, more than the limit 5\n"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_LISTED_PATHS", 6)
+        code, out, _ = run(capsys, "paths", "--n", "3", "--k", "1", "--j", "1")
+        assert code == 0 and len(json.loads(out)) == 6
 
 
 class TestOutputFile:

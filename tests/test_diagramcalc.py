@@ -233,3 +233,16 @@ def test_path_count_formula(n, k, j):
     if k > n or j > n:
         return
     assert len(enumerate_paths(n, k, j)) == math.comb(2 * n - k - j, n - k)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factor_index(2, 3, 1), "cell \\(3, 1\\) outside the 2 x 2 grid"),
+        (lambda: Cell("light", None), "phase must be a number, got None"),
+        (lambda: Cell("light", "0.5"), "phase must be a number, got '0.5'"),
+    ],
+)
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

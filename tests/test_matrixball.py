@@ -684,6 +684,13 @@ def _recorded_sides(monkeypatch, run):
 class TestRelationData:
     """Every relation side is a list of (integer Laurent polynomial, word)."""
 
+    def test_exchange_tables_that_disagree_raise(self, monkeypatch):
+        # the per-case and R-matrix tables are transcribed independently; a
+        # slip in either must stop the enumeration, not pick one of them
+        monkeypatch.setattr(relations, "zaa4_r_coefficients", lambda *args: {})
+        with pytest.raises(AssertionError, match="disagree at \\(1, 1, 1, 1\\)"):
+            next(relations.exchange_instances(2))
+
     @pytest.mark.parametrize("n,N", [(2, 4), (3, 4)])
     def test_every_coefficient_is_an_integer_laurent_polynomial(self, monkeypatch, n, N):
         g = fock_rep(n, Q, N)
@@ -887,3 +894,21 @@ class TestStructuralInvariants:
             if not is_exact_zero_on_vacuum(g.gen(k, j).adjoint())
         ]
         assert survivors == [(1, 1)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fock_rep(2, Q, 4).gen(3, 1), "generator index \\(3, 1\\) outside 1..2"),
+        (lambda: shilov_eval(fock_rep(2, Q, 4), 0, 1), "indices \\(0, 1\\) outside 1..2"),
+        (lambda: MonomialExponent(((1, 0), (0,))), "exponent matrix must be square"),
+        (lambda: MonomialExponent(((-1,),)), "exponents must be nonnegative"),
+        (lambda: z_monomial(fock_rep(2, Q, 4), MonomialExponent(((1,),))),
+         "exponent matrix is 1 x 1, representation has n=2"),
+        (lambda: coherent_check(Q, 4, None), "phase must be a number, got None"),
+        (lambda: coherent_check(Q, 4, "0.5"), "phase must be a number, got '0.5'"),
+    ],
+)
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

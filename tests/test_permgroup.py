@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmatball import permgroup
 from qmatball.permgroup import (
     AdmissibleString,
+    CosetFactorization,
     Permutation,
     ReducedWord,
     admissible_bound,
@@ -325,6 +327,56 @@ class TestAdmissibleString:
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
             AdmissibleString(2, (0, 2), (0.0, 0.0))
+
+
+def _decompose_unchecked(images):
+    """``decompose`` without its minimality check: a minimal permutation
+    always decomposes, so only this reaches its two failures."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "minimal_coset_rep", lambda w: CosetFactorization(w, w, w))
+        return decompose(Permutation(len(images), images))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Permutation(3, (1, 2)), "expected 3 images, got 2"),
+        (lambda: Permutation(4.0, (1, 2, 3, 4)), "m must be an integer, got 4.0"),
+        (lambda: Permutation.transposition(3, 3), "s_3 does not exist in S_3"),
+        (lambda: Permutation.identity(3)(4), "argument 4 outside 1..3"),
+        (lambda: Permutation.identity(2) * Permutation.identity(3),
+         "cannot compose S_2 with S_3"),
+        (lambda: Permutation.from_json({"m": 2, "images": [True, 2]}),
+         "image must be a number, got true"),
+        (lambda: Permutation.from_json({"m": True, "images": [1]}),
+         "m must be a number, got true"),
+        (lambda: ReducedWord(3, (3,)), "letter s_3 outside S_3"),
+        (lambda: ReducedWord(3.0, (1,)), "m must be an integer, got 3.0"),
+        (lambda: admissible_bound([0, 0], 3), "row index j=3 outside 1..2"),
+        (lambda: compose([0, 2]), "inadmissible string \\[0, 2\\]"),
+        (lambda: boundary_set([0, 2]), "inadmissible string \\[0, 2\\]"),
+        (lambda: decompose(Permutation.identity(3)), "expected an element of S_"),
+        (lambda: minimal_coset_rep(Permutation.identity(3)), "expected an element of S_"),
+        (lambda: _decompose_unchecked((2, 3, 4, 1)), "row 2 gives k=3"),
+        (lambda: _decompose_unchecked((2, 1, 3, 4)), "nontrivial remainder"),
+        (lambda: gf_counts(-1), "n_max must be nonnegative"),
+        (lambda: twist_phases(Permutation.identity(2), [0.0]), "expected 2 phases, got 1"),
+        (lambda: twist_phases(Permutation.identity(1), ["0"]),
+         "phase must be a number, got '0'"),
+        (lambda: l_exponent(Permutation.identity(2), 3), "index 3 outside 1..2"),
+        (lambda: AdmissibleString(2, (0,)), "expected 2 pairs, got 1/2"),
+        (lambda: AdmissibleString(2.0, (0, 0)), "n must be an integer, got 2.0"),
+        (lambda: AdmissibleString(1, (0,), (7.0,)), "phase at row 1 outside"),
+        (lambda: AdmissibleString(1, (0,), ("0.5",)), "phase must be a number, got '0.5'"),
+        (lambda: AdmissibleString.from_json({"n": 2, "pairs": [[0, 0.0]]}),
+         "expected 2 pairs, got 1"),
+        (lambda: AdmissibleString.from_json({"n": 1, "pairs": [[0, -1.0]]}),
+         "phase at row 1 outside"),
+    ],
+)
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @settings(max_examples=40)

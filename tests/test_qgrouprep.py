@@ -20,7 +20,6 @@ from qmatball.qgrouprep import (
     SoibelmanRep,
     apply_tau,
     evaluate_terms,
-    pi_elementary,
     rep_generator,
     tau_factor_value,
     twist_check,
@@ -73,25 +72,6 @@ def assert_same_bits(got, want):
     assert got.ids.shape == want.ids.shape
     assert got.ids.tobytes() == want.ids.tobytes()
     assert got.scalars.tobytes() == want.scalars.tobytes()
-
-
-class TestElementary:
-    def test_inside_block(self):
-        F = pi_elementary(1, 3, Q, N, 1, 2)
-        assert F.provenance == ("T12",)
-        assert np.allclose(F.entries, t_block(1, 2, Q, N).entries)
-
-    def test_off_block_zero(self):
-        assert pi_elementary(1, 3, Q, N, 1, 3) == 0.0
-
-    def test_off_block_identity(self):
-        assert pi_elementary(1, 3, Q, N, 3, 3) == 1.0
-
-    def test_index_errors(self):
-        with pytest.raises(ValueError):
-            pi_elementary(3, 3, Q, N, 1, 1)
-        with pytest.raises(ValueError):
-            pi_elementary(1, 3, Q, N, 0, 1)
 
 
 class TestSoibelmanRep:
@@ -354,3 +334,24 @@ class TestTwist:
             phases = rng.uniform(0, 2 * math.pi, size=3)
             phases = list(phases) + [float(-sum(phases) % (2 * math.pi))]
             assert twist_check(s, phases) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SoibelmanRep(ReducedWord(3, (1,)), Q, N, (0.0,)), "expected 3 phases, got 1"),
+        (lambda: SoibelmanRep(ReducedWord(2, (1,)), Q, N, (0.0, None)),
+         "phase must be a number, got None"),
+        (lambda: rep_generator(SoibelmanRep(ReducedWord(3, (1,)), Q, N), 4, 1),
+         "matrix entry \\(4, 1\\) outside 1..3"),
+        (lambda: FactorEvaluation(((0, 0.0),)), "factor indices are 1-based"),
+        (lambda: FactorEvaluation(((1, None),)), "phase must be a number, got None"),
+        (lambda: tau_factor_value(FactorMatrix(0, [1.0] * N, ("X",)), 0.3),
+         "factor tag 'X' has no scalar evaluation"),
+        (lambda: twist_check(Permutation(2, (2, 1)), ["0.5", "-0.5"]),
+         "phase must be a number, got '0.5'"),
+    ],
+)
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

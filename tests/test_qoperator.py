@@ -1073,6 +1073,13 @@ class TestWeightedShiftOracle:
             (1, 3, [1.0, 0.0], ["I", "I"], "2 factors, operator has f=1"),
             (1, 3, [1.0, 0.0], [{"delta": 2**63, "amps": [[0.0, 0.0]] * 3}], "2\\^31"),
             (1, 3, [1.0, 0.0], [{"delta": -(2**63) - 1, "amps": [[0.0, 0.0]] * 3}], "2\\^31"),
+            (True, 3, None, None, "factor count f must be a number, got true"),
+            (1, True, None, None, "truncation level must be a number, got true"),
+            (1, 3, [True, 0.0], ["I"], "real part must be a number, got true"),
+            (1, 3, [1.0, 0.0], [{"delta": True, "amps": [[0.0, 0.0]] * 3}],
+             "shift must be a number, got true"),
+            (1, 3, [1.0, 0.0], [{"delta": 0, "amps": [[1.0, False]] * 3}],
+             "imaginary part must be a number, got false"),
         ],
         ids=[
             "negative-f",
@@ -1087,6 +1094,11 @@ class TestWeightedShiftOracle:
             "too-many-factors",
             "delta-2^63",
             "delta-below--2^63",
+            "boolean-f",
+            "boolean-dim",
+            "boolean-scalar",
+            "boolean-delta",
+            "boolean-amplitude",
         ],
     )
     def test_json_boundary_rejects(self, f, dim, scalar, factors, message):
@@ -1454,3 +1466,17 @@ class TestApplyDenseOracle:
         v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = op.apply(v).reshape(-1)
         assert np.allclose(got, dense_matrix(op) @ v.reshape(-1), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FactorMatrix(0, []), "amplitudes must be a nonempty vector"),
+        (lambda: t_block(1, 1, Q, 3).matmul(t_block(1, 1, Q, 4)), "factor dimension mismatch"),
+        (lambda: qoperator._check_q(None), "deformation parameter must be a number, got None"),
+        (lambda: c_q("0.5", N), "deformation parameter must be a number, got '0.5'"),
+    ],
+)
+def test_bad_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
