@@ -454,8 +454,6 @@ class AdmissibleString:
         n = _index(_json_number(n, "n"), "n")
         if not isinstance(pairs, list):
             raise ValueError(f"pairs must be a list, got {pairs!r}")
-        if len(pairs) != n:
-            raise ValueError(f"expected {n} pairs, got {len(pairs)}")
         for p in pairs:
             if not (isinstance(p, list) and len(p) == 2):
                 raise ValueError(f"each pair must be [k, phi], got {p!r}")

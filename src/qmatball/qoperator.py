@@ -55,8 +55,10 @@ MAX_RESIDUAL_ELEMENTS = 64_000_000
 MAX_RESIDUAL_WORK = 1 << 30
 
 # elements in one chunk of term blocks that a residual call builds at once;
-# a term whose block is larger is built alone
-_CHUNK_ELEMENTS = 1 << 12
+# a term whose block is larger is built alone.  2^14 builds the classes on
+# 7 or 8 axes at window 3 (3^7 or 3^8 elements per term) seven or two
+# terms at a time, with one call per chunk instead of one per term
+_CHUNK_ELEMENTS = 1 << 14
 
 # dtype of factor ids; a table never nears 2^31 factors
 _ID = np.int32
@@ -658,9 +660,12 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     class's terms are built only on the axes the class uses, ``W_c`` and
     ``G_c`` per term, in chunks of at most ``_CHUNK_ELEMENTS`` elements (one
     term, if a single term is larger).  Each chunk takes the running class
-    sum into its first term and is summed in place by
-    ``np.add.accumulate``, which, unlike a reduction, adds the terms one
-    after another.  The class's squared moduli are then added, broadcast
+    sum into its first term and is summed in place, one row add per term:
+    like an axis-0 ``np.add.accumulate``, and unlike a reduction, this adds
+    the terms one after another, but it runs numpy's inner loop along a row
+    rather than down each column, about six times faster on eight rows of
+    3^8 elements.  The scatter path adds its class squares the same way.
+    The class's squared moduli are then added, broadcast
     over the axes it does not use, into a float64 sum of squares of W.  The
     call holds that sum (W / 2), the class sum, and the chunk being built
     with its previous axis and gathered amplitudes (``W_c + W_c / window +
@@ -758,8 +763,10 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
         square = np.abs(_scatter_by_class(block, classes, count))
         del block
         np.square(square, out=square)
-        # accumulate, unlike a reduction, adds the classes one after another
-        total = np.add.accumulate(square, axis=0, out=square)[-1]
+        # row by row, unlike a reduction, adds the classes one after another
+        for row in range(1, count):
+            np.add(square[row - 1], square[row], out=square[row])
+        total = square[-1]
     else:
         total = np.zeros((window,) * axes, dtype=np.float64)
         for own_scalars, own, use, part in plan:
@@ -770,9 +777,9 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
                 if start:
                     np.add(running, block[0], out=block[0])
                     del running
-                if len(block) > 1:
-                    # accumulate, unlike a reduction, adds the terms one after another
-                    np.add.accumulate(block, axis=0, out=block)
+                # row by row, unlike a reduction, adds the terms one after another
+                for row in range(1, len(block)):
+                    np.add(block[row - 1], block[row], out=block[row])
                 # the class sum so far: a chunk of one term is that sum, and
                 # a longer one is let go, so that the next is built without it
                 running = block[0] if len(block) == 1 else block[-1].copy()

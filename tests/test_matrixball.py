@@ -816,6 +816,46 @@ class TestRelationInstances:
         assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
+class TestResidualBits:
+    # sha256 of " ".join(float.hex) over the residuals of verify_relations
+    # followed by those of a_m_checks, written by commit bf8e2c1, before the
+    # window residual added its terms row by row in larger chunks: a change
+    # of the residual kernel that moves one bit of one report fails here.
+    # Fock scalars and amplitudes are real, so fused multiply-adds in numpy's
+    # complex loop cannot move these bits.
+    @pytest.mark.parametrize(
+        "N, digest",
+        [
+            (5, "b5167df27b3c94192350091b49a11c760f48b8d4916ae0c7057508c7c8ffd135"),
+            (6, "0c298c3531854b1dd5c51d02b428614fbbf3eb4c29e1d13117beb49977d93e07"),
+        ],
+    )
+    def test_report_bits_are_pinned(self, monkeypatch, N, digest):
+        calls = {"residual": 0, "scatter": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            matrixball, "residual_on_window", counted("residual", residual_on_window)
+        )
+        monkeypatch.setattr(
+            qoperator, "_scatter_by_class", counted("scatter", qoperator._scatter_by_class)
+        )
+        g = fock_rep(3, Q, N)
+        reports = verify_relations(g) + a_m_checks(g)
+        assert len(reports) == 246
+        # both paths of the window residual run: some calls scatter, the
+        # others sum class by class
+        assert 0 < calls["scatter"] < calls["residual"]
+        hexes = " ".join(r.residual.hex() for r in reports)
+        assert hashlib.sha256(hexes.encode()).hexdigest() == digest
+
+
 class TestContractions:
     def test_fock_n1(self):
         checks = contraction_check(fock_rep(1, Q, 8))

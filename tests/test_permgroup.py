@@ -369,7 +369,7 @@ def _decompose_unchecked(images):
         (lambda: AdmissibleString(1, (0,), (7.0,)), "phase at row 1 outside"),
         (lambda: AdmissibleString(1, (0,), ("0.5",)), "phase must be a number, got '0.5'"),
         (lambda: AdmissibleString.from_json({"n": 2, "pairs": [[0, 0.0]]}),
-         "expected 2 pairs, got 1"),
+         "expected 2 pairs, got 1/1"),
         (lambda: AdmissibleString.from_json({"n": 1, "pairs": [[0, -1.0]]}),
          "phase at row 1 outside"),
     ],
