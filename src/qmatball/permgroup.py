@@ -415,7 +415,9 @@ class AdmissibleString:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _index(self.n, "n"))
         ks = tuple(_index(x, "k") for x in self.ks)
-        phases = tuple(_real(x, "phase") for x in self.phases) if self.phases else (0.0,) * self.n
+        # absent phases default to 0, one per pair given, so the count check
+        # below refuses a wrong n before anything of size n is built
+        phases = tuple(_real(x, "phase") for x in self.phases) if self.phases else (0.0,) * len(ks)
         object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "phases", phases)
         if len(ks) != self.n or len(phases) != self.n:

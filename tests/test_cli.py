@@ -313,6 +313,11 @@ class TestMalformedInput:
              "k must be a number, got false"),
             ("minimize", "--perm", {"m": 2, "images": [True, 2]},
              "image must be a number, got true"),
+            ("verify", "--string", {"n": 2, "pairs": []}, "expected 2 pairs, got 0/0"),
+            ("render", "--string", {"n": 10**12, "pairs": []},
+             "expected 1000000000000 pairs, got 0/0"),
+            ("build", "--string", {"n": 10**30, "pairs": [[0, 0.0]]},
+             f"expected {10**30} pairs, got 1/1"),
         ],
     )
     def test_exits_2_without_a_traceback(self, capsys, tmp_path, command, flag, data, message):

@@ -364,7 +364,8 @@ def _decompose_unchecked(images):
         (lambda: twist_phases(Permutation.identity(1), ["0"]),
          "phase must be a number, got '0'"),
         (lambda: l_exponent(Permutation.identity(2), 3), "index 3 outside 1..2"),
-        (lambda: AdmissibleString(2, (0,)), "expected 2 pairs, got 1/2"),
+        (lambda: AdmissibleString(2, (0,), (0.0, 0.0)), "expected 2 pairs, got 1/2"),
+        (lambda: AdmissibleString(3, (0,)), "expected 3 pairs, got 1/1"),
         (lambda: AdmissibleString(2.0, (0, 0)), "n must be an integer, got 2.0"),
         (lambda: AdmissibleString(1, (0,), (7.0,)), "phase at row 1 outside"),
         (lambda: AdmissibleString(1, (0,), ("0.5",)), "phase must be a number, got '0.5'"),
