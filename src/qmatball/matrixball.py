@@ -29,6 +29,7 @@ from .qgrouprep import (
 )
 from .qoperator import (
     TensorOperator,
+    _cmul,
     is_exact_zero_on_vacuum,
     norm_bound,
     # unused here; kept because perfbench/tracing.py wraps matrixball.norm_estimate
@@ -224,6 +225,23 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     return GeneratorImages(n, base.q, base.N, table, provenance=f"string{string.pairs()!r}")
 
 
+def _combine(terms: list[tuple[float | None, TensorOperator]]) -> TensorOperator:
+    """The sum of ``c * op`` over the pairs ``(c, op)`` of ``terms``, in
+    their order, all operators of one shape; a coefficient of None scales
+    nothing.  The sum is built in one pass: each scaled operator's scalars
+    are the one ``_cmul(complex(c), op.scalars)`` that ``op.scale(c)``
+    computes, and the scalars and ids of all terms are concatenated once,
+    in the layout of the chain ``op.scale(c) + ...``, so the result has
+    that chain's terms bit for bit.  A single unscaled operator is returned
+    as it is."""
+    if len(terms) == 1 and terms[0][0] is None:
+        return terms[0][1]
+    first = terms[0][1]
+    scalars = [op.scalars if c is None else _cmul(complex(c), op.scalars) for c, op in terms]
+    ids = np.concatenate([op.ids for _, op in terms])
+    return TensorOperator._of(first.f, first.dim, np.concatenate(scalars), ids)
+
+
 class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
     computed once, and the operators of relation sides, all built for the
@@ -279,13 +297,11 @@ class _Products:
         return self._products[word]
 
     def side(self, side: _Side) -> TensorOperator:
-        """The operator of one relation side, its terms summed in order; the
-        one place where a coefficient is evaluated at q (1 scales nothing)."""
-        terms = [
-            self(*word) if c == _ONE else self(*word).scale(_lp_eval(c, self.g.q))
-            for c, word in side
-        ]
-        return sum(terms[1:], terms[0])
+        """The operator of one relation side, its terms summed in order by
+        ``_combine``; the one place where a coefficient is evaluated at q
+        (1 scales nothing)."""
+        q = self.g.q
+        return _combine([(None if c == _ONE else _lp_eval(c, q), self(*word)) for c, word in side])
 
     def forget_products(self) -> None:
         """Drops the cached products and keeps the named operators."""
@@ -340,7 +356,8 @@ def _case_rhs(
     g: GeneratorImages, a: int, b: int, alpha: int, beta: int, prod: _Products
 ) -> TensorOperator:
     """Exchange right-hand side built directly from the per-case formulas
-    (independent of the coefficient-table route used for the R-matrix form)."""
+    (independent of the coefficient-table route used for the R-matrix form),
+    its terms summed in order by ``_combine``."""
     n, q = g.n, g.q
 
     def z_zs(k1, j1, k2, j2):
@@ -349,24 +366,22 @@ def _case_rhs(
     if a != b and alpha != beta:
         return z_zs(a, alpha, b, beta)
     if a == b and alpha != beta:
-        op = z_zs(a, alpha, a, beta).scale(q)
-        for j in range(a + 1, n + 1):
-            op = op + z_zs(j, alpha, j, beta).scale(-(1.0 / q - q))
-        return op
-    if a != b and alpha == beta:
-        op = z_zs(a, alpha, b, alpha).scale(q)
-        for j in range(alpha + 1, n + 1):
-            op = op + z_zs(a, j, b, j).scale(-(1.0 / q - q))
-        return op
-    op = z_zs(a, alpha, a, alpha).scale(q**2)
-    for j in range(alpha + 1, n + 1):
-        op = op + z_zs(a, j, a, j).scale(-(1.0 - q**2))
-    for j in range(a + 1, n + 1):
-        op = op + z_zs(j, alpha, j, alpha).scale(-(1.0 - q**2))
-    for j in range(alpha + 1, n + 1):
-        for m in range(a + 1, n + 1):
-            op = op + z_zs(m, j, m, j).scale((1.0 - q**2) ** 2 / q**2)
-    return op + g.identity().scale(1.0 - q**2)
+        terms = [(q, z_zs(a, alpha, a, beta))]
+        terms += [(-(1.0 / q - q), z_zs(j, alpha, j, beta)) for j in range(a + 1, n + 1)]
+    elif a != b and alpha == beta:
+        terms = [(q, z_zs(a, alpha, b, alpha))]
+        terms += [(-(1.0 / q - q), z_zs(a, j, b, j)) for j in range(alpha + 1, n + 1)]
+    else:
+        terms = [(q**2, z_zs(a, alpha, a, alpha))]
+        terms += [(-(1.0 - q**2), z_zs(a, j, a, j)) for j in range(alpha + 1, n + 1)]
+        terms += [(-(1.0 - q**2), z_zs(j, alpha, j, alpha)) for j in range(a + 1, n + 1)]
+        terms += [
+            ((1.0 - q**2) ** 2 / q**2, z_zs(m, j, m, j))
+            for j in range(alpha + 1, n + 1)
+            for m in range(a + 1, n + 1)
+        ]
+        terms.append((1.0 - q**2, g.identity()))
+    return _combine(terms)
 
 
 def z_monomial(g: GeneratorImages, A: MonomialExponent) -> TensorOperator:

@@ -231,10 +231,16 @@ def admissible_bound(ks: Sequence[int], j: int) -> int:
     n = len(ks)
     if not 1 <= j <= n:
         raise ValueError(f"row index j={j} outside 1..{n}")
-    best = j
-    for i in range(j + 1, n + 1):
-        best = max(best, ks[n - i] + j + 1 - i)
-    return best
+    return _row_bound(ks, n, j)
+
+
+def _row_bound(ks: Sequence[int], n: int, j: int) -> int:
+    """The bound of ``admissible_bound`` for row j of n, from the rows above
+    it, ``k_i = ks[n - i]`` for j < i <= n; ``ks`` may hold only those
+    rows, as while ``iter_admissible`` fills the rows from the top.  With
+    ``x = n - i``, ``k_i + j + 1 - i`` is ``ks[x] + x + j + 1 - n``."""
+    above = max(map(operator.add, ks, range(n - j)), default=n - 1)
+    return max(j, above + j + 1 - n)
 
 
 def is_admissible(ks: Sequence[int]) -> bool:
@@ -340,12 +346,8 @@ def iter_admissible(n: int) -> Iterator[tuple[int, ...]]:
     while True:
         # fill the remaining rows with 0
         while len(ks) < n:
-            j = n - len(ks)
-            bound = j
-            for i in range(j + 1, n + 1):
-                bound = max(bound, ks[n - i] + j + 1 - i)
+            bounds.append(_row_bound(ks, n, n - len(ks)))
             ks.append(0)
-            bounds.append(bound)
         yield tuple(ks)
         # step the last row below its bound, dropping the rows at theirs
         while ks and ks[-1] == bounds[-1]:

@@ -60,6 +60,12 @@ MAX_RESIDUAL_WORK = 1 << 30
 # terms at a time, with one call per chunk instead of one per term
 _CHUNK_ELEMENTS = 1 << 14
 
+# most products ``_cmul`` computes as Python complex numbers: below about 32
+# a list of CPython products is faster than the six numpy calls of the array
+# route (about 4 us at any small size), above it slower (timeit, CPython
+# 3.11, numpy 2.4)
+_PYTHON_PRODUCTS = 32
+
 # dtype of factor ids; a table never nears 2^31 factors
 _ID = np.int32
 
@@ -385,9 +391,33 @@ def t_block_ids(q: float, N: int) -> dict[tuple[int, int], int]:
 
 def _cmul(a: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise complex product of a Python complex or complex128 array
-    and a complex128 array, broadcast, computed as CPython computes
-    ``complex * complex`` (each part rounded after every operation, no fused
-    multiply-add), so that it does not depend on the loop numpy picks."""
+    and a complex128 array, computed as CPython computes ``complex *
+    complex`` (each part rounded after every operation, no fused
+    multiply-add), so that it does not depend on the loop numpy picks.
+
+    Three call shapes are served: a Python complex times a vector
+    (``scale``), a column (m, 1) times a row (1, n), giving (m, n)
+    (``__mul__``), and two vectors of one length (``evaluate_terms``).
+    Up to ``_PYTHON_PRODUCTS`` products are computed as Python complex
+    numbers, one ``*`` each; more are computed by the array route, which
+    evaluates each part with the formula CPython's complex multiply
+    evaluates, ``a.real * b.real - a.imag * b.imag`` and ``a.real * b.imag
+    + a.imag * b.real``, in float64 ufuncs that round each operation.  Both
+    routes round the same operations in the same order, so a product has
+    the same bits on either, signed zeros and infinities included; a part
+    is NaN on one exactly when it is on the other, though a NaN made from
+    two NaNs may take its sign and payload from either, as it may between
+    numpy's own loops.  The route is picked by comparing sizes, before any
+    array is made."""
+    if a.__class__ is complex:
+        if b.size <= _PYTHON_PRODUCTS:
+            return np.array([a * z for z in b.tolist()], dtype=np.complex128)
+    elif a.ndim == 1:
+        if b.size <= _PYTHON_PRODUCTS:
+            return np.array([x * y for x, y in zip(a.tolist(), b.tolist())], dtype=np.complex128)
+    elif a.size * b.size <= _PYTHON_PRODUCTS:
+        products = [x * y for x in a.ravel().tolist() for y in b.ravel().tolist()]
+        return np.array(products, dtype=np.complex128).reshape(a.size, b.size)
     real = a.real * b.real - a.imag * b.imag
     out = np.empty(real.shape, dtype=np.complex128)
     out.real = real
@@ -427,11 +457,11 @@ class TensorOperator:
         scalars.setflags(write=False)
         ids.setflags(write=False)
         op = object.__new__(cls)
-        object.__setattr__(op, "f", f)
-        object.__setattr__(op, "dim", dim)
-        object.__setattr__(op, "scalars", scalars)
-        object.__setattr__(op, "ids", ids)
-        object.__setattr__(op, "_terms", None)
+        _set_f(op, f)
+        _set_dim(op, dim)
+        _set_scalars(op, scalars)
+        _set_ids(op, ids)
+        _set_terms(op, None)
         return op
 
     @classmethod
@@ -457,7 +487,7 @@ class TensorOperator:
                 TensorTerm(scalar, tuple(factors[tid] for tid in row))
                 for scalar, row in zip(self.scalars.tolist(), self.ids.tolist())
             )
-            object.__setattr__(self, "_terms", terms)
+            _set_terms(self, terms)
         return self._terms
 
     @classmethod
@@ -466,7 +496,7 @@ class TensorOperator:
 
     @classmethod
     def zero(cls, f: int, dim: int) -> "TensorOperator":
-        return cls.from_ids(f, dim, [], [])
+        return cls._of(f, dim, np.zeros(0, dtype=np.complex128), np.zeros((0, f), dtype=_ID))
 
     def is_zero(self) -> bool:
         return not np.any(self.scalars)
@@ -547,6 +577,13 @@ class TensorOperator:
                 w = np.roll(along * w, int(FACTORS.deltas[tid]), axis=axis)
             out = out + scalar * w
         return out
+
+
+# the setters of the slots, which ``_of`` calls past the ``__setattr__``
+# that keeps operators immutable
+_set_f, _set_dim, _set_scalars, _set_ids, _set_terms = (
+    TensorOperator.__dict__[name].__set__ for name in TensorOperator.__slots__
+)
 
 
 def vacuum_matrix_element(op: TensorOperator) -> complex:
@@ -638,8 +675,9 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     First the terms that vanish on the window are dropped (those that
     ``_live_on_window`` finds dead), which are +-0 at every window element;
     adding +-0 changes only the sign of a zero, which the modulus removes.
-    Every count below is of the live terms that remain, and of the axes on
-    which one of them is not the identity.
+    When no term is live the call returns 0.0 at once, before any count
+    or limit below.  Every count below is of the live terms that remain,
+    and of the axes on which one of them is not the identity.
 
     Terms are grouped by shift vector, classes numbered by first term.
     Every class is summed in term order from zero, and the squared column
@@ -700,11 +738,15 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     scalars = np.concatenate((a.scalars, -b.scalars))
     ids = np.concatenate((a.ids, b.ids))
     live = _live_on_window(scalars, ids, window)
-    scalars, ids = scalars[live], ids[live]
-    # axes that every term treats as identity do not affect any column norm
-    ids = ids[:, ids.any(axis=0)]
-    if not scalars.size:
+    kept = np.count_nonzero(live)
+    if not kept:
         return 0.0
+    if kept < live.size:
+        scalars, ids = scalars[live], ids[live]
+    # axes that every term treats as identity do not affect any column norm
+    used = ids.any(axis=0)
+    if np.count_nonzero(used) < used.size:
+        ids = ids[:, used]
     if not ids.shape[1]:
         return abs(sum(scalars.tolist(), 0j))
 

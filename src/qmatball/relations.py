@@ -5,9 +5,10 @@ A side is a list of ``(LaurentPoly, word)`` terms, a word being a product of
 at most two named operators and ``()`` the identity.  A coefficient is an
 integer Laurent polynomial in q, ``{power: coefficient}``; this module
 evaluates no floats, so the same data can be read exactly as well as
-numerically.  ``instances(n)`` lists every relation instance in report order,
-chaining the holomorphic, exchange and A_m instances, and each checker loops
-over it or over the part it checks.
+numerically.  Sides and tables share the constant coefficients, so a
+coefficient must not be mutated.  ``instances(n)`` lists every relation
+instance in report order, chaining the holomorphic, exchange and A_m
+instances, and each checker loops over it or over the part it checks.
 """
 
 from __future__ import annotations
@@ -63,7 +64,20 @@ def _lp_eval(a: LaurentPoly, q: float) -> float:
     return float(sum(float(c) * q**p for p, c in a.items()))
 
 
+# the constant coefficients, built once: every side and table that uses one
+# shares it, and nothing mutates them (_lp_add and _lp_mul return new dicts).
+# Each keeps the term order of the literal it replaced where that order can
+# matter, in _lp_eval's sum of three terms or more
 _ONE = _lp((0, 1))
+_MINUS_ONE = _lp((0, -1))
+_Q = _lp((1, 1))
+_Q2 = _lp((2, 1))
+_Q_INV = _lp((-1, 1))
+_Q_MINUS_Q_INV = _lp((1, 1), (-1, -1))
+_ONE_MINUS_Q2 = _lp((0, 1), (2, -1))  # 1 - q^2
+_Q2_MINUS_ONE = _lp((0, -1), (2, 1))  # -(1 - q^2)
+_ONE_MINUS_Q_INV2 = _lp((-2, -1), (0, 1))  # -(q^{-2} - 1)
+_CORNER = _lp((-2, 1), (0, -2), (2, 1))  # q^{-2}(1 - q^2)^2
 
 # ("z", k, j) names z_k^j, ("zs", k, j) its adjoint and ("A", m, 0) the A_m
 # of the commutation families, which each reader expands through a_m_side
@@ -82,11 +96,11 @@ def _r_coefficients(i: int, j: int, n: int) -> dict[tuple[int, int], LaurentPoly
     """Nonzero entries (k, l) -> coefficient of the exchange R-matrix row (i, j)."""
     out: dict[tuple[int, int], LaurentPoly] = {}
     if i != j:
-        out[(i, j)] = _lp((-1, 1))
+        out[(i, j)] = _Q_INV
     else:
         out[(i, i)] = _ONE
         for l in range(j + 1, n + 1):
-            out[(l, l)] = _lp((-2, -1), (0, 1))  # -(q^{-2} - 1)
+            out[(l, l)] = _ONE_MINUS_Q_INV2
     return out
 
 
@@ -96,14 +110,13 @@ def zaa4_r_coefficients(
     """Right-hand side of the exchange relation for z*_{b,beta} z_{a,alpha},
     expanded through the R-matrix coefficients, keyed by word."""
     out: dict[_Word, LaurentPoly] = {}
-    q2 = _lp((2, 1))
     for (b2, a2), left in _r_coefficients(b, a, n).items():
         for (beta2, alpha2), right in _r_coefficients(beta, alpha, n).items():
             key = _z_zs(a2, alpha2, b2, beta2)
-            contribution = _lp_mul(q2, _lp_mul(left, right))
+            contribution = _lp_mul(_Q2, _lp_mul(left, right))
             out[key] = _lp_add(out.get(key, {}), contribution)
     if a == b and alpha == beta:
-        out[()] = _lp((0, 1), (2, -1))  # 1 - q^2
+        out[()] = _ONE_MINUS_Q2
     return {k: v for k, v in out.items() if v}
 
 
@@ -118,27 +131,26 @@ def _zaa4_case(
         out[_z_zs(a, alpha, b, beta)] = _ONE
     elif a == b and alpha != beta:
         family = "zaa42"
-        out[_z_zs(a, alpha, a, beta)] = _lp((1, 1))
+        out[_z_zs(a, alpha, a, beta)] = _Q
         for j in range(a + 1, n + 1):
-            out[_z_zs(j, alpha, j, beta)] = _lp((-1, -1), (1, 1))  # -(q^{-1} - q)
+            out[_z_zs(j, alpha, j, beta)] = _Q_MINUS_Q_INV
     elif a != b and alpha == beta:
         family = "zaa43"
-        out[_z_zs(a, alpha, b, alpha)] = _lp((1, 1))
+        out[_z_zs(a, alpha, b, alpha)] = _Q
         for j in range(alpha + 1, n + 1):
-            out[_z_zs(a, j, b, j)] = _lp((-1, -1), (1, 1))
+            out[_z_zs(a, j, b, j)] = _Q_MINUS_Q_INV
     else:
         family = "zaa44"
-        out[_z_zs(a, alpha, a, alpha)] = _lp((2, 1))
+        out[_z_zs(a, alpha, a, alpha)] = _Q2
         # the words below are distinct, so no coefficient needs adding up
         for j in range(alpha + 1, n + 1):
-            out[_z_zs(a, j, a, j)] = _lp((0, -1), (2, 1))
+            out[_z_zs(a, j, a, j)] = _Q2_MINUS_ONE
         for j in range(a + 1, n + 1):
-            out[_z_zs(j, alpha, j, alpha)] = _lp((0, -1), (2, 1))
+            out[_z_zs(j, alpha, j, alpha)] = _Q2_MINUS_ONE
         for j in range(alpha + 1, n + 1):
             for m in range(a + 1, n + 1):
-                # q^{-2}(1-q^2)^2
-                out[_z_zs(m, j, m, j)] = _lp((-2, 1), (0, -2), (2, 1))
-        out[()] = _lp((0, 1), (2, -1))
+                out[_z_zs(m, j, m, j)] = _CORNER
+        out[()] = _ONE_MINUS_Q2
     return family, {k: v for k, v in out.items() if v}
 
 
@@ -168,19 +180,19 @@ def _holomorphic_relations(
     za, zb = ("z", a, alpha), ("z", b, beta)
     relations = []
     if (a == b and alpha < beta) or (a < b and alpha == beta):
-        relations.append(("zaa1", [(_ONE, (za, zb))], [(_lp((1, 1)), (zb, za))]))
+        relations.append(("zaa1", [(_ONE, (za, zb))], [(_Q, (zb, za))]))
     if alpha < beta and a > b:
         relations.append(("zaa2", [(_ONE, (za, zb))], [(_ONE, (zb, za))]))
     if alpha < beta and a < b:
-        lhs = [(_ONE, (za, zb)), (_lp((0, -1)), (zb, za))]
-        rhs = [(_lp((1, 1), (-1, -1)), (("z", a, beta), ("z", b, alpha)))]
+        lhs = [(_ONE, (za, zb)), (_MINUS_ONE, (zb, za))]
+        rhs = [(_Q_MINUS_Q_INV, (("z", a, beta), ("z", b, alpha)))]
         relations.append(("zaa3", lhs, rhs))
     return relations
 
 
 def a_m_side(n: int, m: int) -> _Side:
     """A_m = I - sum_{i >= m} z_i^n z*_i^n."""
-    return [(_ONE, ())] + [(_lp((0, -1)), _z_zs(i, n, i, n)) for i in range(m, n + 1)]
+    return [(_ONE, ())] + [(_MINUS_ONE, _z_zs(i, n, i, n)) for i in range(m, n + 1)]
 
 
 def boundary_side(n: int, alpha: int, beta: int) -> _Side:
@@ -189,7 +201,7 @@ def boundary_side(n: int, alpha: int, beta: int) -> _Side:
     weight = _lp((2 * n - alpha - beta, 1))
     side = [(weight, _z_zs(j, alpha, j, beta)) for j in range(1, n + 1)]
     if alpha == beta:
-        side.append((_lp((0, -1)), ()))
+        side.append((_MINUS_ONE, ()))
     return side
 
 
@@ -236,10 +248,10 @@ def a_m_instances(n: int) -> Iterator[Instance]:
         a_m = ("A", m, 0)
         for j in range(1, n + 1):
             z = ("z", j, n)
-            lhs = [(_ONE if j < m else _lp((2, 1)), (z, a_m))]
+            lhs = [(_ONE if j < m else _Q2, (z, a_m))]
             yield "A_m-comm", (m, j, int(j >= m)), lhs, [(_ONE, (a_m, z))], A_M_DEPTH
-        rhs = [(_ONE, (("zs", m, n), ("z", m, n))), (_lp((0, -1)), _z_zs(m, n, m, n))]
-        yield "A_m-comm", (m, 0, 2), [(_lp((0, 1), (2, -1)), (a_m,))], rhs, 2
+        rhs = [(_ONE, (("zs", m, n), ("z", m, n))), (_MINUS_ONE, _z_zs(m, n, m, n))]
+        yield "A_m-comm", (m, 0, 2), [(_ONE_MINUS_Q2, (a_m,))], rhs, 2
 
 
 def instances(n: int) -> Iterator[Instance]:

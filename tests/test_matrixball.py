@@ -384,12 +384,89 @@ class FullProducts:
         return self.op(word[0]) * self.op(word[1])
 
     def side(self, side):
-        q = self.g.q
-        terms = [
-            self(*word) if c == relations._ONE else self(*word).scale(relations._lp_eval(c, q))
-            for c, word in side
-        ]
-        return sum(terms[1:], terms[0])
+        return chain_side(self, side)
+
+
+def chain_side(prod, side):
+    """A relation side as a chain of ``scale`` and ``+``, one new operator
+    per term: the construction that ``matrixball._combine`` replaced, kept
+    here as its oracle."""
+    q = prod.g.q
+    terms = [
+        prod(*word) if c == relations._ONE else prod(*word).scale(relations._lp_eval(c, q))
+        for c, word in side
+    ]
+    return sum(terms[1:], terms[0])
+
+
+def chain_case_rhs(g, a, b, alpha, beta, prod):
+    """``matrixball._case_rhs`` as a chain of ``scale`` and ``+``."""
+    n, q = g.n, g.q
+
+    def z_zs(k1, j1, k2, j2):
+        return prod(("z", k1, j1), ("zs", k2, j2))
+
+    if a != b and alpha != beta:
+        return z_zs(a, alpha, b, beta)
+    if a == b and alpha != beta:
+        op = z_zs(a, alpha, a, beta).scale(q)
+        for j in range(a + 1, n + 1):
+            op = op + z_zs(j, alpha, j, beta).scale(-(1.0 / q - q))
+        return op
+    if a != b and alpha == beta:
+        op = z_zs(a, alpha, b, alpha).scale(q)
+        for j in range(alpha + 1, n + 1):
+            op = op + z_zs(a, j, b, j).scale(-(1.0 / q - q))
+        return op
+    op = z_zs(a, alpha, a, alpha).scale(q**2)
+    for j in range(alpha + 1, n + 1):
+        op = op + z_zs(a, j, a, j).scale(-(1.0 - q**2))
+    for j in range(a + 1, n + 1):
+        op = op + z_zs(j, alpha, j, alpha).scale(-(1.0 - q**2))
+    for j in range(alpha + 1, n + 1):
+        for m in range(a + 1, n + 1):
+            op = op + z_zs(m, j, m, j).scale((1.0 - q**2) ** 2 / q**2)
+    return op + g.identity().scale(1.0 - q**2)
+
+
+class TestOnePassSides:
+    """``_Products.side`` and ``_case_rhs`` build a side in one pass; each
+    has the terms of the ``scale``/``+`` chain bit for bit, on the same
+    products."""
+
+    @pytest.mark.parametrize(
+        "n,q,N", [(1, 0.3, 6), (2, 0.3, 5), (3, 0.7, 4), (4, 0.3, 3), (4, Q, 4)]
+    )
+    def test_fock_sides_have_the_chain_terms(self, n, q, N):
+        routes = self.check(fock_rep(n, q, N))
+        assert routes["python"]
+        if (n, N) == (4, 4):
+            # some scaled words there have more scalars than _cmul
+            # multiplies as Python complex numbers
+            assert routes["array"]
+
+    def test_string_sides_have_the_chain_terms(self):
+        # complex scalars, from the phases of the light cells
+        g = rep_from_string(AdmissibleString(3, (3, 2, 1), (0.0, 0.7, 2.1)), 0.3, 5)
+        assert self.check(g)["python"]
+
+    @staticmethod
+    def check(g):
+        """Compares every side at ``g``; returns how many scaled words take
+        each route of ``_cmul``."""
+        prod = matrixball._Products(g, g.N - 2)
+        routes = collections.Counter()
+        for family, indices, lhs, rhs, _ in relations.instances(g.n):
+            for side in (lhs, rhs):
+                assert prod.side(side).same_terms(chain_side(prod, side)), (family, indices)
+                for c, word in side:
+                    if c != relations._ONE:
+                        size = prod(*word).scalars.size
+                        routes["array" if size > qoperator._PYTHON_PRODUCTS else "python"] += 1
+            if family.startswith("zaa4"):
+                op = matrixball._case_rhs(g, *indices, prod)
+                assert op.same_terms(chain_case_rhs(g, *indices, prod)), indices
+        return routes
 
 
 def full_product_relations(g):
@@ -852,8 +929,32 @@ class TestResidualBits:
         # both paths of the window residual run: some calls scatter, the
         # others sum class by class
         assert 0 < calls["scatter"] < calls["residual"]
-        hexes = " ".join(r.residual.hex() for r in reports)
-        assert hashlib.sha256(hexes.encode()).hexdigest() == digest
+        assert report_digest(reports) == digest
+
+    # written by commit 2c1b23f, before relation sides were built in one
+    # pass and small scalar arrays multiplied as Python complex numbers
+    def test_fock4_report_bits_are_pinned(self):
+        # the window of depth 2 at N = 3 is the vacuum, and that of the
+        # A_m families is empty, so only verify_relations runs
+        reports = verify_relations(fock_rep(4, Q, 3))
+        assert len(reports) == 752
+        digest = "55d41f6bf8d6746599b076010d225402c98e6f7f013a12d755f9bcaa349f56a3"
+        assert report_digest(reports) == digest
+
+    @pytest.mark.slow
+    def test_fock4_trunc4_report_bits_are_pinned(self):
+        # the reports of verify --fock 4 --trunc 4, whose relation windows
+        # hold 2^16 vectors and whose A_m windows hold one
+        g = fock_rep(4, Q, 4)
+        reports = verify_relations(g) + a_m_checks(g)
+        assert len(reports) == 772
+        digest = "5f001a6b52566c39c5263231d6bcc1e740f9021efbc2e1af918822963747139a"
+        assert report_digest(reports) == digest
+
+
+def report_digest(reports) -> str:
+    """sha256 of the residuals' ``float.hex``, joined by spaces."""
+    return hashlib.sha256(" ".join(r.residual.hex() for r in reports).encode()).hexdigest()
 
 
 class TestContractions:

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import tracemalloc
 import weakref
 
@@ -932,40 +933,99 @@ class TestFactorTable:
                 empty * other
 
 
-parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
-complexes = st.builds(complex, parts, parts)
+# every float: infinities, NaNs of either sign and signed zeros included
+any_parts = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+any_complexes = st.builds(complex, any_parts, any_parts)
+
+# product counts on both sides of the route threshold of ``_cmul``
+LIMIT = qoperator._PYTHON_PRODUCTS
+SIZES = [0, 1, LIMIT, LIMIT + 1, 2 * LIMIT]
+
+
+def parts_bits(values) -> list[tuple[str, str]]:
+    """``bits`` of each complex: the exact parts, signed zeros and
+    infinities included, with every NaN read as "nan".  The sign and
+    payload of a NaN made from two NaNs follow the operand order the
+    compiled loop picks, which differs between numpy's own loops, so they
+    are not compared."""
+    return [bits(z) for z in values]
+
+
+def vector(values) -> np.ndarray:
+    return np.array(values, dtype=np.complex128).reshape(-1)
 
 
 class TestScalarProducts:
-    """``_cmul``, which computes the scalars of ``scale`` and of products,
-    against CPython's ``complex * complex``, bit for bit."""
+    """``_cmul``, which computes the scalars of ``scale``, of products and
+    of ``evaluate_terms``, against CPython's ``complex * complex``, bit for
+    bit (``parts_bits``), on each of its two routes: Python complex numbers
+    up to ``_PYTHON_PRODUCTS`` products, float64 arrays above."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(complexes, st.lists(complexes, min_size=0, max_size=6))
-    def test_python_complex_times_vector(self, c, values):
-        # the call ``scale`` makes; CPython overflows to inf silently too
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = qoperator._cmul(c, np.array(values, dtype=np.complex128).reshape(-1))
-            op = TensorOperator.from_ids(1, 2, values, np.zeros((len(values), 1)))
-            scaled = op.scale(c).scalars
-        want = [bits(c * z) for z in values]
-        assert [bits(z) for z in out.tolist()] == want
-        assert [bits(z) for z in scaled.tolist()] == want
+    @settings(max_examples=25, deadline=None)
+    @given(any_complexes, st.lists(any_complexes, min_size=SIZES[-1], max_size=SIZES[-1]))
+    def test_python_complex_times_vector(self, c, drawn):
+        # the call ``scale`` makes, on a prefix of each size; CPython
+        # overflows to inf silently too
+        for values in (drawn[:size] for size in SIZES):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = qoperator._cmul(c, vector(values))
+                op = TensorOperator.from_ids(1, 2, values, np.zeros((len(values), 1)))
+                scaled = op.scale(c).scalars
+            want = parts_bits(c * z for z in values)
+            assert out.shape == (len(values),)
+            assert parts_bits(out.tolist()) == want
+            assert parts_bits(scaled.tolist()) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(complexes, min_size=1, max_size=5), st.lists(complexes, min_size=1, max_size=5))
-    def test_column_times_row(self, left, right):
-        # the call ``__mul__`` makes
-        a, b = np.array(left, dtype=np.complex128), np.array(right, dtype=np.complex128)
-        A = TensorOperator.from_ids(1, 2, left, np.zeros((len(left), 1)))
-        B = TensorOperator.from_ids(1, 2, right, np.zeros((len(right), 1)))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(any_complexes, min_size=LIMIT + 1, max_size=LIMIT + 1),
+        st.lists(any_complexes, min_size=8, max_size=8),
+    )
+    def test_column_times_row(self, drawn_left, drawn_right):
+        # the call ``__mul__`` makes, from 1 to 8 * (LIMIT + 1) products
+        for m, n in [(1, 1), (1, 8), (4, 8), (LIMIT + 1, 1), (5, 7), (8, 8), (LIMIT + 1, 8)]:
+            left, right = drawn_left[:m], drawn_right[:n]
+            A = TensorOperator.from_ids(1, 2, left, np.zeros((m, 1)))
+            B = TensorOperator.from_ids(1, 2, right, np.zeros((n, 1)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = qoperator._cmul(vector(left)[:, None], vector(right)[None, :])
+                product = (A * B).scalars
+            want = parts_bits(x * y for x, y in itertools.product(left, right))
+            assert out.shape == (m, n)
+            assert parts_bits(out.reshape(-1).tolist()) == want
+            assert parts_bits(product.tolist()) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(any_complexes, min_size=SIZES[-1], max_size=SIZES[-1]),
+        st.lists(any_complexes, min_size=SIZES[-1], max_size=SIZES[-1]),
+    )
+    def test_vector_times_vector(self, drawn_left, drawn_right):
+        # the call ``evaluate_terms`` makes, once per assigned axis
+        for size in SIZES:
+            left, right = drawn_left[:size], drawn_right[:size]
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = qoperator._cmul(vector(left), vector(right))
+            assert out.shape == (size,)
+            assert parts_bits(out.tolist()) == parts_bits(x * y for x, y in zip(left, right))
+
+    @pytest.mark.parametrize("limit", [0, 10**9])
+    def test_each_route_alone_keeps_the_bits(self, monkeypatch, limit):
+        # every pair of special parts, through the array route only (limit
+        # 0) and the Python route only, in all three call shapes
+        parts = [0.0, -0.0, 1.5, -2.25, 1e308, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
+        values = [complex(x, y) for x in parts for y in parts]
+        a = vector(values)
+        monkeypatch.setattr(qoperator, "_PYTHON_PRODUCTS", limit)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = qoperator._cmul(a[:, None], b[None, :])
-            product = (A * B).scalars
-        want = [bits(x * y) for x, y in itertools.product(left, right)]
-        assert out.shape == (len(left), len(right))
-        assert [bits(z) for z in out.reshape(-1).tolist()] == want
-        assert [bits(z) for z in product.tolist()] == want
+            for c in values:
+                assert parts_bits(qoperator._cmul(c, a).tolist()) == parts_bits(c * z for z in values)
+            rolled = np.roll(a, 7)
+            want = parts_bits(x * y for x, y in zip(values, rolled.tolist()))
+            assert parts_bits(qoperator._cmul(a, rolled).tolist()) == want
+            outer = qoperator._cmul(a[:, None], a[None, :]).reshape(-1)
+            want = parts_bits(x * y for x, y in itertools.product(values, repeat=2))
+            assert parts_bits(outer.tolist()) == want
 
 
 class TestWeightedShiftOracle:
