@@ -663,6 +663,36 @@ def _scatter_by_class(block: np.ndarray, classes: list[int], count: int) -> np.n
     return sums.view(np.complex128).reshape(count, width // 2)
 
 
+def _cancelling_pairs(
+    scalars: np.ndarray, ids: np.ndarray, pairs: list[list[int]], window: int
+) -> np.ndarray:
+    """Which two-term classes, each given by its two term indices, sum to
+    +-0 at every window element, as a bool per class, decided without
+    building a block.
+
+    The two terms must have equal amplitudes on the window on every axis
+    and opposite scalars.  Each element of a block is then built from
+    operands equal in value, but for the sign of the scalar; an operation
+    rounds its exact result, which depends on the operands' values alone
+    and changes sign with one of them, and round-to-nearest is symmetric.
+    So, with fused multiply-adds or without, the second block is the first
+    negated, but for the signs of zeros, as long as nothing overflows.  To
+    that end ``|s|`` times the product over the axes of ``max(1, max
+    |amplitude|)`` must stay below 2^900: that bounds the modulus of every
+    partial product the block builder forms, left to right, and so every
+    part it rounds, far below overflow, and the sum is +-0, not the NaN of
+    an infinity minus itself.  A NaN or infinite scalar fails the bound.
+    Gathers ``2 * axes * window`` amplitudes per class."""
+    terms = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    along = FACTORS.amps[:, :window][ids[terms]]
+    first = scalars[terms[:, 0]]
+    equal = (along[:, 0] == along[:, 1]).all(axis=(1, 2))
+    opposite = scalars[terms[:, 1]] == -first
+    with np.errstate(over="ignore"):
+        bound = np.abs(first) * np.abs(along[:, 0]).max(axis=2, initial=1.0).prod(axis=1)
+    return equal & opposite & (bound < 2.0**900)
+
+
 def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     """max over window basis vectors e_m of ``|| (a - b) e_m ||``.
 
@@ -684,6 +714,18 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     norm adds the classes' squared moduli in class order, so both paths
     below give the same bits.  A term's block has its last axis varying
     slowest (see ``_term_blocks``), and so has the sum of squares.
+
+    A class that sums to zero at every window element is skipped once
+    summed: its squares are all +0.0, and adding +0.0 to a sum of
+    nonnegative squares changes no bit, so the other classes keep their
+    order and their bits.  A NaN or an infinity is nonzero, and is added.
+    The class-by-class path also skips a class of two terms that cancel
+    exactly before building it (see ``_cancelling_pairs``): equal
+    amplitudes on the window on every axis, opposite scalars, and a bound
+    of 2^900 on every partial product, so that no block overflows and the
+    class sums to +-0, not to NaN.  Every count and limit below is taken
+    before any class is skipped: it counts every live term and class, so a
+    call is refused, with the same message, whatever cancels.
 
     With W = window^axes and G = axes * window (the amplitudes the block
     builder gathers per term by id from ``FACTORS.amps``, the only copy of
@@ -714,9 +756,11 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     ``W / 2 + W + chunk * (W_c + W_c / window + G_c)`` elements.
 
     Both counts add numpy's two iteration buffers of ``np.getbufsize()``
-    elements, and are in complex128 elements.  Before allocating any of
-    these arrays the call raises ``ValueError`` when the count of its path
-    exceeds ``MAX_RESIDUAL_ELEMENTS``.
+    elements, and are in complex128 elements.  Neither counts the
+    amplitudes that the test for cancelling pairs gathers, ``2 * G`` per
+    class of two terms, freed before the sum of squares is allocated.
+    Before allocating any of these arrays the call raises ``ValueError``
+    when the count of its path exceeds ``MAX_RESIDUAL_ELEMENTS``.
 
     Time is limited by the work, the elements of all the term blocks the
     call builds (W per term on the scatter path, W_c per term of a class on
@@ -802,16 +846,31 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
     # column norm splits as a sum of |amplitude|^2 over shift classes
     if scatter:
         block = _term_blocks(scalars, ids, window)
-        square = np.abs(_scatter_by_class(block, classes, count))
+        sums = _scatter_by_class(block, classes, count)
         del block
+        # a class that sums to zero adds +0.0 to every square; a NaN or an
+        # infinity is nonzero, and stays
+        nonzero = sums.any(axis=1)
+        count = np.count_nonzero(nonzero)
+        if not count:
+            return 0.0
+        if count < nonzero.size:
+            sums = sums[nonzero]
+        square = np.abs(sums)
+        del sums
         np.square(square, out=square)
         # row by row, unlike a reduction, adds the classes one after another
         for row in range(1, count):
             np.add(square[row - 1], square[row], out=square[row])
         total = square[-1]
     else:
+        # one flag per class of two terms, in class order
+        pairs = [rows for rows in members if len(rows) == 2]
+        cancels = iter(_cancelling_pairs(scalars, ids, pairs, window).tolist())
         total = np.zeros((window,) * axes, dtype=np.float64)
         for own_scalars, own, use, part in plan:
+            if len(own) == 2 and next(cancels):
+                continue
             for start in range(0, len(own), part):
                 block = _term_blocks(
                     own_scalars[start : start + part], own[start : start + part], window
@@ -826,11 +885,17 @@ def residual_on_window(a: TensorOperator, b: TensorOperator, d: int) -> float:
                 # a longer one is let go, so that the next is built without it
                 running = block[0] if len(block) == 1 else block[-1].copy()
                 del block
+            # a class that sums to zero would add +0.0 to every square
+            if not running.any():
+                del running
+                continue
             square = np.abs(running)
             del running
             np.square(square, out=square)
             # a block's last axis varies slowest, and so does the sum's
             total += square.reshape([window if u else 1 for u in reversed(use.tolist())])
+            # the count holds a class's squares only until the next is built
+            del square
     return float(np.sqrt(total.max()))
 
 

@@ -13,6 +13,7 @@ instances, and each checker loops over it or over the part it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Iterator
@@ -92,8 +93,11 @@ def _z_zs(a: int, alpha: int, b: int, beta: int) -> _Word:
     return (("z", a, alpha), ("zs", b, beta))
 
 
+@functools.lru_cache(maxsize=None)
 def _r_coefficients(i: int, j: int, n: int) -> dict[tuple[int, int], LaurentPoly]:
-    """Nonzero entries (k, l) -> coefficient of the exchange R-matrix row (i, j)."""
+    """Nonzero entries (k, l) -> coefficient of the exchange R-matrix row
+    (i, j), built once per (i, j, n); callers only read it.  Every
+    coefficient is one of the three constants ``_R_PRODUCTS`` pairs up."""
     out: dict[tuple[int, int], LaurentPoly] = {}
     if i != j:
         out[(i, j)] = _Q_INV
@@ -102,6 +106,16 @@ def _r_coefficients(i: int, j: int, n: int) -> dict[tuple[int, int], LaurentPoly
         for l in range(j + 1, n + 1):
             out[(l, l)] = _ONE_MINUS_Q_INV2
     return out
+
+
+# q^2 * x * y for each pair of coefficients an R-matrix row can hold, keyed
+# by their ids: they are constants of this module, so an id names one for as
+# long as the module lives
+_R_PRODUCTS = {
+    (id(x), id(y)): _lp_mul(_Q2, _lp_mul(x, y))
+    for x in (_Q_INV, _ONE, _ONE_MINUS_Q_INV2)
+    for y in (_Q_INV, _ONE, _ONE_MINUS_Q_INV2)
+}
 
 
 def zaa4_r_coefficients(
@@ -113,7 +127,7 @@ def zaa4_r_coefficients(
     for (b2, a2), left in _r_coefficients(b, a, n).items():
         for (beta2, alpha2), right in _r_coefficients(beta, alpha, n).items():
             key = _z_zs(a2, alpha2, b2, beta2)
-            contribution = _lp_mul(_Q2, _lp_mul(left, right))
+            contribution = _R_PRODUCTS[id(left), id(right)]
             out[key] = _lp_add(out.get(key, {}), contribution)
     if a == b and alpha == beta:
         out[()] = _ONE_MINUS_Q2

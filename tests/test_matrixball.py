@@ -931,6 +931,28 @@ class TestResidualBits:
         assert 0 < calls["scatter"] < calls["residual"]
         assert report_digest(reports) == digest
 
+    # written by commit 0b54b72, before the window residual skipped the
+    # shift classes that cancel exactly.  At q = 0.7 scaling by q rounds, so
+    # 209 of the 662 classes of the (3, 5) residuals sum to zero, against
+    # 485 at q = 0.5; (3, 7) is the largest routine size at n = 3
+    @pytest.mark.parametrize(
+        "q, N, digest",
+        [
+            (0.7, 5, "5807f13d85ee313c8ba97da865f4b92f787af77a60ccd78d23e7b4af75ec703e"),
+            pytest.param(
+                Q,
+                7,
+                "7d28996193c7222ccbdb706ce8c4a1cae108ccd36a0665aed30339aa9721dd84",
+                marks=pytest.mark.slow,
+            ),
+        ],
+    )
+    def test_more_fock3_report_bits_are_pinned(self, q, N, digest):
+        g = fock_rep(3, q, N)
+        reports = verify_relations(g) + a_m_checks(g)
+        assert len(reports) == 246
+        assert report_digest(reports) == digest
+
     # written by commit 2c1b23f, before relation sides were built in one
     # pass and small scalar arrays multiplied as Python complex numbers
     def test_fock4_report_bits_are_pinned(self):

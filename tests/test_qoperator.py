@@ -1408,6 +1408,232 @@ def operator_with_zeros(rng, f, dim, n_terms):
     return TensorOperator.from_ids(f, dim, scalars, op.ids)
 
 
+def reference_residual(a, b, d):
+    """The window residual as the kernel computed it before it skipped the
+    shift classes that cancel: every live class is built, summed in term
+    order, squared and added in class order.  The path is picked by
+    ``qoperator._CHUNK_ELEMENTS`` as the kernel picks it; the class-by-class
+    path builds a class's terms all at once, which gives the bits of any
+    chunking, since each term's block and the order of the adds stay the
+    same.  No limit is checked."""
+    window = a.dim - d
+    scalars = np.concatenate((a.scalars, -b.scalars))
+    ids = np.concatenate((a.ids, b.ids))
+    live = qoperator._live_on_window(scalars, ids, window)
+    if not live.any():
+        return 0.0
+    scalars, ids = scalars[live], ids[live]
+    ids = ids[:, ids.any(axis=0)]
+    if not ids.shape[1]:
+        return abs(sum(scalars.tolist(), 0j))
+    terms, axes = ids.shape
+    classes, count = qoperator._shift_classes(FACTORS.deltas[ids])
+    if terms * window**axes <= qoperator._CHUNK_ELEMENTS:
+        block = qoperator._term_blocks(scalars, ids, window)
+        square = np.square(np.abs(qoperator._scatter_by_class(block, classes, count)))
+        for row in range(1, count):
+            np.add(square[row - 1], square[row], out=square[row])
+        return float(np.sqrt(square[-1].max()))
+    total = np.zeros((window,) * axes)
+    for key in range(count):
+        rows = [term for term, k in enumerate(classes) if k == key]
+        use = ids[rows].any(axis=0)
+        block = qoperator._term_blocks(scalars[rows], ids[rows][:, use], window)
+        for row in range(1, len(block)):
+            np.add(block[row - 1], block[row], out=block[row])
+        square = np.square(np.abs(block[-1]))
+        total += square.reshape([window if u else 1 for u in reversed(use.tolist())])
+    return float(np.sqrt(total.max()))
+
+
+def residual_on_both_paths(a, b, d):
+    """``float.hex`` of the residual and of ``reference_residual``, with every
+    block scattered whole and with every class summed on its own."""
+    got = []
+    for chunk in (1 << 30, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+            with np.errstate(all="ignore"):
+                got.append((residual_on_window(a, b, d).hex(), reference_residual(a, b, d).hex()))
+    return got
+
+
+# amplitudes: exact, inexact, complex, and one near 1e200
+_AMPS = [0.0, 1.0, 0.5, -0.75, 0.1, 1 / 3, 0.6 - 0.8j, 2j, 1e200]
+# amplitudes of a factor whose blocks overflow on two axes
+_HUGE = [1e200, -3e199 + 1e199j]
+# scalars: exact, inexact, complex, huge and not finite
+_SCALARS = [1.0, -1.0, 0.5, 0.1 + 0.2j, -2j, 1e200, np.inf, -np.inf, np.nan, complex(0, np.nan)]
+
+
+def relabelled(F, tag, tail):
+    """``F`` with the provenance ``(tag,)``, so another id, and with its
+    amplitudes from column ``tail`` on scaled by 3 where the truncation
+    lets them be nonzero: equal to ``F`` on any window of at most ``tail``."""
+    amps = np.array(F.amps)
+    amps[tail:] *= 3
+    return FactorMatrix(F.delta, amps, (tag,))
+
+
+class TestResidualSkips:
+    """The residual skips a shift class that sums to zero, and, on the
+    class-by-class path, a two-term class whose terms cancel exactly,
+    without building it.  Both must keep every bit of the residual that
+    builds, squares and adds every class, ``reference_residual``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bits_as_the_reference(self, data):
+        # b holds copies of terms of a whose factors are the same amplitudes
+        # under other tags, or the same up to a column that may lie inside
+        # the window or beyond it, with the same scalar (an opposite pair in
+        # a - b) or half of it; a and b also hold T11 T12 and T12 T11, which
+        # q = 0.5 relates exactly, and b holds fresh terms
+        f = data.draw(st.integers(1, 3), "f")
+        dim = data.draw(st.integers(2, 4), "dim")
+        d = data.draw(st.integers(0, dim - 1), "d")
+        window = dim - d
+        pool = []
+        for _ in range(data.draw(st.integers(1, 3), "factors")):
+            delta = data.draw(st.integers(-(dim - 1), dim - 1))
+            values = st.sampled_from(_HUGE if data.draw(st.booleans(), "huge") else _AMPS)
+            amps = np.array(data.draw(st.lists(values, min_size=dim, max_size=dim)))
+            # zero the columns that a shift by delta moves out of the truncation
+            amps[max(dim - delta, 0) :] = 0
+            amps[: max(-delta, 0)] = 0
+            F = FactorMatrix(delta, amps, ("F",))
+            tail = data.draw(st.integers(0, dim), "tail")
+            pool.append((F, relabelled(F, "G", dim), relabelled(F, "H", tail)))
+        t11, t12 = t_block(1, 1, Q, dim), t_block(1, 2, Q, dim)
+        pool.append((t11.matmul(t12), t12.matmul(t11), None))
+        slots = st.sampled_from([None] + list(range(len(pool))))
+        scalars = st.sampled_from(_SCALARS)
+        a_terms, b_terms = [], []
+        for _ in range(data.draw(st.integers(1, 4), "terms of a")):
+            picks = [data.draw(slots) for _ in range(f)]
+            scalar = data.draw(scalars)
+            factors = tuple(None if p is None else pool[p][0] for p in picks)
+            a_terms.append(TensorTerm(scalar, factors))
+            how = data.draw(st.sampled_from(["twin", "tail", "half", "none"]))
+            if how == "none":
+                continue
+            partners = []
+            for p in picks:
+                if p is None:
+                    partners.append(None)
+                elif pool[p][2] is None:
+                    # q T12 T11 = T11 T12, and q = 0.5 scales exactly
+                    partners.append(pool[p][1])
+                    scalar = scalar * Q
+                else:
+                    partners.append(pool[p][2] if how == "tail" else pool[p][1])
+            if how == "half":
+                scalar = scalar * 0.5
+            b_terms.append(TensorTerm(scalar, tuple(partners)))
+        for _ in range(data.draw(st.integers(0, 2), "fresh terms of b")):
+            picks = [data.draw(slots) for _ in range(f)]
+            factors = tuple(None if p is None else pool[p][0] for p in picks)
+            b_terms.append(TensorTerm(data.draw(scalars), factors))
+        a, b = from_terms(f, dim, a_terms), from_terms(f, dim, b_terms)
+        for got, want in residual_on_both_paths(a, b, d):
+            assert got == want
+
+    @staticmethod
+    def _huge(value, tag):
+        return FactorMatrix(0, np.full(N, value), (tag,))
+
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            # 1e200 on each of two axes: 1e400 overflows, inf - inf is NaN,
+            # and a NaN must not be skipped as a cancelling pair
+            ("overflow", "NaN"),
+            # 1e200, 1e200, then 1e-300: the product of the three stays
+            # below 2^900, but the block builder overflows on the second axis
+            ("overflow before a small axis", "NaN"),
+            # an infinite scalar and its opposite: inf - inf
+            ("infinite scalar", "NaN"),
+            # NaN is not the opposite of NaN, and a NaN sum is nonzero
+            ("NaN scalar", "NaN"),
+            # equal on a window of 5, different beyond it: a pair all the
+            # same, and only the other class is left
+            ("differ beyond the window", "the other class"),
+            # different on the last column of the window: no pair
+            ("differ inside the window", "more"),
+        ],
+    )
+    def test_pairs_that_must_not_or_may_be_skipped(self, case, want):
+        t22 = t_block(2, 2, Q, N)
+        extra = single(0.25, [t22, None, None])
+        s = {"infinite scalar": np.inf, "NaN scalar": np.nan}.get(case, 1.0)
+        if case == "overflow":
+            left = [self._huge(1e200, "A"), self._huge(1e200, "A"), None]
+            right = [self._huge(1e200, "B"), self._huge(1e200, "B"), None]
+        elif case == "overflow before a small axis":
+            left = [self._huge(1e200, "A"), self._huge(1e200, "A"), self._huge(1e-300, "A")]
+            right = [self._huge(1e200, "B"), self._huge(1e200, "B"), self._huge(1e-300, "B")]
+        elif case.startswith("differ"):
+            F = FactorMatrix(0, np.arange(1.0, N + 1), ("A",))
+            tail = N - 1 if case == "differ beyond the window" else N - 2
+            left, right = [F, F, None], [relabelled(F, "B", tail), F, None]
+        else:
+            left = right = [t_block(1, 2, Q, N), t_block(2, 1, Q, N), None]
+        a = single(s, left) + extra
+        b = single(s, right)
+        alone = residual_on_window(extra, zero_like(extra), 1)
+        for got, reference in residual_on_both_paths(a, b, 1):
+            assert got == reference
+            got = float.fromhex(got)
+            if want == "NaN":
+                assert np.isnan(got)
+            elif want == "the other class":
+                assert got == alone
+            else:
+                assert got > alone
+
+    @pytest.mark.parametrize("path", ["scatter", "classes"])
+    def test_opposite_pair_of_other_tags_builds_nothing(self, monkeypatch, path):
+        # T12 T21 and T21 T12 have the same amplitudes under different tags,
+        # so the first class is an opposite pair: the class-by-class path
+        # skips it unbuilt, the scatter path builds it and skips its zero sum
+        t11, t12, t21 = t_block(1, 1, Q, N), t_block(1, 2, Q, N), t_block(2, 1, Q, N)
+        x, y = t12.matmul(t21), t21.matmul(t12)
+        a = single(0.3, [x, t21, x]) + single(1.0, [t11, None, None])
+        b = single(0.3, [y, t21, y])
+        want = residual_on_window(single(1.0, [t11, None, None]), zero_like(a), 1)
+        if path == "classes":
+            monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", 1)
+        built = []
+        term_blocks = qoperator._term_blocks
+
+        def counted(scalars, ids, window):
+            built.append(len(scalars))
+            return term_blocks(scalars, ids, window)
+
+        monkeypatch.setattr(qoperator, "_term_blocks", counted)
+        assert residual_on_window(a, b, 1) == want > 0
+        assert built == ([3] if path == "scatter" else [1])
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 30])
+    def test_limits_count_the_classes_that_cancel(self, monkeypatch, chunk):
+        # a cancelling pair is counted as if it did not cancel, so every
+        # refusal and its message stay as they were
+        t11, t12, t21 = t_block(1, 1, Q, N), t_block(1, 2, Q, N), t_block(2, 1, Q, N)
+        a = single(0.3, [t12.matmul(t21), t21, t11]) + single(1.0, [t11, None, None])
+        cancelling = single(0.3, [t21.matmul(t12), t21, t11])
+        not_cancelling = single(0.25, [t21.matmul(t12), t21, t11])
+        monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
+        for limit in ("MAX_RESIDUAL_ELEMENTS", "MAX_RESIDUAL_WORK"):
+            messages = []
+            with monkeypatch.context() as patch:
+                patch.setattr(qoperator, limit, 0)
+                for b in (cancelling, not_cancelling):
+                    with pytest.raises(ValueError, match="more than the") as refused:
+                        residual_on_window(a, b, 1)
+                    messages.append(str(refused.value))
+            assert messages[0] == messages[1], limit
+
+
 class TestRestrict:
     """``restrict`` drops only terms that vanish on the window: a product
     with a restricted right operand gives the window residual the same bits
