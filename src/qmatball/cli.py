@@ -20,7 +20,13 @@ import numpy as np
 
 from . import diagramcalc, matrixball, permgroup, relations
 from .permgroup import AdmissibleString, Permutation
-from .qoperator import TensorOperator, operator_to_json, vacuum_matrix_element
+from .qoperator import (
+    TensorOperator,
+    operator_json_text,
+    # unused here; kept because perfbench/tracing.py wraps cli.operator_to_json
+    operator_to_json,  # noqa: F401
+    vacuum_matrix_element,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -46,6 +52,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _dump_json(payload, out_path: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True), out_path)
+
+
+# the JSON text of a key; a process meets few distinct keys (n^2 + 5 per n)
+_key_text = functools.cache(json.dumps)
+
+
+def _object_text(members: dict[str, str]) -> str:
+    """The JSON object of ``members``, whose values are JSON texts already,
+    as ``json.dumps(..., sort_keys=True)`` writes it: keys sorted as strings."""
+    return "{" + ", ".join(f"{_key_text(key)}: {members[key]}" for key in sorted(members)) + "}"
 
 
 def _load_json(path: str):
@@ -101,20 +117,18 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     string = _load_string(args.string_path)
     g = matrixball.rep_from_string(string, args.q, args.trunc)
-    if args.emit == "z":
-        payload = {
-            f"z_{k}^{j}": operator_to_json(g.gen(k, j))
-            for k in range(1, g.n + 1)
-            for j in range(1, g.n + 1)
-        }
-    else:
-        payload = {}
-        for k in range(1, g.n + 1):
-            for j in range(1, g.n + 1):
+    table = {}
+    for k in range(1, g.n + 1):
+        for j in range(1, g.n + 1):
+            if args.emit == "z":
+                table[f"z_{k}^{j}"] = operator_json_text(g.gen(k, j))
+            else:
                 value = vacuum_matrix_element(g.gen(k, j))
-                payload[f"z_{k}^{j}"] = [value.real, value.imag]
-    _dump_json({"n": g.n, "q": g.q, "trunc": g.N, "factors": g.f, args.emit: payload},
-               args.out_path)
+                table[f"z_{k}^{j}"] = json.dumps([value.real, value.imag])
+    header = {"n": g.n, "q": g.q, "trunc": g.N, "factors": g.f}
+    members = {key: json.dumps(value) for key, value in header.items()}
+    members[args.emit] = _object_text(table)
+    _emit(_object_text(members), args.out_path)
     return EXIT_OK
 
 

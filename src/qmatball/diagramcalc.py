@@ -81,7 +81,13 @@ class GridDiagram:
         return self.cells[row - 1][col - 1]
 
     def white_cells(self) -> list[tuple[int, int]]:
-        """White (row, col) pairs in tensor-factor order."""
+        """White (row, col) pairs in tensor-factor order, in a new list."""
+        return list(self._white_position)
+
+    @functools.cached_property
+    def _white_position(self) -> dict[tuple[int, int], int]:
+        """Position of each white (row, col) among the white cells, keyed in
+        tensor-factor order; found once per grid, whose cells never change."""
         whites = [
             (row, col)
             for row in range(1, self.n + 1)
@@ -89,7 +95,7 @@ class GridDiagram:
             if self.cell(row, col).kind == "white"
         ]
         whites.sort(key=lambda rc: factor_index(self.n, rc[0], rc[1]))
-        return whites
+        return {cell: idx for idx, cell in enumerate(whites)}
 
 
 def factor_index(n: int, row: int, col: int) -> int:
@@ -198,15 +204,14 @@ def synthesize_z(
     exactly when no straight arrow crosses a colored cell.
     """
     n = grid.n
-    whites = grid.white_cells()
-    position = {cell: idx for idx, cell in enumerate(whites)}
+    position = grid._white_position
     blocks = t_block_ids(q, N)
     prefactor = (-q) ** (k - n)
     scalars = []
     rows = []
     for path in enumerate_paths(n, k, j):
         scalar = complex(prefactor)
-        ids = [0] * len(whites)
+        ids = [0] * len(position)
         alive = True
         for row, col, arrow in path.steps:
             block = _ARROW_BLOCK[arrow]
@@ -223,7 +228,7 @@ def synthesize_z(
         if alive:
             scalars.append(scalar)
             rows.append(ids)
-    return TensorOperator.from_ids(len(whites), N, scalars, rows)
+    return TensorOperator.from_ids(len(position), N, scalars, rows)
 
 
 def render_ascii(grid: GridDiagram) -> str:

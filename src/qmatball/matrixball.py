@@ -90,6 +90,20 @@ class GeneratorImages:
     def identity(self) -> TensorOperator:
         return TensorOperator.identity(self.f, self.N)
 
+    @functools.cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The terms of all n^2 images in one list, row-major by (k, j):
+        scalars (T,), ids (T, f), and the n^2 + 1 offsets that cut it into
+        images.  Stacked on first use and kept with the images, so a
+        memoized ``fock_rep`` stacks once for every ``rep_from_string``."""
+        images = [op for row in self.z for op in row]
+        scalars = np.concatenate([op.scalars for op in images])
+        ids = np.concatenate([op.ids for op in images])
+        offsets = np.cumsum([0] + [op.scalars.size for op in images])
+        for array in (scalars, ids, offsets):
+            array.setflags(write=False)
+        return scalars, ids, offsets
+
 
 @dataclass(frozen=True)
 class MonomialExponent:
@@ -200,18 +214,14 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     N)`` (dark at phase 0, light at the row phase); the result acts on the
     white factors only.
 
-    The terms of all n^2 Fock images are stacked into one list and evaluated
-    by one ``evaluate_terms`` pass, whose bits are those of ``apply_tau`` on
-    each image; the surviving terms are cut at the images' term offsets, so
-    each image keeps its own terms in their order.  The images are slices of
-    two read-only arrays."""
+    The terms of all n^2 Fock images, stacked into one list once per base
+    (not per string), are evaluated by one ``evaluate_terms`` pass, whose
+    bits are those of ``apply_tau`` on each image; the surviving terms are
+    cut at the images' term offsets, so each image keeps its own terms in
+    their order.  The images are slices of two read-only arrays."""
     base = fock_rep(string.n, q, N)
-    images = [op for row in base.z for op in row]
-    offsets = np.cumsum([0] + [op.scalars.size for op in images])
-    ids = np.concatenate([op.ids for op in images])
-    scalars, kept, keep = evaluate_terms(
-        np.concatenate([op.scalars for op in images]), ids, _string_evaluation(string)
-    )
+    scalars, ids, offsets = base._stacked
+    scalars, kept, keep = evaluate_terms(scalars, ids, _string_evaluation(string))
     ids = ids.take(kept, axis=0).take(keep, axis=1)
     scalars.setflags(write=False)
     ids.setflags(write=False)

@@ -21,6 +21,8 @@ infinite-dimensional action.
 from __future__ import annotations
 
 import functools
+import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,7 @@ __all__ = [
     "norm_bound",
     "norm_estimate",
     "vacuum_matrix_element",
+    "operator_json_text",
     "operator_to_json",
     "operator_from_json",
 ]
@@ -197,11 +200,16 @@ class FactorTable:
     rows run out they double and when a wider factor arrives ``amps``
     widens, and the views are made again, so a view kept from before goes
     stale.  Rows past ``len(table)`` are unused.  ``max_lead``, an int, is
-    the largest lead interned so far.
+    the largest lead interned so far.  ``json`` is a list, filled on first
+    use by ``json_texts``: the factor's entry as ``operator_json_text``
+    writes it, ``{"amps": [[re, im], ...], "delta": d}``, or ``"I"`` for the
+    identity, None until asked for.  A row never changes once interned, so
+    its text stays valid for the life of the process.
     """
 
     def __init__(self) -> None:
         self.tags: list[tuple[str, ...] | None] = [()]
+        self.json: list[str | None] = ['"I"']
         self._by_content: dict[tuple, int] = {}
         # no pair key reaches the sentinel, since ids stay below 2^31
         self._pair_keys = np.array([np.iinfo(np.int64).max])
@@ -258,8 +266,17 @@ class FactorTable:
         self.max_lead = max(self.max_lead, lead)
         self._amps[tid, : F.dim] = F.amps
         self.tags.append(F.provenance)
+        self.json.append(None)
         self._by_content[key] = tid
         return tid
+
+    def json_texts(self, ids: np.ndarray) -> list[str | None]:
+        """The ``json`` column, with the rows of ``ids`` filled in."""
+        for tid in set(ids.ravel().tolist()):
+            if self.json[tid] is None:
+                amps = map(_complex_json, self._amps[tid, : self._dims[tid]].tolist())
+                self.json[tid] = f'{{"amps": [{", ".join(amps)}], "delta": {self._deltas[tid]}}}'
+        return self.json
 
     def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Ids of the factor products ``left[i] @ right[i]``, the two id
@@ -948,28 +965,34 @@ def norm_estimate(op: TensorOperator, iters: int = 60) -> float:
     return float(np.sqrt(max(best, 0.0)))
 
 
-def _complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _float_json(x: float) -> str:
+    """``json.dumps(x)``: the repr of a finite float, else NaN or +-Infinity."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _complex_json(z: complex) -> str:
+    return f"[{_float_json(z.real)}, {_float_json(z.imag)}]"
+
+
+def operator_json_text(op: TensorOperator) -> str:
+    """The JSON text of ``op``, as ``json.dumps(..., sort_keys=True)`` writes
+    the object ``{"dim", "f", "terms"}``; each term is ``{"factors": [...],
+    "scalar": [re, im]}``, a factor being ``"I"`` or ``{"amps": [[re, im],
+    ...], "delta": d}`` with ``dim`` amplitude pairs.  A non-finite scalar
+    is written ``NaN``, ``Infinity`` or ``-Infinity``, as ``json.dumps``
+    does.  Each factor's text is made once per process (``FactorTable``'s
+    ``json`` column) and joined here."""
+    texts = FACTORS.json_texts(op.ids)
+    terms = ", ".join(
+        f'{{"factors": [{", ".join([texts[tid] for tid in row])}], "scalar": {_complex_json(z)}}}'
+        for z, row in zip(op.scalars.tolist(), op.ids.tolist())
+    )
+    return f'{{"dim": {op.dim}, "f": {op.f}, "terms": [{terms}]}}'
 
 
 def operator_to_json(op: TensorOperator) -> dict:
-    """``{"f", "dim", "terms"}``; each term is ``{"scalar": [re, im],
-    "factors": [...]}``, a factor being ``"I"`` or ``{"delta": d, "amps":
-    [[re, im], ...]}`` with ``dim`` amplitude pairs."""
-    # each factor's entry is built once, when its id is first met
-    factors: dict[int, object] = {0: "I"}
-
-    def entry(tid: int) -> object:
-        if tid not in factors:
-            amps = [_complex_to_json(z) for z in FACTORS.amps[tid, : FACTORS.dims[tid]].tolist()]
-            factors[tid] = {"delta": FACTORS.deltas[tid].item(), "amps": amps}
-        return factors[tid]
-
-    terms = [
-        {"scalar": _complex_to_json(scalar), "factors": [entry(tid) for tid in row]}
-        for scalar, row in zip(op.scalars.tolist(), op.ids.tolist())
-    ]
-    return {"f": op.f, "dim": op.dim, "terms": terms}
+    """``operator_json_text`` read back: the schema is stated once, there."""
+    return json.loads(operator_json_text(op))
 
 
 def _complex_from_json(z) -> complex:

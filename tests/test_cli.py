@@ -8,8 +8,10 @@ import pytest
 from qmatball import cli
 from qmatball.cli import main
 from qmatball.matrixball import rep_from_string
-from qmatball.permgroup import AdmissibleString, Permutation
+from qmatball.permgroup import AdmissibleString, Permutation, enumerate_admissible
 from qmatball.qoperator import MAX_RESIDUAL_ELEMENTS, operator_from_json
+
+from conftest import random_phases_for
 
 
 def run(capsys, *argv):
@@ -242,6 +244,46 @@ class TestBuildBytes:
         )
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestObjectText:
+    def test_keys_sort_as_strings_like_json_dumps(self):
+        # at n >= 10, "z_10^1" sorts before "z_1^1" ('0' < '^'), not after "z_9^9"
+        values = {f"z_{k}^{j}": [k, j / 3] for k in range(1, 12) for j in range(1, 12)}
+        values.update({"n": 11, "q": 0.7, "factors": 121, "trunc": 3})
+        text = cli._object_text({key: json.dumps(value) for key, value in values.items()})
+        assert text == json.dumps(values, sort_keys=True)
+        assert text.index('"z_10^1"') < text.index('"z_1^1"') < text.index('"z_9^9"')
+
+
+class TestAllStringsBytes:
+    """One sha256 over the ``build`` outputs of all 209 admissible strings
+    at n = 4 and ``--trunc 3``, per emit and q, written by commit 9a5cf28,
+    before the z tables were encoded as text from per-factor fragments: a
+    change that moves one byte of any string's output fails here."""
+
+    @pytest.mark.parametrize(
+        "emit, q, digest",
+        [
+            ("z", "0.5", "09bd87456943c32e49b48e14c091e494aa57f2b570c7d2af4c0c50f2da0d951d"),
+            ("matrix-elements", "0.5",
+             "6f5812744a5de9b60e8b67f6a85398979db86287850bc495fc8f2ab5236cc009"),
+            ("z", "0.7", "d7b510610eb40f681f26a71134b97a8e60bc39b4cb916e605208af6d5d5fc66f"),
+            ("matrix-elements", "0.7",
+             "2ea02a193fc4385d94b83dd0f22d8b9f493a47cc310f4eebf4578b02a7770f36"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, tmp_path, emit, q, digest):
+        rng = np.random.default_rng(29)
+        path, out = tmp_path / "string.json", tmp_path / "out.json"
+        total = hashlib.sha256()
+        for ks in enumerate_admissible(4):
+            path.write_text(json.dumps(random_phases_for(ks, rng).to_json()))
+            code = main(["build", "--string", str(path), "--trunc", "3", "--q", q,
+                         "--emit", emit, "--out", str(out)])
+            assert code == 0
+            total.update(out.read_bytes())
+        assert total.hexdigest() == digest
 
 
 class TestIntegerInput:

@@ -122,6 +122,24 @@ class TestEnumeratePaths:
         assert after.ids.tolist() == before.ids.tolist()
         assert [path.steps for path in enumerate_paths(3, 1, 1)] == steps
 
+    def test_mutating_the_white_cells_changes_no_later_result(self):
+        # the white cells are found once per grid; each call hands out a new list
+        grid = grid_from_string(AdmissibleString(3, (1, 2, 1), (0.4, 0.0, 1.1)))
+        before = synthesize_z(grid, 1, 1, 0.5, 4)
+        first = grid.white_cells()
+        whites = list(first)
+        first.reverse()
+        first.append((1, 1))
+        second = grid.white_cells()
+        assert second is not first
+        assert second == whites
+        second.clear()
+        after = synthesize_z(grid, 1, 1, 0.5, 4)
+        assert after.f == len(whites)
+        assert after.scalars.tobytes() == before.scalars.tobytes()
+        assert after.ids.tolist() == before.ids.tolist()
+        assert grid.white_cells() == whites
+
     def test_paths_are_monotone_staircases(self):
         for path in enumerate_paths(3, 1, 2):
             rows = [row for row, _, _ in path.steps]

@@ -1028,6 +1028,93 @@ class TestScalarProducts:
             assert parts_bits(outer.tolist()) == want
 
 
+def reference_to_json(op: TensorOperator) -> dict:
+    """The operator's JSON object built entry by entry from the factor
+    table, as ``operator_to_json`` built it before the text encoder: the
+    oracle of ``operator_json_text``."""
+
+    def pair(z: complex) -> list[float]:
+        return [float(z.real), float(z.imag)]
+
+    def entry(tid: int) -> object:
+        if not tid:
+            return "I"
+        amps = [pair(z) for z in FACTORS.amps[tid, : FACTORS.dims[tid]].tolist()]
+        return {"delta": FACTORS.deltas[tid].item(), "amps": amps}
+
+    terms = [
+        {"scalar": pair(scalar), "factors": [entry(tid) for tid in row]}
+        for scalar, row in zip(op.scalars.tolist(), op.ids.tolist())
+    ]
+    return {"f": op.f, "dim": op.dim, "terms": terms}
+
+
+# finite parts, subnormals and signed zeros included: what an amplitude may hold
+finite_parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e-310]
+)
+scalar_parts = any_parts | st.sampled_from([5e-324, -2.5e-320, 1e-310])
+
+
+class TestJsonText:
+    """``operator_json_text`` against ``json.dumps`` of the reference dict
+    with sorted keys, character for character."""
+
+    @staticmethod
+    def json_read_factor(amps: list[complex], delta: int) -> int:
+        """The id of an untagged factor read from a one-term JSON operator."""
+        dim = len(amps)
+        entry = {"delta": delta, "amps": [[z.real, z.imag] for z in amps]}
+        data = {"f": 1, "dim": dim, "terms": [{"scalar": [1.0, 0.0], "factors": [entry]}]}
+        return int(operator_from_json(json.loads(json.dumps(data))).ids[0, 0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.integers(2, 4),
+        st.lists(st.builds(complex, scalar_parts, scalar_parts), max_size=5),
+        st.lists(st.builds(complex, finite_parts, finite_parts), min_size=4, max_size=4),
+    )
+    def test_text_is_json_dumps_of_the_reference(self, seed, f, dim, scalars, amps):
+        rng = np.random.default_rng(seed)
+        delta = int(rng.integers(-(dim - 1), dim))
+        # amplitudes beyond the truncation for the shift must be zero
+        amps = [z if 0 <= c + delta < dim else 0j for c, z in enumerate(amps[:dim])]
+        choices = [0, FACTORS.intern(tag_word(rng, dim)), self.json_read_factor(amps, delta)]
+        ids = [[choices[int(rng.integers(3))] for _ in range(f)] for _ in scalars]
+        if scalars and rng.random() < 0.5:
+            ids[0] = [0] * f
+        op = TensorOperator.from_ids(f, dim, scalars, ids)
+        text = qoperator.operator_json_text(op)
+        assert text == json.dumps(reference_to_json(op), sort_keys=True)
+        assert operator_to_json(op) == json.loads(text)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            TensorOperator.zero(2, 3),
+            TensorOperator.zero(0, 2),
+            TensorOperator.identity(3, 4),
+            TensorOperator.identity(0, 2),
+            TensorOperator.from_ids(1, 2, [math.nan, -math.inf, -0.0, 5e-324j], [[0]] * 4),
+        ],
+        ids=["zero", "zero-f0", "identity", "identity-f0", "specials"],
+    )
+    def test_edge_operators(self, op):
+        text = qoperator.operator_json_text(op)
+        assert text == json.dumps(reference_to_json(op), sort_keys=True)
+
+    def test_factor_text_is_kept_per_id(self):
+        op = single(2.0, [t_block(1, 2, Q, 3), None, t_block(1, 2, Q, 3)], dim=3)
+        tid = int(op.ids[0, 0])
+        first = qoperator.operator_json_text(op)
+        kept = FACTORS.json[tid]
+        assert kept is not None and f"[{kept}, \"I\", {kept}]" in first
+        assert qoperator.operator_json_text(op) == first
+        assert FACTORS.json[tid] is kept
+
+
 class TestWeightedShiftOracle:
     """The factor algebra in (delta, amps) form against dense matrices."""
 
