@@ -46,6 +46,7 @@ from .relations import (
     boundary_side,
     exchange_instances,
     holomorphic_instances,
+    zaa4_case_coefficients,
 )
 
 __all__ = [
@@ -235,27 +236,13 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     return GeneratorImages(n, base.q, base.N, table, provenance=f"string{string.pairs()!r}")
 
 
-def _combine(terms: list[tuple[float | None, TensorOperator]]) -> TensorOperator:
-    """The sum of ``c * op`` over the pairs ``(c, op)`` of ``terms``, in
-    their order, all operators of one shape; a coefficient of None scales
-    nothing.  The sum is built in one pass: each scaled operator's scalars
-    are the one ``_cmul(complex(c), op.scalars)`` that ``op.scale(c)``
-    computes, and the scalars and ids of all terms are concatenated once,
-    in the layout of the chain ``op.scale(c) + ...``, so the result has
-    that chain's terms bit for bit.  A single unscaled operator is returned
-    as it is."""
-    if len(terms) == 1 and terms[0][0] is None:
-        return terms[0][1]
-    first = terms[0][1]
-    scalars = [op.scalars if c is None else _cmul(complex(c), op.scalars) for c, op in terms]
-    ids = np.concatenate([op.ids for _, op in terms])
-    return TensorOperator._of(first.f, first.dim, np.concatenate(scalars), ids)
-
-
 class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
     computed once, and the operators of relation sides, all built for the
-    columns whose indices lie below ``window`` on every axis.
+    window of depth 2: the columns whose indices lie below N - 2 on every
+    axis.  Every relation side of ``relations`` is built here, the two
+    exchange right-hand sides included, so each coefficient is evaluated at
+    q in one place.
 
     A product X Y is X times Y restricted to the window (``restrict``, held
     once per name): Y acts as its restriction on window columns, so X Y
@@ -270,9 +257,8 @@ class _Products:
     scalars, or a coefficient of at most 1 times an image scalar and one of
     A_m, itself a product of two, and stays below 2^1000."""
 
-    def __init__(self, g: GeneratorImages, window: int) -> None:
+    def __init__(self, g: GeneratorImages) -> None:
         self.g = g
-        self.window = window
         self._restrict = g.q > 2.0**-150 and all(
             (abs(z.scalars) < 2.0**300).all() for row in g.z for z in row
         )
@@ -295,7 +281,7 @@ class _Products:
         """``left`` times ``right`` restricted to the window, not cached."""
         if right not in self._on_window:
             op = self.op(right)
-            self._on_window[right] = op.restrict(self.window) if self._restrict else op
+            self._on_window[right] = op.restrict(self.g.N - 2) if self._restrict else op
         return self.op(left) * self._on_window[right]
 
     def __call__(self, *word: _Name) -> TensorOperator:
@@ -307,11 +293,22 @@ class _Products:
         return self._products[word]
 
     def side(self, side: _Side) -> TensorOperator:
-        """The operator of one relation side, its terms summed in order by
-        ``_combine``; the one place where a coefficient is evaluated at q
-        (1 scales nothing)."""
+        """The operator of one relation side: the sum of its terms ``c *
+        word`` in order, the one place where a coefficient is evaluated at q
+        (1 scales nothing).  The sum is built in one pass: each scaled
+        word's scalars are the one ``_cmul(complex(c), op.scalars)`` that
+        ``op.scale(c)`` computes, and the scalars and ids of all terms are
+        concatenated once, in the layout of the chain ``op.scale(c) + ...``,
+        so the result has that chain's terms bit for bit.  A side of a
+        single unscaled word is that word's operator."""
         q = self.g.q
-        return _combine([(None if c == _ONE else _lp_eval(c, q), self(*word)) for c, word in side])
+        terms = [(None if c == _ONE else _lp_eval(c, q), self(*word)) for c, word in side]
+        if len(terms) == 1 and terms[0][0] is None:
+            return terms[0][1]
+        first = terms[0][1]
+        scalars = [op.scalars if c is None else _cmul(complex(c), op.scalars) for c, op in terms]
+        ids = np.concatenate([op.ids for _, op in terms])
+        return TensorOperator._of(first.f, first.dim, np.concatenate(scalars), ids)
 
     def forget_products(self) -> None:
         """Drops the cached products and keeps the named operators."""
@@ -329,18 +326,21 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     is accepted and ignored, because callers such as the benchmark
     workloads pass it.
 
-    Both exchange right-hand sides are built, each by its own route: the
-    per-case one from floats by ``_case_rhs``, the R-matrix one from the
-    instance's coefficient table.  When the R-matrix one has the per-case
-    one's term list bit for bit (``TensorOperator.same_terms``), its report
-    takes the per-case residual: ``residual_on_window`` is a deterministic
-    function of the two operators' arrays, so that is the value a second
-    call would return.  Otherwise the R-form report is checked by a call of
-    its own.
+    Both exchange right-hand sides are built by ``_Products.side`` from the
+    tables of ``relations``: the per-case one from
+    ``zaa4_case_coefficients``, in its order, the R-matrix one from the
+    instance's sorted R-matrix table.  ``exchange_instances`` compares the
+    two tables exactly on every run, and the window residual checks each
+    side against the representation.  When the R-matrix operator has the
+    per-case one's term list bit for bit (``TensorOperator.same_terms``),
+    its report takes the per-case residual: ``residual_on_window`` is a
+    deterministic function of the two operators' arrays, so that is the
+    value a second call would return.  Otherwise the R-form report is
+    checked by a call of its own.
     """
     n = g.n
     reports: list[RelationReport] = []
-    prod = _Products(g, g.N - 2)
+    prod = _Products(g)
     for family, indices, lhs, rhs, depth in holomorphic_instances(n):
         left, right = prod.side(lhs), prod.side(rhs)
         reports.append(RelationReport.of(family, indices, left, right, depth))
@@ -351,7 +351,8 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
         # used by this instance only, so not cached
         [(_, word)] = lhs
         left = prod.product(*word)
-        case_rhs = _case_rhs(g, *indices, prod)
+        case = zaa4_case_coefficients(n, *indices)
+        case_rhs = prod.side([(c, w) for w, c in case.items()])
         case_report = RelationReport.of(family, indices, left, case_rhs, depth)
         reports.append(case_report)
         rform_rhs = prod.side(rhs)
@@ -360,38 +361,6 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
         else:
             reports.append(RelationReport.of("R-form", indices, left, rform_rhs, depth))
     return reports
-
-
-def _case_rhs(
-    g: GeneratorImages, a: int, b: int, alpha: int, beta: int, prod: _Products
-) -> TensorOperator:
-    """Exchange right-hand side built directly from the per-case formulas
-    (independent of the coefficient-table route used for the R-matrix form),
-    its terms summed in order by ``_combine``."""
-    n, q = g.n, g.q
-
-    def z_zs(k1, j1, k2, j2):
-        return prod(("z", k1, j1), ("zs", k2, j2))
-
-    if a != b and alpha != beta:
-        return z_zs(a, alpha, b, beta)
-    if a == b and alpha != beta:
-        terms = [(q, z_zs(a, alpha, a, beta))]
-        terms += [(-(1.0 / q - q), z_zs(j, alpha, j, beta)) for j in range(a + 1, n + 1)]
-    elif a != b and alpha == beta:
-        terms = [(q, z_zs(a, alpha, b, alpha))]
-        terms += [(-(1.0 / q - q), z_zs(a, j, b, j)) for j in range(alpha + 1, n + 1)]
-    else:
-        terms = [(q**2, z_zs(a, alpha, a, alpha))]
-        terms += [(-(1.0 - q**2), z_zs(a, j, a, j)) for j in range(alpha + 1, n + 1)]
-        terms += [(-(1.0 - q**2), z_zs(j, alpha, j, alpha)) for j in range(a + 1, n + 1)]
-        terms += [
-            ((1.0 - q**2) ** 2 / q**2, z_zs(m, j, m, j))
-            for j in range(alpha + 1, n + 1)
-            for m in range(a + 1, n + 1)
-        ]
-        terms.append((1.0 - q**2, g.identity()))
-    return _combine(terms)
 
 
 def z_monomial(g: GeneratorImages, A: MonomialExponent) -> TensorOperator:
@@ -432,7 +401,7 @@ def shilov_eval(
     n = g.n
     if not (1 <= alpha <= n and 1 <= beta <= n):
         raise ValueError(f"indices ({alpha}, {beta}) outside 1..{n}")
-    op = _Products(g, g.N - 2).side(boundary_side(n, alpha, beta))
+    op = _Products(g).side(boundary_side(n, alpha, beta))
     residual = residual_on_window(op, TensorOperator.zero(g.f, g.N), 2)
     return op, residual
 
@@ -481,7 +450,7 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     """
     if g.n < 2:
         raise ValueError("the commutation families need n >= 2")
-    prod = _Products(g, g.N - 2)
+    prod = _Products(g)
     return [
         RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
         for family, indices, lhs, rhs, depth in a_m_instances(g.n)

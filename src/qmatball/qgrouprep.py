@@ -20,7 +20,6 @@ import numpy as np
 from .permgroup import Permutation, ReducedWord, _index, _real, reduced_word, twist_phases
 from .qoperator import (
     FACTORS,
-    FactorMatrix,
     TensorOperator,
     _check_dim,
     _check_q,
@@ -35,7 +34,6 @@ __all__ = [
     "rep_generator",
     "apply_tau",
     "evaluate_terms",
-    "tau_factor_value",
     "twist_check",
 ]
 
@@ -149,10 +147,6 @@ def _tags_value(tags: tuple[str, ...] | None, phi: float) -> complex:
         else:
             raise ValueError(f"factor tag {tag!r} has no scalar evaluation")
     return value
-
-
-def tau_factor_value(factor: FactorMatrix | None, phi: float) -> complex:
-    return _tags_value(() if factor is None else factor.provenance, phi)
 
 
 def evaluate_terms(

@@ -578,7 +578,7 @@ class TensorOperator:
         """The operator applied to a dense state, a complex array of shape
         ``(dim,) * f`` (any other shape raises ``ValueError``): a test oracle
         on no certified path, kept while ``perfbench/tracing.py`` wraps it by
-        name (ROADMAP item 7)."""
+        name (ROADMAP item 1)."""
         v = np.asarray(v, dtype=np.complex128)
         if v.shape != (self.dim,) * self.f:
             raise ValueError(f"state shape {v.shape} is not {(self.dim,) * self.f}")
@@ -942,7 +942,7 @@ def norm_estimate(op: TensorOperator, iters: int = 60) -> float:
 
     The Rayleigh quotients are nondecreasing in the iteration count and never
     exceed the true largest singular value.  Like ``apply``, on no certified
-    path, kept while ``perfbench/tracing.py`` wraps it (ROADMAP item 7).
+    path, kept while ``perfbench/tracing.py`` wraps it (ROADMAP item 1).
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")

@@ -312,17 +312,9 @@ class TestRelations:
 
     def test_differing_exchange_routes_are_each_computed(self, monkeypatch):
         # the R-form report reuses the per-case residual only when the two
-        # right-hand sides agree bit for bit; moving one scalar of the
-        # per-case side by one ulp makes every R-form instance a call
+        # right-hand sides agree bit for bit; when no two operators agree,
+        # every R-form instance is a call
         g = fock_rep(3, Q, 5)
-        case_rhs = matrixball._case_rhs
-
-        def nudged(*args):
-            op = case_rhs(*args)
-            scalars = op.scalars.copy()
-            scalars[0] = complex(np.nextafter(scalars[0].real, np.inf), scalars[0].imag)
-            return TensorOperator.from_ids(op.f, op.dim, scalars, op.ids)
-
         calls = 0
 
         def counted(*args):
@@ -330,11 +322,11 @@ class TestRelations:
             calls += 1
             return residual_on_window(*args)
 
-        monkeypatch.setattr(matrixball, "_case_rhs", nudged)
+        monkeypatch.setattr(TensorOperator, "same_terms", lambda self, other: False)
         monkeypatch.setattr(matrixball, "residual_on_window", counted)
         reports = verify_relations(g)
         assert calls == 234
-        prod = matrixball._Products(g, g.N - 2)
+        prod = matrixball._Products(g)
         rform = [r for r in reports if r.relation == "R-form"]
         assert len(rform) == 81
         for report in rform:
@@ -343,6 +335,41 @@ class TestRelations:
             coefficients = zaa4_r_coefficients(3, *report.indices)
             rhs = prod.side([(c, word) for word, c in sorted(coefficients.items())])
             assert report.residual.hex() == residual_on_window(lhs, rhs, 2).hex()
+
+    @pytest.mark.parametrize("n,q,N", [(3, 0.6, 6), (2, 0.9, 6)])
+    def test_exchange_routes_scale_each_word_alike(self, monkeypatch, n, q, N):
+        # both exchange right-hand sides that verify_relations builds, the
+        # per-case one in its table's order and the R-form one sorted, cut
+        # into the blocks of their words: each word's block has the same
+        # ids and scalars in both, bit for bit.  At these q the corner
+        # coefficient q^-2 - 2 + q^2 rounds differently from (1 - q^2)^2 / q^2
+        g = fock_rep(n, q, N)
+        pairs = []
+        same_terms = TensorOperator.same_terms
+
+        def recorded(self, other):
+            pairs.append((other, self))
+            return same_terms(self, other)
+
+        monkeypatch.setattr(TensorOperator, "same_terms", recorded)
+        verify_relations(g)
+        monkeypatch.undo()
+        instances = list(relations.exchange_instances(n))
+        assert len(pairs) == len(instances) == n**4
+        prod = matrixball._Products(g)
+        for (case_op, rform_op), (_, indices, _, rform, _) in zip(pairs, instances):
+            case = zaa4_case_coefficients(n, *indices)
+            case_blocks = word_blocks(prod, case_op, list(case))
+            rform_blocks = word_blocks(prod, rform_op, [word for _, word in rform])
+            assert case_blocks == rform_blocks, indices
+
+    def test_rform_report_bits_at_a_q_where_the_corner_rounds(self):
+        # written by commit 7bac09d, before the per-case side was built from
+        # the relation tables; the R-form route did not change
+        reports = [r for r in verify_relations(fock_rep(3, 0.6, 6)) if r.relation == "R-form"]
+        assert len(reports) == 81
+        digest = "a54847c4191318d46770919b644a66f65f44a2ffed05dbab2327bcaab18f98b5"
+        assert report_digest(reports) == digest
 
     def test_all_strings_n2(self, rng):
         for ks in enumerate_admissible(2):
@@ -355,6 +382,24 @@ class TestRelations:
             s = random_phases_for(ks, rng)
             reports = verify_relations(rep_from_string(s, Q, 5))
             assert max(r.residual for r in reports) < 1e-10, s
+
+
+def word_blocks(prod, op, words):
+    """``op``, a side of the words ``words`` in that order, cut into one
+    block per word, of that word's term count: word -> (ids, scalars) bytes."""
+    blocks, start = {}, 0
+    for word in words:
+        stop = start + prod(*word).scalars.size
+        blocks[word] = (op.ids[start:stop].tobytes(), op.scalars[start:stop].tobytes())
+        start = stop
+    assert start == op.scalars.size
+    return blocks
+
+
+def case_side(n, indices):
+    """The per-case exchange right-hand side at ``indices``, in its table's
+    order."""
+    return [(c, word) for word, c in zaa4_case_coefficients(n, *indices).items()]
 
 
 class FullProducts:
@@ -389,8 +434,8 @@ class FullProducts:
 
 def chain_side(prod, side):
     """A relation side as a chain of ``scale`` and ``+``, one new operator
-    per term: the construction that ``matrixball._combine`` replaced, kept
-    here as its oracle."""
+    per term: the construction that ``matrixball._Products.side`` replaced,
+    kept here as its oracle."""
     q = prod.g.q
     terms = [
         prod(*word) if c == relations._ONE else prod(*word).scale(relations._lp_eval(c, q))
@@ -399,40 +444,9 @@ def chain_side(prod, side):
     return sum(terms[1:], terms[0])
 
 
-def chain_case_rhs(g, a, b, alpha, beta, prod):
-    """``matrixball._case_rhs`` as a chain of ``scale`` and ``+``."""
-    n, q = g.n, g.q
-
-    def z_zs(k1, j1, k2, j2):
-        return prod(("z", k1, j1), ("zs", k2, j2))
-
-    if a != b and alpha != beta:
-        return z_zs(a, alpha, b, beta)
-    if a == b and alpha != beta:
-        op = z_zs(a, alpha, a, beta).scale(q)
-        for j in range(a + 1, n + 1):
-            op = op + z_zs(j, alpha, j, beta).scale(-(1.0 / q - q))
-        return op
-    if a != b and alpha == beta:
-        op = z_zs(a, alpha, b, alpha).scale(q)
-        for j in range(alpha + 1, n + 1):
-            op = op + z_zs(a, j, b, j).scale(-(1.0 / q - q))
-        return op
-    op = z_zs(a, alpha, a, alpha).scale(q**2)
-    for j in range(alpha + 1, n + 1):
-        op = op + z_zs(a, j, a, j).scale(-(1.0 - q**2))
-    for j in range(a + 1, n + 1):
-        op = op + z_zs(j, alpha, j, alpha).scale(-(1.0 - q**2))
-    for j in range(alpha + 1, n + 1):
-        for m in range(a + 1, n + 1):
-            op = op + z_zs(m, j, m, j).scale((1.0 - q**2) ** 2 / q**2)
-    return op + g.identity().scale(1.0 - q**2)
-
-
 class TestOnePassSides:
-    """``_Products.side`` and ``_case_rhs`` build a side in one pass; each
-    has the terms of the ``scale``/``+`` chain bit for bit, on the same
-    products."""
+    """``_Products.side`` builds a side in one pass, with the terms of the
+    ``scale``/``+`` chain bit for bit, on the same products."""
 
     @pytest.mark.parametrize(
         "n,q,N", [(1, 0.3, 6), (2, 0.3, 5), (3, 0.7, 4), (4, 0.3, 3), (4, Q, 4)]
@@ -454,18 +468,18 @@ class TestOnePassSides:
     def check(g):
         """Compares every side at ``g``; returns how many scaled words take
         each route of ``_cmul``."""
-        prod = matrixball._Products(g, g.N - 2)
+        prod = matrixball._Products(g)
         routes = collections.Counter()
         for family, indices, lhs, rhs, _ in relations.instances(g.n):
-            for side in (lhs, rhs):
+            sides = [lhs, rhs]
+            if family.startswith("zaa4"):
+                sides.append(case_side(g.n, indices))
+            for side in sides:
                 assert prod.side(side).same_terms(chain_side(prod, side)), (family, indices)
                 for c, word in side:
                     if c != relations._ONE:
                         size = prod(*word).scalars.size
                         routes["array" if size > qoperator._PYTHON_PRODUCTS else "python"] += 1
-            if family.startswith("zaa4"):
-                op = matrixball._case_rhs(g, *indices, prod)
-                assert op.same_terms(chain_case_rhs(g, *indices, prod)), indices
         return routes
 
 
@@ -480,7 +494,7 @@ def full_product_relations(g):
             continue
         left = full.side(lhs)
         if family.startswith("zaa4"):
-            case_rhs = matrixball._case_rhs(g, *indices, full)
+            case_rhs = full.side(case_side(g.n, indices))
             out.append((family, indices, residual_on_window(left, case_rhs, depth).hex(), depth))
             family = "R-form"
         out.append((family, indices, residual_on_window(left, full.side(rhs), depth).hex(), depth))
@@ -531,7 +545,7 @@ class TestWindowProducts:
         # at N = 3 the window of depth 2 is the vacuum, which every z*
         # kills: each z z* is built empty, and the full one is not
         g = fock_rep(3, Q, 3)
-        prod = matrixball._Products(g, 1)
+        prod = matrixball._Products(g)
         word = (("z", 1, 1), ("zs", 2, 2))
         assert prod(*word).scalars.size == 0
         assert FullProducts(g)(*word).scalars.size > 0
@@ -782,7 +796,7 @@ class TestRelationData:
         for family, indices, lhs, rhs, _ in relations.instances(n):
             sides += [lhs, rhs]
             if family.startswith("zaa4"):
-                sides.append([(c, w) for w, c in zaa4_case_coefficients(n, *indices).items()])
+                sides.append(case_side(n, indices))
         names = set()
         for side in sides:
             assert side

@@ -18,10 +18,10 @@ from qmatball.permgroup import (
 from qmatball.qgrouprep import (
     FactorEvaluation,
     SoibelmanRep,
+    _tags_value,
     apply_tau,
     evaluate_terms,
     rep_generator,
-    tau_factor_value,
     twist_check,
 )
 from qmatball.qoperator import (
@@ -56,7 +56,7 @@ def apply_tau_loop(op, ev):
         for index, phi in table.items():
             tid = row[index - 1]
             if (index, tid) not in values:
-                values[(index, tid)] = tau_factor_value(FACTORS[tid], phi)
+                values[(index, tid)] = _tags_value(FACTORS.tags[tid], phi)
             scalar *= values[(index, tid)]
             if scalar == 0:
                 break
@@ -199,17 +199,17 @@ class TestApplyTau:
         assert out.f == 0 and len(out.terms) == 0
 
     def test_hook_values(self):
-        assert tau_factor_value(t_block(1, 1, Q, N), 0.4) == pytest.approx(
+        assert _tags_value(t_block(1, 1, Q, N).provenance, 0.4) == pytest.approx(
             cmath.exp(-0.4j)
         )
-        assert tau_factor_value(t_block(2, 2, Q, N), 0.4) == pytest.approx(
+        assert _tags_value(t_block(2, 2, Q, N).provenance, 0.4) == pytest.approx(
             cmath.exp(0.4j)
         )
-        assert tau_factor_value(None, 1.0) == 1.0
+        assert _tags_value((), 1.0) == 1.0
 
     def test_product_provenance_multiplies(self):
         F = t_block(1, 1, Q, N).matmul(t_block(2, 2, Q, N))
-        assert tau_factor_value(F, 0.9) == pytest.approx(1.0)
+        assert _tags_value(F.provenance, 0.9) == pytest.approx(1.0)
 
     def test_untagged_factor_rejected(self):
         raw = FactorMatrix(0, np.ones(N))
@@ -346,7 +346,7 @@ class TestTwist:
          "matrix entry \\(4, 1\\) outside 1..3"),
         (lambda: FactorEvaluation(((0, 0.0),)), "factor indices are 1-based"),
         (lambda: FactorEvaluation(((1, None),)), "phase must be a number, got None"),
-        (lambda: tau_factor_value(FactorMatrix(0, [1.0] * N, ("X",)), 0.3),
+        (lambda: _tags_value(FactorMatrix(0, [1.0] * N, ("X",)).provenance, 0.3),
          "factor tag 'X' has no scalar evaluation"),
         (lambda: twist_check(Permutation(2, (2, 1)), ["0.5", "-0.5"]),
          "phase must be a number, got '0.5'"),

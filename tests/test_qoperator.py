@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmatball import qoperator
-from qmatball.qgrouprep import FactorEvaluation, apply_tau, tau_factor_value
+from qmatball.qgrouprep import FactorEvaluation, _tags_value, apply_tau
 from qmatball.qoperator import (
     FACTORS,
     FactorMatrix,
@@ -729,7 +729,7 @@ class TestFactorTable:
         assert FACTORS[product].provenance is None
         assert FACTORS[adjoint].provenance is None
         with pytest.raises(ValueError, match="primitive set"):
-            tau_factor_value(FACTORS[raw_id], 0.3)
+            _tags_value(FACTORS[raw_id].provenance, 0.3)
 
         data = json.loads(json.dumps(operator_to_json(single(1.0, [T]))))
         back = operator_from_json(data)
@@ -1329,11 +1329,13 @@ class TestResidualDenseOracle:
 
     def test_real_relation_instance(self):
         # exchange relation of the 2x2 vacuum representation, both sides
-        from qmatball.matrixball import _case_rhs, _Products, fock_rep
+        from qmatball.matrixball import _Products, fock_rep
+        from qmatball.relations import zaa4_case_coefficients
 
         g = fock_rep(2, Q, 5)
         lhs = g.gen(1, 1).adjoint() * g.gen(1, 1)
-        rhs = _case_rhs(g, 1, 1, 1, 1, _Products(g, g.N - 2))
+        case = zaa4_case_coefficients(2, 1, 1, 1, 1)
+        rhs = _Products(g).side([(c, word) for word, c in case.items()])
         got = residual_on_window(lhs, rhs, 2)
         want = self._window_max(lhs, rhs, 2)
         assert got == pytest.approx(want, abs=1e-13)
