@@ -14,7 +14,7 @@ exceed the memory or the work limit) stops the scan with a message on stderr
 and exit code 2.  So does n = 5: after 1408 of the 1546 strings, none
 mismatched, the string [5, 4, 4, 4, 3] needs a residual of 1.97e9 elements
 of work (20 axes at window 2, 4095 terms in 1717 classes), over the work
-limit of 2^30.  On 2 vCPUs that takes about four minutes and 95 MB.
+limit of 2^30.  On 2 vCPUs that takes about two minutes (118 s) and 96 MB.
 """
 
 import sys

@@ -193,6 +193,15 @@ def _staircase_paths(n: int, k: int, j: int) -> tuple[LatticePath, ...]:
     return tuple(paths)
 
 
+def _z_prefactor(q: float, k: int, n: int) -> float:
+    """(-q)^{k-n}, the scalar in front of z_k^j, raising ``ValueError`` where
+    it leaves the float range (q^-2 does below q = 7.46e-155)."""
+    try:
+        return (-q) ** (k - n)
+    except OverflowError:
+        raise ValueError(f"q = {q!r} is too small: (-q)^{k - n} overflows a float") from None
+
+
 def synthesize_z(
     grid: GridDiagram, k: int, j: int, q: float, N: int
 ) -> TensorOperator:
@@ -206,7 +215,7 @@ def synthesize_z(
     n = grid.n
     position = grid._white_position
     blocks = t_block_ids(q, N)
-    prefactor = (-q) ** (k - n)
+    prefactor = _z_prefactor(q, k, n)
     scalars = []
     rows = []
     for path in enumerate_paths(n, k, j):

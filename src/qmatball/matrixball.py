@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagramcalc import factor_index, grid_from_string
+from .diagramcalc import _z_prefactor, factor_index, grid_from_string
 from .permgroup import AdmissibleString, ReducedWord, _index, _real
 from .qgrouprep import (
     FactorEvaluation,
@@ -188,7 +188,7 @@ def fock_rep(n: int, q: float, N: int, /) -> GeneratorImages:
     rep = SoibelmanRep(fock_word(n), q, N)
     table = tuple(
         tuple(
-            rep_generator(rep, n + k, n + j).scale((-rep.q) ** (k - n))
+            rep_generator(rep, n + k, n + j).scale(_z_prefactor(rep.q, k, n))
             for j in range(1, n + 1)
         )
         for k in range(1, n + 1)

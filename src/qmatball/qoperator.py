@@ -82,7 +82,9 @@ class FactorMatrix:
     """One N x N tensor factor, a weighted shift: column c is
     ``amps[c] * e_{c+delta}``, with ``amps[c] = 0`` wherever c + delta falls
     outside 0..N-1.  The corner operators and all their products have this
-    shape, so products, adjoints and norms act on the amplitude vector.
+    shape, so products, adjoints and norms act on the amplitude vector;
+    ``FactorTable`` takes products and adjoints on its rows, and builds a
+    ``FactorMatrix`` only to validate and intern each new one.
 
     The provenance tuple lists primitive tags ("T11", "T12", "T21", "T22")
     in product order; scalar evaluation of a factor multiplies the character
@@ -135,27 +137,6 @@ class FactorMatrix:
         out.setflags(write=False)
         return out
 
-    def adjoint(self) -> "FactorMatrix":
-        prov = None
-        if self.provenance is not None and all(t in _ADJOINT_TAG for t in self.provenance):
-            prov = tuple(_ADJOINT_TAG[t] for t in reversed(self.provenance))
-        # column c of the adjoint is row c of self, hit by column c - delta;
-        # where c - delta wraps around, the adjoint's column c leaves the
-        # truncation, and the zero amplitude of self there cancels it
-        return FactorMatrix(-self.delta, np.roll(self.amps, self.delta).conj(), prov)
-
-    def matmul(self, other: "FactorMatrix") -> "FactorMatrix":
-        if self.dim != other.dim:
-            raise ValueError("factor dimension mismatch")
-        prov = None
-        if self.provenance is not None and other.provenance is not None:
-            prov = self.provenance + other.provenance
-        # column c of other lands on row c + other.delta, where self's column
-        # amplitude applies; where c + other.delta wraps around, other's own
-        # zero amplitude at c cancels the wrapped entry
-        amps = other.amps * np.roll(self.amps, -other.delta)
-        return FactorMatrix(self.delta + other.delta, amps, prov)
-
 
 class FactorTable:
     """Interned tensor factors, addressed by integer id.  A factor is one
@@ -172,9 +153,9 @@ class FactorTable:
     are never removed, so an id stays valid for every operator holding it;
     the table grows with the distinct factors put into operators and with
     the products and adjoints taken of them.  The product id of each pair of
-    ids and the adjoint id of each id are computed once, on first use, by
-    ``FactorMatrix.matmul`` and ``.adjoint`` on snapshots; a call whose
-    pairs and ids are all known runs no Python loop over them.
+    ids and the adjoint id of each id are computed once, on first use, from
+    the operands' rows (see ``_add_products`` and ``adjoints``); a call
+    whose pairs and ids are all known runs no Python loop over them.
 
     Products are stored as two arrays of equal length: the pair keys
     ``left << 32 | right`` in ascending order, and the product id of each.
@@ -298,7 +279,16 @@ class FactorTable:
         for key in keys:
             a, b = key >> 32, key & 0xFFFFFFFF
             if a and b:
-                ids.append(self.intern(self[a].matmul(self[b])))
+                dim, db = int(self._dims[a]), int(self._deltas[b])
+                if dim != self._dims[b]:
+                    raise ValueError("factor dimension mismatch")
+                # column c of b lands on row c + db, where a's column amplitude
+                # applies; where c + db wraps around, b's own zero amplitude at
+                # c cancels it.  Read before intern, which may regrow the rows
+                amps = self._amps[b, :dim] * np.roll(self._amps[a, :dim], -db)
+                ta, tb = self.tags[a], self.tags[b]
+                tags = None if ta is None or tb is None else ta + tb
+                ids.append(self.intern(FactorMatrix(int(self._deltas[a]) + db, amps, tags)))
             else:
                 # a pair with the identity (0 on either side) is the other id
                 ids.append(a | b)
@@ -314,9 +304,19 @@ class FactorTable:
         missing = found < 0
         if missing.any():
             for tid in sorted(set(ids[missing].tolist())):
-                adj = self.intern(self[tid].adjoint())
-                # read the column after interning, which may have regrown it
-                self._adjoint[tid] = adj
+                delta, tags = int(self._deltas[tid]), self.tags[tid]
+                if tags is not None and all(t in _ADJOINT_TAG for t in tags):
+                    tags = tuple(_ADJOINT_TAG[t] for t in reversed(tags))
+                else:
+                    tags = None
+                # column c of the adjoint is row c of the factor, hit by
+                # column c - delta; where that wraps around, the adjoint's
+                # column leaves the truncation and the zero amplitude there
+                # cancels it
+                amps = np.roll(self._amps[tid, : self._dims[tid]], delta).conj()
+                # Python evaluates the right side first, so the column is
+                # written after intern, which may regrow it
+                self._adjoint[tid] = self.intern(FactorMatrix(-delta, amps, tags))
             found = self._adjoint[ids]
         return found
 

@@ -62,7 +62,10 @@ def _lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def _lp_eval(a: LaurentPoly, q: float) -> float:
-    return float(sum(float(c) * q**p for p, c in a.items()))
+    try:
+        return float(sum(float(c) * q**p for p, c in a.items()))
+    except OverflowError:
+        raise ValueError(f"q = {q!r} is too small: a power of q overflows a float") from None
 
 
 # the constant coefficients, built once: every side and table that uses one

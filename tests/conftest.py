@@ -61,6 +61,35 @@ def from_terms(f: int, dim: int, terms) -> qoperator.TensorOperator:
     return qoperator.TensorOperator.from_ids(f, dim, scalars, ids)
 
 
+# the adjoint of each corner block: T11* = T22, T12* = T12, T21* = T21
+ADJOINT_TAG = {"T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"}
+
+
+def factor_product(F, G) -> qoperator.FactorMatrix:
+    """The factor ``F @ G``, computed on the two objects; the oracle for
+    ``FactorTable.products``.  Column c of G lands on row c + G.delta, where
+    F's column amplitude applies; where c + G.delta wraps around, G's own
+    zero amplitude at c cancels the wrapped entry."""
+    if F.dim != G.dim:
+        raise ValueError("factor dimension mismatch")
+    prov = None
+    if F.provenance is not None and G.provenance is not None:
+        prov = F.provenance + G.provenance
+    amps = G.amps * np.roll(F.amps, -G.delta)
+    return qoperator.FactorMatrix(F.delta + G.delta, amps, prov)
+
+
+def factor_adjoint(F) -> qoperator.FactorMatrix:
+    """The adjoint of ``F``, computed on the object; the oracle for
+    ``FactorTable.adjoints``.  Column c of the adjoint is row c of F, hit by
+    column c - delta; where c - delta wraps around, the adjoint's column c
+    leaves the truncation, and F's zero amplitude there cancels it."""
+    prov = None
+    if F.provenance is not None and all(t in ADJOINT_TAG for t in F.provenance):
+        prov = tuple(ADJOINT_TAG[t] for t in reversed(F.provenance))
+    return qoperator.FactorMatrix(-F.delta, np.roll(F.amps, F.delta).conj(), prov)
+
+
 def term_signature(op):
     """Multiset of (scalar, factor-tag-tuple) pairs, scalars rounded."""
     sig = []

@@ -441,6 +441,37 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--fock", "2", "--trunc", "6", "--q", "1e-200"],
+             "q = 1e-200 is too small: a power of q overflows a float"),
+            (["verify", "--fock", "2", "--trunc", "6", "--q", "1e-160"],
+             "q = 1e-160 is too small: a power of q overflows a float"),
+            (["verify", "--fock", "3", "--trunc", "4", "--q", "1e-200"],
+             "q = 1e-200 is too small: (-q)^-2 overflows a float"),
+            (["build", "--string", "STRING", "--trunc", "4", "--q", "1e-200"],
+             "q = 1e-200 is too small: (-q)^-2 overflows a float"),
+            (["verify", "--string", "STRING", "--oracle", "--trunc", "4", "--q", "1e-200"],
+             "q = 1e-200 is too small: (-q)^-2 overflows a float"),
+        ],
+    )
+    def test_q_too_small_for_a_float_power_exits_2(self, capsys, tmp_path, argv, message):
+        # a negative power of q that passes 1.8e308 is refused, not a traceback
+        path = tmp_path / "string3.json"
+        path.write_text(json.dumps({"n": 3, "pairs": [[3, 0.0], [3, 0.0], [2, 1.25]]}))
+        code, out, err = run(capsys, *(str(path) if a == "STRING" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_tiny_q_within_the_float_range_fails(self, capsys):
+        # q^-2 = 1e200 is a float, so the run completes, but the zaa44
+        # residual at (1, 1, 1, 1) reads 1.0: a failed verification, exit 1
+        code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "6", "--q", "1e-100")
+        assert code == 1
+        assert json.loads(out)["summary"]["pass"] is False
+
     def test_nan_after_the_first_report_fails(self, capsys, monkeypatch):
         a_m_checks = cli.matrixball.a_m_checks
 

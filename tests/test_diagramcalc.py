@@ -202,6 +202,11 @@ class TestSynthesize:
         grid = grid_from_string(s)
         assert synthesize_z(grid, 1, 3, Q, N).is_zero()
 
+    def test_prefactor_past_the_float_range_raises_value_error(self):
+        grid = grid_from_string(AdmissibleString(3, (3, 3, 3)))
+        with pytest.raises(ValueError, match=r"q = 1e-200 is too small: \(-q\)\^-2 overflows"):
+            synthesize_z(grid, 1, 1, 1e-200, N)
+
 
 class TestCrossConstruction:
     @pytest.mark.parametrize("n,trunc", [(2, 6), (3, 4)])

@@ -1084,6 +1084,9 @@ class TestStructuralInvariants:
          "exponent matrix is 1 x 1, representation has n=2"),
         (lambda: coherent_check(Q, 4, None), "phase must be a number, got None"),
         (lambda: coherent_check(Q, 4, "0.5"), "phase must be a number, got '0.5'"),
+        # a negative power of q past the float range
+        (lambda: fock_rep(3, 1e-200, 4), "q = 1e-200 is too small: \\(-q\\)\\^-2 overflows"),
+        (lambda: relations._lp_eval(relations._CORNER, 1e-160), "q = 1e-160 is too small"),
     ],
 )
 def test_bad_input_raises_value_error(call, message):

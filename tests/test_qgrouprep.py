@@ -33,7 +33,7 @@ from qmatball.qoperator import (
     vacuum_matrix_element,
 )
 
-from conftest import all_reduced_words, random_phases_for
+from conftest import all_reduced_words, factor_product, random_phases_for
 
 Q, N = 0.5, 5
 
@@ -208,7 +208,7 @@ class TestApplyTau:
         assert _tags_value((), 1.0) == 1.0
 
     def test_product_provenance_multiplies(self):
-        F = t_block(1, 1, Q, N).matmul(t_block(2, 2, Q, N))
+        F = factor_product(t_block(1, 1, Q, N), t_block(2, 2, Q, N))
         assert _tags_value(F.provenance, 0.9) == pytest.approx(1.0)
 
     def test_untagged_factor_rejected(self):

@@ -32,7 +32,7 @@ from qmatball.qoperator import (
     vacuum_matrix_element,
 )
 
-from conftest import from_terms, vacuum
+from conftest import factor_adjoint, factor_product, from_terms, vacuum
 
 Q, N = 0.5, 6
 
@@ -99,7 +99,7 @@ class TestTBlocks:
 
     def test_t11_is_adjoint_of_t22(self):
         assert np.allclose(
-            t_block(1, 1, Q, N).entries, t_block(2, 2, Q, N).adjoint().entries
+            t_block(1, 1, Q, N).entries, factor_adjoint(t_block(2, 2, Q, N)).entries
         )
 
     def test_block_index_errors(self):
@@ -389,7 +389,7 @@ class TestResidualWindow:
         t11, t22 = t_block(1, 1, Q, dim), t_block(2, 2, Q, dim)
         a = single(1.0, [t22, t11, t22], dim=dim) + single(0.5, [t11, t22, None], dim=dim)
         b = single(0.25, [t11, t11, t11], dim=dim)
-        vanishing = single(2.0, [t22, None, t11.matmul(t11)], dim=dim)
+        vanishing = single(2.0, [t22, None, factor_product(t11, t11)], dim=dim)
         assert table.max_lead == dim - d
 
         def needed(x, y):
@@ -581,7 +581,7 @@ def tag_word(rng, dim, max_length=3):
     ]
     out = blocks[0]
     for block in blocks[1:]:
-        out = out.matmul(block)
+        out = factor_product(out, block)
     return out
 
 
@@ -640,18 +640,20 @@ def bits(z: complex) -> tuple[str, str]:
 
 
 def same_factor(F, G) -> bool:
+    """Equal shift, provenance and amplitude bits, signed zeros included."""
     if F is None or G is None:
         return F is None and G is None
     return (
         F.delta == G.delta
-        and np.array_equal(F.amps, G.amps)
+        and F.amps.tobytes() == G.amps.tobytes()
         and F.provenance == G.provenance
     )
 
 
 class TestFactorTable:
     """Products, adjoints and operator algebra by factor id, against the
-    factor-by-factor algebra and dense matrices."""
+    factor-by-factor oracle (``factor_product``, ``factor_adjoint``) and
+    dense matrices."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(2, 4), st.booleans())
@@ -661,7 +663,7 @@ class TestFactorTable:
         tid, product, dense = FACTORS.intern(chain[0]), chain[0], chain[0].entries
         for G in chain[1:]:
             (tid,) = FACTORS.products(np.array([tid]), np.array([FACTORS.intern(G)]))
-            product, dense = product.matmul(G), dense @ G.entries
+            product, dense = factor_product(product, G), dense @ G.entries
             assert same_factor(FACTORS[tid], product)
             assert np.allclose(FACTORS[tid].entries, dense, rtol=0, atol=1e-12)
 
@@ -671,7 +673,7 @@ class TestFactorTable:
         F = random_factor(np.random.default_rng(seed), dim, tagged)
         (adj,) = FACTORS.adjoints(np.array([FACTORS.intern(F)]))
         assert FACTORS.adjoint[FACTORS.intern(F)] == adj
-        assert same_factor(FACTORS[adj], F.adjoint())
+        assert same_factor(FACTORS[adj], factor_adjoint(F))
         assert np.array_equal(FACTORS[adj].entries, F.entries.conj().T)
         (back,) = FACTORS.adjoints(np.array([adj]))
         assert np.array_equal(FACTORS[back].entries, F.entries)
@@ -709,7 +711,7 @@ class TestFactorTable:
         for (a, b), term in zip(pairs, P.terms):
             assert bits(term.scalar) == bits(a.scalar * b.scalar)
             for F, G, H in zip(a.factors, b.factors, term.factors):
-                want = G if F is None else F if G is None else F.matmul(G)
+                want = G if F is None else F if G is None else factor_product(F, G)
                 assert same_factor(H, want)
         assert np.allclose(dense_matrix(P), dense_matrix(A) @ dense_matrix(B), atol=1e-12)
         adjoint = A.adjoint()
@@ -739,6 +741,46 @@ class TestFactorTable:
             apply_tau(back, FactorEvaluation(((1, 0.3),)))
         assert apply_tau(single(1.0, [T]), FactorEvaluation(((1, 0.3),))).f == 0
 
+    def test_new_products_and_adjoints_read_only_the_rows(self, monkeypatch):
+        # a pair or id never met is computed from the table's columns; a
+        # snapshot, FactorTable.__getitem__, would raise
+        rng = np.random.default_rng(29)
+        table = FactorTable()
+        factors = [random_factor(rng, 4, tagged) for tagged in (True, False) for _ in range(6)]
+        factors.append(FactorMatrix(-1, [0.0, 0.5j, -0.25, 0.0], ("T11", "X")))
+        ids = np.array([table.intern(F) for F in factors])
+
+        def snapshot(self, tid):
+            raise AssertionError("snapshot taken")
+
+        with monkeypatch.context() as m:
+            m.setattr(FactorTable, "__getitem__", snapshot)
+            products = table.products(ids[:, None], ids[None, :])
+            adjoints = table.adjoints(ids)
+        for F, adj, row in zip(factors, adjoints, products):
+            assert same_factor(table[adj], factor_adjoint(F))
+            for G, tid in zip(factors, row):
+                assert same_factor(table[tid], factor_product(F, G))
+
+    def test_overflowing_product_is_refused_each_time(self, monkeypatch):
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        big = single(1.0, [FactorMatrix(0, [1e200] * 3)], dim=3)
+        stored = (len(table), table._pair_keys.size)
+        for _ in range(2):
+            # no id was stored, so the second product is computed again
+            with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="factor entries must be finite"
+            ):
+                big * big
+            assert (len(table), table._pair_keys.size) == stored
+
+    def test_product_past_the_shift_bound_is_refused(self):
+        table = FactorTable()
+        tid = table.intern(FactorMatrix(2**31 - 1, np.zeros(3)))
+        with pytest.raises(ValueError, match="shift must lie strictly between"):
+            table.products(np.array([tid]), np.array([tid]))
+
     def test_tagged_factor_rebuilt_from_its_fields_shares_its_id(self):
         # interning reads the content only, never the object's identity
         table = FactorTable()
@@ -759,7 +801,7 @@ class TestFactorTable:
 
     def test_snapshot_is_a_new_read_only_copy_of_the_row(self):
         table = FactorTable()
-        F = t_block(1, 1, Q, N).matmul(t_block(2, 1, Q, N))
+        F = factor_product(t_block(1, 1, Q, N), t_block(2, 1, Q, N))
         tid = table.intern(F)
         G, H = table[tid], table[tid]
         assert G is not F and G is not H
@@ -823,7 +865,9 @@ class TestFactorTable:
         table = FactorTable()
         ids = [
             table.intern(F)
-            for F in (t_block(2, 2, Q, N), t11, t11.matmul(t11), FactorMatrix(0, np.zeros(N)))
+            for F in (
+                t_block(2, 2, Q, N), t11, factor_product(t11, t11), FactorMatrix(0, np.zeros(N))
+            )
         ]
         assert table.lead[[0] + ids].tolist() == [0, 0, 1, 2, N]
         assert table.max_lead == N and type(table.max_lead) is int
@@ -893,7 +937,9 @@ class TestFactorTable:
         assert (len(table), table._pair_keys.size) == (grown, stored)
 
         def product(x, y):
-            return y if x == 0 else x if y == 0 else table.intern(table[x].matmul(table[y]))
+            if x == 0 or y == 0:
+                return x | y
+            return table.intern(factor_product(table[x], table[y]))
 
         pairs = list(zip(*(side.ravel().tolist() for side in np.broadcast_arrays(left, right))))
         assert ids.ravel().tolist() == [product(x, y) for x, y in pairs]
@@ -1126,7 +1172,7 @@ class TestWeightedShiftOracle:
         chain = [weighted_shift(rng, dim) for _ in range(length)]
         product, dense = chain[0], chain[0].entries
         for G in chain[1:]:
-            product, dense = product.matmul(G), dense @ G.entries
+            product, dense = factor_product(product, G), dense @ G.entries
             assert np.allclose(product.entries, dense, rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -1142,7 +1188,7 @@ class TestWeightedShiftOracle:
         amps[max(-delta, 0) : max(-delta, 0) + diagonal.size] = diagonal
         F = FactorMatrix(delta, amps)
         assert np.array_equal(F.entries, dense)
-        assert np.array_equal(F.adjoint().entries, dense.conj().T)
+        assert np.array_equal(factor_adjoint(F).entries, dense.conj().T)
         op = single(1.0, [F], dim=dim)
         assert norm_bound(op) == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
         data = json.loads(json.dumps(operator_to_json(op)))
@@ -1407,7 +1453,7 @@ class TestResidualDenseOracle:
         def vanishing_factor():
             if window <= 2 and rng.random() < 0.5:
                 t11 = t_block(1, 1, float(rng.choice([0.3, 0.5])), dim)
-                return t11.matmul(t11)
+                return factor_product(t11, t11)
             F = weighted_shift(rng, dim)
             amps = F.amps.copy()
             amps[: window + int(rng.integers(0, dim - window + 1))] = 0.0
@@ -1594,7 +1640,7 @@ class TestResidualSkips:
             tail = data.draw(st.integers(0, dim), "tail")
             pool.append((F, relabelled(F, "G", dim), relabelled(F, "H", tail)))
         t11, t12 = t_block(1, 1, Q, dim), t_block(1, 2, Q, dim)
-        pool.append((t11.matmul(t12), t12.matmul(t11), None))
+        pool.append((factor_product(t11, t12), factor_product(t12, t11), None))
         slots = st.sampled_from([None] + list(range(len(pool))))
         scalars = st.sampled_from(_SCALARS)
         a_terms, b_terms = [], []
@@ -1686,7 +1732,7 @@ class TestResidualSkips:
         # so the first class is an opposite pair: the class-by-class path
         # skips it unbuilt, the scatter path builds it and skips its zero sum
         t11, t12, t21 = t_block(1, 1, Q, N), t_block(1, 2, Q, N), t_block(2, 1, Q, N)
-        x, y = t12.matmul(t21), t21.matmul(t12)
+        x, y = factor_product(t12, t21), factor_product(t21, t12)
         a = single(0.3, [x, t21, x]) + single(1.0, [t11, None, None])
         b = single(0.3, [y, t21, y])
         want = residual_on_window(single(1.0, [t11, None, None]), zero_like(a), 1)
@@ -1708,9 +1754,9 @@ class TestResidualSkips:
         # a cancelling pair is counted as if it did not cancel, so every
         # refusal and its message stay as they were
         t11, t12, t21 = t_block(1, 1, Q, N), t_block(1, 2, Q, N), t_block(2, 1, Q, N)
-        a = single(0.3, [t12.matmul(t21), t21, t11]) + single(1.0, [t11, None, None])
-        cancelling = single(0.3, [t21.matmul(t12), t21, t11])
-        not_cancelling = single(0.25, [t21.matmul(t12), t21, t11])
+        a = single(0.3, [factor_product(t12, t21), t21, t11]) + single(1.0, [t11, None, None])
+        cancelling = single(0.3, [factor_product(t21, t12), t21, t11])
+        not_cancelling = single(0.25, [factor_product(t21, t12), t21, t11])
         monkeypatch.setattr(qoperator, "_CHUNK_ELEMENTS", chunk)
         for limit in ("MAX_RESIDUAL_ELEMENTS", "MAX_RESIDUAL_WORK"):
             messages = []
@@ -1847,7 +1893,12 @@ class TestApplyDenseOracle:
     "call, message",
     [
         (lambda: FactorMatrix(0, []), "amplitudes must be a nonempty vector"),
-        (lambda: t_block(1, 1, Q, 3).matmul(t_block(1, 1, Q, 4)), "factor dimension mismatch"),
+        (
+            lambda: FACTORS.products(
+                np.array([t_block_ids(Q, 3)[1, 1]]), np.array([t_block_ids(Q, 4)[1, 1]])
+            ),
+            "factor dimension mismatch",
+        ),
         (lambda: qoperator._check_q(None), "deformation parameter must be a number, got None"),
         (lambda: c_q("0.5", N), "deformation parameter must be a number, got '0.5'"),
     ],
