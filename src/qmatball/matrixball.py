@@ -335,8 +335,11 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     per-case one's term list bit for bit (``TensorOperator.same_terms``),
     its report takes the per-case residual: ``residual_on_window`` is a
     deterministic function of the two operators' arrays, so that is the
-    value a second call would return.  Otherwise the R-form report is
-    checked by a call of its own.
+    value a second call would return.  The per-case table lists its words
+    in the sorted table's order, with coefficients that evaluate to the
+    same floats, so this holds at every instance and each exchange
+    instance makes one residual call.  Otherwise the R-form report would
+    be checked by a call of its own.
     """
     n = g.n
     reports: list[RelationReport] = []

@@ -185,12 +185,16 @@ class FactorTable:
     use by ``json_texts``: the factor's entry as ``operator_json_text``
     writes it, ``{"amps": [[re, im], ...], "delta": d}``, or ``"I"`` for the
     identity, None until asked for.  A row never changes once interned, so
-    its text stays valid for the life of the process.
+    its text stays valid for the life of the process.  ``vacuum`` is a
+    list, filled by ``intern``: the factor's (0, 0) entry, the numpy
+    complex128 ``amps[tid, 0]`` when its shift is 0 and the float ``0.0``
+    otherwise (1.0 for the identity), read by ``vacuum_matrix_element``.
     """
 
     def __init__(self) -> None:
         self.tags: list[tuple[str, ...] | None] = [()]
         self.json: list[str | None] = ['"I"']
+        self.vacuum: list[complex] = [1.0]
         self._by_content: dict[tuple, int] = {}
         # no pair key reaches the sentinel, since ids stay below 2^31
         self._pair_keys = np.array([np.iinfo(np.int64).max])
@@ -248,6 +252,7 @@ class FactorTable:
         self._amps[tid, : F.dim] = F.amps
         self.tags.append(F.provenance)
         self.json.append(None)
+        self.vacuum.append(self._amps[tid, 0] if F.delta == 0 else 0.0)
         self._by_content[key] = tid
         return tid
 
@@ -606,11 +611,12 @@ _set_f, _set_dim, _set_scalars, _set_ids, _set_terms = (
 def vacuum_matrix_element(op: TensorOperator) -> complex:
     """<op e_0, e_0> without applying the operator: product of (0,0) entries."""
     total = 0.0 + 0.0j
+    vacuum = FACTORS.vacuum
     for scalar, row in zip(op.scalars.tolist(), op.ids.tolist()):
         value = scalar
         for tid in row:
             if tid:
-                value *= FACTORS.amps[tid, 0] if FACTORS.deltas[tid] == 0 else 0.0
+                value *= vacuum[tid]
         total += value
     return total
 

@@ -158,16 +158,17 @@ def _zaa4_case(
             out[_z_zs(a, j, b, j)] = _Q_MINUS_Q_INV
     else:
         family = "zaa44"
-        out[_z_zs(a, alpha, a, alpha)] = _Q2
-        # the words below are distinct, so no coefficient needs adding up
-        for j in range(alpha + 1, n + 1):
-            out[_z_zs(a, j, a, j)] = _Q2_MINUS_ONE
-        for j in range(a + 1, n + 1):
-            out[_z_zs(j, alpha, j, alpha)] = _Q2_MINUS_ONE
-        for j in range(alpha + 1, n + 1):
-            for m in range(a + 1, n + 1):
-                out[_z_zs(m, j, m, j)] = _CORNER
+        # in word order, as the sorted R-matrix table lists them: the
+        # identity, then z_m^j z*_m^j by m, then j
         out[()] = _ONE_MINUS_Q2
+        for m in range(a, n + 1):
+            for j in range(alpha, n + 1):
+                if m == a and j == alpha:
+                    out[_z_zs(m, j, m, j)] = _Q2
+                elif m == a or j == alpha:
+                    out[_z_zs(m, j, m, j)] = _Q2_MINUS_ONE
+                else:
+                    out[_z_zs(m, j, m, j)] = _CORNER
     return family, {k: v for k, v in out.items() if v}
 
 
@@ -175,7 +176,8 @@ def zaa4_case_coefficients(
     n: int, a: int, b: int, alpha: int, beta: int
 ) -> dict[_Word, LaurentPoly]:
     """Right-hand side of the exchange relation written per index case, keyed
-    as in ``zaa4_r_coefficients``."""
+    as in ``zaa4_r_coefficients`` and listing its words in sorted order, the
+    order in which ``exchange_instances`` lists the R-matrix table's."""
     return _zaa4_case(n, a, b, alpha, beta)[1]
 
 
@@ -241,7 +243,8 @@ def exchange_instances(n: int) -> Iterator[Instance]:
     per (a, b, alpha, beta), named by its case (zaa41 to zaa44), of depth 2.
     The right-hand side is the R-matrix table with its words sorted; the
     per-case table must equal it exactly (raising on any mismatch, which
-    would indicate a transcription bug)."""
+    would indicate a transcription bug), and lists the same words in the
+    same order, so both sides are built term for term alike."""
     for indices in _quadruples(n):
         a, b, alpha, beta = indices
         family, case = _zaa4_case(n, *indices)

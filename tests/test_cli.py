@@ -466,11 +466,25 @@ class TestVerify:
         assert err == f"error: {message}\n"
 
     def test_tiny_q_within_the_float_range_fails(self, capsys):
-        # q^-2 = 1e200 is a float, so the run completes, but the zaa44
-        # residual at (1, 1, 1, 1) reads 1.0: a failed verification, exit 1
-        code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "6", "--q", "1e-100")
+        # q^-2 = 1e40 is a float, so the run completes, but the zaa44 and
+        # R-form residuals at (1, 1, 1, 1) read 1.2e24: a failed
+        # verification, exit 1
+        code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "6", "--q", "1e-20")
         assert code == 1
         assert json.loads(out)["summary"]["pass"] is False
+
+    def test_tiny_q_where_the_exchange_terms_cancel_passes(self, capsys):
+        # at q = 1e-100 the exchange right-hand side at (1, 1, 1, 1), summed
+        # in word order (the identity first), cancels to a residual of 0.0;
+        # the largest residual is that of zaa3, 1e-100, and the run passes.
+        # The small-q failures above are cancellation that depends on the
+        # order of the terms: with the identity summed last, this run read
+        # 1.0 and exited 1
+        code, out, _ = run(capsys, "verify", "--fock", "2", "--trunc", "6", "--q", "1e-100")
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["pass"] is True
+        assert summary["max_residual"] == 1e-100
 
     def test_nan_after_the_first_report_fails(self, capsys, monkeypatch):
         a_m_checks = cli.matrixball.a_m_checks

@@ -269,6 +269,39 @@ class TestRelations:
                             n, a, b, alpha, beta
                         ) == zaa4_r_coefficients(n, a, b, alpha, beta)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_per_case_table_lists_its_words_in_word_order(self, n):
+        # the order of the sorted R-matrix table, so that the two exchange
+        # right-hand sides are built term for term alike
+        for indices in itertools.product(range(1, n + 1), repeat=4):
+            case = zaa4_case_coefficients(n, *indices)
+            assert list(case) == sorted(zaa4_r_coefficients(n, *indices)), indices
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.6, 0.7, 0.9])
+    @pytest.mark.parametrize("n, N, calls", [(2, 6, 28), (3, 5, 153)])
+    def test_every_rform_report_reuses_the_per_case_residual(
+        self, monkeypatch, n, N, calls, q
+    ):
+        # one window residual per exchange instance: the R-form side has the
+        # per-case side's terms bit for bit, so its report takes the
+        # per-case residual, the report right before it
+        counted = 0
+
+        def counting(*args):
+            nonlocal counted
+            counted += 1
+            return residual_on_window(*args)
+
+        monkeypatch.setattr(matrixball, "residual_on_window", counting)
+        reports = verify_relations(fock_rep(n, q, N))
+        assert counted == calls
+        rform = [i for i, r in enumerate(reports) if r.relation == "R-form"]
+        assert len(rform) == n**4
+        for i in rform:
+            case = reports[i - 1]
+            assert case.relation.startswith("zaa4") and case.indices == reports[i].indices
+            assert reports[i].residual.hex() == case.residual.hex()
+
     def test_adjoint_side_reverses_stars_and_conjugates(self):
         # the coefficients are Laurent polynomials with integer coefficients
         # in the real q, so each is its own conjugate and stays as it is
@@ -308,7 +341,9 @@ class TestRelations:
         )
         reports = verify_relations(g)
         assert len(reports) == 234
-        assert calls == {"mul": 306, "adjoint": 9, "residual": 162}
+        # 153 = 72 holomorphic + 81 exchange: every R-form report reuses the
+        # per-case residual
+        assert calls == {"mul": 306, "adjoint": 9, "residual": 153}
 
     def test_differing_exchange_routes_are_each_computed(self, monkeypatch):
         # the R-form report reuses the per-case residual only when the two
@@ -338,8 +373,8 @@ class TestRelations:
 
     @pytest.mark.parametrize("n,q,N", [(3, 0.6, 6), (2, 0.9, 6)])
     def test_exchange_routes_scale_each_word_alike(self, monkeypatch, n, q, N):
-        # both exchange right-hand sides that verify_relations builds, the
-        # per-case one in its table's order and the R-form one sorted, cut
+        # both exchange right-hand sides that verify_relations builds, each
+        # in its table's order (the per-case one lists the sorted one's), cut
         # into the blocks of their words: each word's block has the same
         # ids and scalars in both, bit for bit.  At these q the corner
         # coefficient q^-2 - 2 + q^2 rounds differently from (1 - q^2)^2 / q^2
@@ -914,11 +949,15 @@ class TestResidualBits:
     # of the residual kernel that moves one bit of one report fails here.
     # Fock scalars and amplitudes are real, so fused multiply-adds in numpy's
     # complex loop cannot move these bits.
+    # Re-derived when the per-case zaa44 table was written in word order:
+    # from the reports of commit 3db3d2c, with every zaa44 residual
+    # replaced by that of the R-form report that follows it, so that only
+    # the zaa44 reports moved, each to its R-form twin's value.
     @pytest.mark.parametrize(
         "N, digest",
         [
-            (5, "b5167df27b3c94192350091b49a11c760f48b8d4916ae0c7057508c7c8ffd135"),
-            (6, "0c298c3531854b1dd5c51d02b428614fbbf3eb4c29e1d13117beb49977d93e07"),
+            (5, "8ab16c1887cb65369afc8e4a194366a9e1ec8554a831edea0eef5997127653c0"),
+            (6, "0d8f93423a3cf29b4101b3ae8064ee8a2919d662b19da6d00e7f07e682183ab0"),
         ],
     )
     def test_report_bits_are_pinned(self, monkeypatch, N, digest):
@@ -948,15 +987,19 @@ class TestResidualBits:
     # written by commit 0b54b72, before the window residual skipped the
     # shift classes that cancel exactly.  At q = 0.7 scaling by q rounds, so
     # 209 of the 662 classes of the (3, 5) residuals sum to zero, against
-    # 485 at q = 0.5; (3, 7) is the largest routine size at n = 3
+    # 485 at q = 0.5; (3, 7) is the largest routine size at n = 3.
+    # Re-derived when the per-case zaa44 table was written in word order:
+    # from the reports of commit 3db3d2c, with every zaa44 residual
+    # replaced by that of the R-form report that follows it, so that only
+    # the zaa44 reports moved, each to its R-form twin's value.
     @pytest.mark.parametrize(
         "q, N, digest",
         [
-            (0.7, 5, "5807f13d85ee313c8ba97da865f4b92f787af77a60ccd78d23e7b4af75ec703e"),
+            (0.7, 5, "c3ee7985cd696c002911257643dcb9308de0b1b4f162d94bcda885eb22e6879a"),
             pytest.param(
                 Q,
                 7,
-                "7d28996193c7222ccbdb706ce8c4a1cae108ccd36a0665aed30339aa9721dd84",
+                "b69ec6336edb616be5a9059fa2705cca3953c21a9547c100c2670d277b617711",
                 marks=pytest.mark.slow,
             ),
         ],
@@ -980,11 +1023,14 @@ class TestResidualBits:
     @pytest.mark.slow
     def test_fock4_trunc4_report_bits_are_pinned(self):
         # the reports of verify --fock 4 --trunc 4, whose relation windows
-        # hold 2^16 vectors and whose A_m windows hold one
+        # hold 2^16 vectors and whose A_m windows hold one.  Re-derived when
+        # the per-case zaa44 table was written in word order: from the
+        # reports of commit 3db3d2c, with every zaa44 residual replaced by
+        # that of the R-form report that follows it
         g = fock_rep(4, Q, 4)
         reports = verify_relations(g) + a_m_checks(g)
         assert len(reports) == 772
-        digest = "5f001a6b52566c39c5263231d6bcc1e740f9021efbc2e1af918822963747139a"
+        digest = "d81ab0c7f5a07278c8d44656af60088f405c0a8039656ae889ba9ab4fb653f81"
         assert report_digest(reports) == digest
 
 
