@@ -46,7 +46,6 @@ from .relations import (
     boundary_side,
     exchange_instances,
     holomorphic_instances,
-    zaa4_case_coefficients,
 )
 
 __all__ = [
@@ -240,9 +239,8 @@ class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
     computed once, and the operators of relation sides, all built for the
     window of depth 2: the columns whose indices lie below N - 2 on every
-    axis.  Every relation side of ``relations`` is built here, the two
-    exchange right-hand sides included, so each coefficient is evaluated at
-    q in one place.
+    axis.  Every relation side of ``relations`` is built here, so each
+    coefficient is evaluated at q in one place.
 
     A product X Y is X times Y restricted to the window (``restrict``, held
     once per name): Y acts as its restriction on window columns, so X Y
@@ -319,27 +317,20 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     """Window residuals for every defining-relation instance of
     ``relations.holomorphic_instances`` and ``relations.exchange_instances``,
     in their order: the three holomorphic families, each with its adjoint
-    family, then per (a, b, alpha, beta) the exchange relation twice, once
-    with its per-case right-hand side (the family zaa41 to zaa44) and once
-    in the R-matrix form ("R-form").  All relations are quadratic, hence
-    window depth 2.  Every residual is reported, whatever its size: ``tol``
-    is accepted and ignored, because callers such as the benchmark
-    workloads pass it.
+    family, then per (a, b, alpha, beta) the exchange relation, reported
+    twice, under its case's family (zaa41 to zaa44) and as "R-form".  All
+    relations are quadratic, hence window depth 2.  Every residual is
+    reported, whatever its size: ``tol`` is accepted and ignored, because
+    callers such as the benchmark workloads pass it.
 
-    Both exchange right-hand sides are built by ``_Products.side`` from the
-    tables of ``relations``: the per-case one from
-    ``zaa4_case_coefficients``, in its order, the R-matrix one from the
-    instance's sorted R-matrix table.  ``exchange_instances`` compares the
-    two tables exactly on every run, and the window residual checks each
-    side against the representation.  When the R-matrix operator has the
-    per-case one's term list bit for bit (``TensorOperator.same_terms``),
-    its report takes the per-case residual: ``residual_on_window`` is a
-    deterministic function of the two operators' arrays, so that is the
-    value a second call would return.  The per-case table lists its words
-    in the sorted table's order, with coefficients that evaluate to the
-    same floats, so this holds at every instance and each exchange
-    instance makes one residual call.  Otherwise the R-form report would
-    be checked by a call of its own.
+    An exchange instance has one right-hand side, built by
+    ``_Products.side`` from the sorted R-matrix table that
+    ``exchange_instances`` yields, and one window residual, which both of
+    its reports carry.  ``exchange_instances`` has compared that table
+    exactly with the per-case one, which lists the same words in the same
+    order, so the side is the per-case relation's as well: exact agreement
+    of the two tables is their cross-check, and the residual checks the
+    side against the representation.
     """
     n = g.n
     reports: list[RelationReport] = []
@@ -354,15 +345,9 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
         # used by this instance only, so not cached
         [(_, word)] = lhs
         left = prod.product(*word)
-        case = zaa4_case_coefficients(n, *indices)
-        case_rhs = prod.side([(c, w) for w, c in case.items()])
-        case_report = RelationReport.of(family, indices, left, case_rhs, depth)
-        reports.append(case_report)
-        rform_rhs = prod.side(rhs)
-        if rform_rhs.same_terms(case_rhs):
-            reports.append(RelationReport("R-form", indices, case_report.residual, depth))
-        else:
-            reports.append(RelationReport.of("R-form", indices, left, rform_rhs, depth))
+        report = RelationReport.of(family, indices, left, prod.side(rhs), depth)
+        reports.append(report)
+        reports.append(RelationReport("R-form", indices, report.residual, depth))
     return reports
 
 

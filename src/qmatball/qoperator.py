@@ -57,6 +57,24 @@ MAX_RESIDUAL_ELEMENTS = 64_000_000
 # the squares it adds; see residual_on_window
 MAX_RESIDUAL_WORK = 1 << 30
 
+# most bytes one operator product may hold at once, checked before any of
+# it is allocated: per pair of terms its complex128 scalar (16), and per
+# pair and axis ``_PRODUCT_ID_BYTES``; see TensorOperator.__mul__.  The
+# largest product of verify at n = 6 (252 x 252 terms on 36 axes) counts
+# 166 MB; the first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64
+# axes) would count 27 GB
+MAX_PRODUCT_BYTES = 1 << 30
+
+# bytes per pair of terms and axis that the id lookup
+# ``FactorTable.products`` holds at once: the int64 pair key and store
+# position and the mask of pairs found, and, where pairs are met for the
+# first time, a copy of their keys and the Python list of them, before the
+# lookup is made again and the int32 product ids gathered.  tracemalloc
+# measured up to 66 at first products of 3000 x 1, 300 x 300 and 60 x 60
+# terms on 20 to 36 axes (numpy 2.4); the factors that new pairs intern
+# stay in the table and are not counted
+_PRODUCT_ID_BYTES = 72
+
 # elements in one chunk of term blocks that a residual call builds at once;
 # a term whose block is larger is built alone.  2^14 builds the classes on
 # 7 or 8 axes at window 3 (3^7 or 3^8 elements per term) seven or two
@@ -523,18 +541,6 @@ class TensorOperator:
     def is_zero(self) -> bool:
         return not np.any(self.scalars)
 
-    def same_terms(self, other: "TensorOperator") -> bool:
-        """Whether ``other`` has the same shape and the same term list, bit
-        for bit: equal ``ids`` and ``scalars`` bytes, so -0.0 differs from
-        0.0 and a NaN equals only a NaN of the same bits.  Operators equal
-        as maps may still differ here, which is why this is no ``__eq__``."""
-        return (
-            self.f == other.f
-            and self.dim == other.dim
-            and self.ids.tobytes() == other.ids.tobytes()
-            and self.scalars.tobytes() == other.scalars.tobytes()
-        )
-
     def _check_compatible(self, other: "TensorOperator") -> None:
         if self.f != other.f or self.dim != other.dim:
             raise ValueError(
@@ -559,6 +565,14 @@ class TensorOperator:
         if not (self.scalars.size and other.scalars.size):
             # what the lookup below would give, without it
             return TensorOperator.zero(self.f, self.dim)
+        pairs = self.scalars.size * other.scalars.size
+        held = pairs * (16 + _PRODUCT_ID_BYTES * self.f)
+        if held > MAX_PRODUCT_BYTES:
+            raise ValueError(
+                f"product of {self.scalars.size} and {other.scalars.size} terms over "
+                f"{self.f} axes would hold {held} bytes ({pairs} term pairs), more "
+                f"than the limit {MAX_PRODUCT_BYTES}"
+            )
         scalars = _cmul(self.scalars[:, None], other.scalars[None, :]).reshape(-1)
         ids = FACTORS.products(self.ids[:, None, :], other.ids[None, :, :])
         ids = ids.reshape(scalars.size, self.f)

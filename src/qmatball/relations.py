@@ -241,10 +241,12 @@ def holomorphic_instances(n: int) -> Iterator[Instance]:
 def exchange_instances(n: int) -> Iterator[Instance]:
     """z*_{b,beta} z_{a,alpha} = its exchange right-hand side, one instance
     per (a, b, alpha, beta), named by its case (zaa41 to zaa44), of depth 2.
-    The right-hand side is the R-matrix table with its words sorted; the
-    per-case table must equal it exactly (raising on any mismatch, which
-    would indicate a transcription bug), and lists the same words in the
-    same order, so both sides are built term for term alike."""
+    The right-hand side is the R-matrix table with its words sorted.  The
+    per-case table, transcribed independently, must equal it exactly: any
+    mismatch raises, since it would be a transcription slip in one of them.
+    This exact comparison is the only cross-check of the two tables, so the
+    checkers build and check the one right-hand side yielded, which is the
+    per-case one as well."""
     for indices in _quadruples(n):
         a, b, alpha, beta = indices
         family, case = _zaa4_case(n, *indices)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmatball import cli
+from qmatball import cli, qoperator
 from qmatball.cli import main
 from qmatball.matrixball import rep_from_string
 from qmatball.permgroup import AdmissibleString, Permutation, enumerate_admissible
@@ -527,8 +527,8 @@ class TestVerify:
     def test_perturbation_detected_on_the_vacuum_window(self):
         # at n = 4, N = 3 every relation window holds only the vacuum, where
         # most terms vanish and are dropped; the damage to term 0 of z_1^1
-        # must still show, in exactly the two exchange instances it reaches,
-        # with the residual of the full sum
+        # must still show, in exactly the two reports of the one exchange
+        # instance it reaches, with the residual of the full sum
         damaged = cli._perturbed(cli.matrixball.fock_rep(4, 0.5, 3), 1e-6)
         failed = [
             (r.relation, r.indices, r.residual.hex())
@@ -585,6 +585,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert str(MAX_RESIDUAL_ELEMENTS) in err and "16 axes" in err
+
+    def test_product_limit_exit_2(self, capsys, monkeypatch):
+        # a product over the limit is refused as invalid input, with one
+        # plain line, not a MemoryError (the first product of verify --fock
+        # 8 --trunc 4 would hold 27 GB)
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", 100)
+        code, out, err = run(capsys, "verify", "--fock", "2", "--trunc", "4")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: product of ") and err.endswith("the limit 100\n")
 
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "verify", "--trunc", "5")

@@ -1824,45 +1824,36 @@ class TestRestrict:
         assert op.restrict(1).scalars.tolist() == [0.5]
 
 
-class TestSameTerms:
-    """``same_terms`` is bit-for-bit identity of shape and term list, the
-    test under which one window residual stands for another."""
+class TestProductLimit:
+    """A product whose scalars and id lookup would hold more than
+    ``MAX_PRODUCT_BYTES`` is refused before any of it is allocated."""
 
-    def op(self):
-        return single(0.5, [t_block(1, 1, Q, N), None]) + single(-2.0j, [None, t_block(2, 2, Q, N)])
+    def operands(self):
+        a = single(0.5, [t_block(1, 1, Q, N), None]) + single(2.0, [None, t_block(2, 2, Q, N)])
+        b = single(1.0j, [t_block(1, 2, Q, N), t_block(2, 1, Q, N)])
+        # 2 x 1 pairs of terms, each a scalar and 2 ids
+        return a, b, 2 * (16 + qoperator._PRODUCT_ID_BYTES * 2)
 
-    def test_rebuild_from_the_same_arrays(self):
-        op = self.op()
-        rebuilt = TensorOperator.from_ids(op.f, op.dim, op.scalars.copy(), op.ids.copy())
-        assert rebuilt is not op
-        assert op.same_terms(rebuilt) and rebuilt.same_terms(op)
+    def test_refused_one_byte_past_the_limit(self, monkeypatch):
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        a, b, held = self.operands()
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held - 1)
+        stored = (len(table), table._pair_keys.size)
+        message = f"product of 2 and 1 terms over 2 axes would hold {held} bytes"
+        with pytest.raises(ValueError, match=message):
+            a * b
+        # nothing was looked up, so no pair or product factor was stored
+        assert (len(table), table._pair_keys.size) == stored
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held)
+        assert (a * b).scalars.tolist() == [0.5j, 2.0j]
 
-    def test_empty_operators(self):
-        assert TensorOperator.zero(2, N).same_terms(TensorOperator.zero(2, N))
-        assert not TensorOperator.zero(2, N).same_terms(TensorOperator.zero(3, N))
-        assert not TensorOperator.zero(2, N).same_terms(TensorOperator.zero(2, N + 1))
-
-    def test_scalars_compare_by_bits(self):
-        ids = [[0, 0]]
-
-        def of(scalar):
-            return TensorOperator.from_ids(2, N, [scalar], ids)
-
-        nan = complex(np.nan, 0.0)
-        assert of(nan).same_terms(of(nan))
-        assert not of(nan).same_terms(of(complex(-np.nan, 0.0)))
-        assert not of(0.0).same_terms(of(-0.0))
-        assert not of(complex(1.0, 0.0)).same_terms(of(complex(1.0, -0.0)))
-
-    def test_order_ids_and_shape_matter(self):
-        op = self.op()
-        swapped = TensorOperator.from_ids(op.f, op.dim, op.scalars[::-1], op.ids[::-1])
-        assert not op.same_terms(swapped)
-        ids = op.ids.copy()
-        ids[0, 0] = ids[1, 1]
-        assert not op.same_terms(TensorOperator.from_ids(op.f, op.dim, op.scalars, ids))
-        assert not TensorOperator.identity(2, N).same_terms(TensorOperator.identity(2, N + 1))
-        assert not TensorOperator.identity(2, N).same_terms(TensorOperator.identity(1, N))
+    def test_an_empty_product_holds_nothing(self, monkeypatch):
+        a, _, _ = self.operands()
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", 0)
+        assert (a * zero_like(a)).scalars.size == 0
+        with pytest.raises(ValueError, match="more than the limit 0"):
+            a * a
 
 
 class TestApplyDenseOracle:
