@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .qoperator import (
 )
 from .relations import (
     _ONE,
+    Instance,
     _Name,
     _Side,
     _lp_eval,
@@ -240,7 +242,9 @@ class _Products:
     computed once, and the operators of relation sides, all built for the
     window of depth 2: the columns whose indices lie below N - 2 on every
     axis.  Every relation side of ``relations`` is built here, so each
-    coefficient is evaluated at q in one place.
+    coefficient is evaluated at q in one place, and every word of a side,
+    an exchange left side z*_{b,beta} z_{a,alpha} included, is the one
+    cached entry of ``__call__``; ``forget_products`` empties that cache.
 
     A product X Y is X times Y restricted to the window (``restrict``, held
     once per name): Y acts as its restriction on window columns, so X Y
@@ -275,19 +279,17 @@ class _Products:
                 self._named[name] = self.side(a_m_side(self.g.n, k))
         return self._named[name]
 
-    def product(self, left: _Name, right: _Name) -> TensorOperator:
-        """``left`` times ``right`` restricted to the window, not cached."""
-        if right not in self._on_window:
-            op = self.op(right)
-            self._on_window[right] = op.restrict(self.g.N - 2) if self._restrict else op
-        return self.op(left) * self._on_window[right]
-
     def __call__(self, *word: _Name) -> TensorOperator:
-        """The operator of a word; products of two names are cached."""
+        """The operator of a word; a product of two names is computed once,
+        as the left name times the right one restricted to the window."""
         if len(word) < 2:
             return self.op(*word) if word else self.g.identity()
         if word not in self._products:
-            self._products[word] = self.product(*word)
+            left, right = word
+            if right not in self._on_window:
+                op = self.op(right)
+                self._on_window[right] = op.restrict(self.g.N - 2) if self._restrict else op
+            self._products[word] = self.op(left) * self._on_window[right]
         return self._products[word]
 
     def side(self, side: _Side) -> TensorOperator:
@@ -313,6 +315,16 @@ class _Products:
         self._products.clear()
 
 
+def _reports(prod: _Products, instances: Iterable[Instance]) -> list[RelationReport]:
+    """The report of each instance, in order: the window residual of its two
+    sides, both built by ``prod``, on the window of its depth.  The one loop
+    of every relation checker."""
+    return [
+        RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
+        for family, indices, lhs, rhs, depth in instances
+    ]
+
+
 def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationReport]:
     """Window residuals for every defining-relation instance of
     ``relations.holomorphic_instances`` and ``relations.exchange_instances``,
@@ -331,23 +343,18 @@ def verify_relations(g: GeneratorImages, tol: float = 1e-10) -> list[RelationRep
     order, so the side is the per-case relation's as well: exact agreement
     of the two tables is their cross-check, and the residual checks the
     side against the representation.
-    """
-    n = g.n
-    reports: list[RelationReport] = []
-    prod = _Products(g)
-    for family, indices, lhs, rhs, depth in holomorphic_instances(n):
-        left, right = prod.side(lhs), prod.side(rhs)
-        reports.append(RelationReport.of(family, indices, left, right, depth))
 
+    Both parts run through ``_reports``, the report loop shared with
+    ``a_m_checks``, on one ``_Products``, whose cached products are dropped
+    once, between the holomorphic and the exchange instances; an exchange
+    left side is a cached word like any other.
+    """
+    prod = _Products(g)
+    reports = _reports(prod, holomorphic_instances(g.n))
     # the exchange families below share only the products z * z*
     prod.forget_products()
-    for family, indices, lhs, rhs, depth in exchange_instances(n):
-        # used by this instance only, so not cached
-        [(_, word)] = lhs
-        left = prod.product(*word)
-        report = RelationReport.of(family, indices, left, prod.side(rhs), depth)
-        reports.append(report)
-        reports.append(RelationReport("R-form", indices, report.residual, depth))
+    for report in _reports(prod, exchange_instances(g.n)):
+        reports += report, RelationReport("R-form", report.indices, report.residual, report.depth)
     return reports
 
 
@@ -427,7 +434,8 @@ def coherent_check(q: float, N: int, phi: float) -> float:
 def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     """Window residuals of the commutation identities of A_m = I - sum_{j >= m}
     z_j^n z*_j^n, the instances of ``relations.a_m_instances`` in their
-    order.
+    order, checked by ``_reports``, the report loop shared with
+    ``verify_relations``.
 
     One ``_Products`` serves both depths, with the window N - 2 of depth 2,
     the larger one.  Its A_m is built from products restricted to N - 2,
@@ -438,11 +446,7 @@ def a_m_checks(g: GeneratorImages) -> list[RelationReport]:
     """
     if g.n < 2:
         raise ValueError("the commutation families need n >= 2")
-    prod = _Products(g)
-    return [
-        RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
-        for family, indices, lhs, rhs, depth in a_m_instances(g.n)
-    ]
+    return _reports(_Products(g), a_m_instances(g.n))
 
 
 def contraction_check(g: GeneratorImages) -> list[tuple[tuple[int, int], float]]:

@@ -61,19 +61,22 @@ MAX_RESIDUAL_WORK = 1 << 30
 # it is allocated: per pair of terms its complex128 scalar (16), and per
 # pair and axis ``_PRODUCT_ID_BYTES``; see TensorOperator.__mul__.  The
 # largest product of verify at n = 6 (252 x 252 terms on 36 axes) counts
-# 166 MB; the first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64
-# axes) would count 27 GB
+# 74 MB; the first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64
+# axes) would count 12 GB.  Not counted: the factor rows that a product's
+# new pairs intern in the table, which stay there (one row per distinct new
+# pair; 6.9 MB against 0.6 MB counted for 100 x 100 terms on 1 axis over
+# 2000 distinct random factors)
 MAX_PRODUCT_BYTES = 1 << 30
 
 # bytes per pair of terms and axis that the id lookup
 # ``FactorTable.products`` holds at once: the int64 pair key and store
 # position and the mask of pairs found, and, where pairs are met for the
-# first time, a copy of their keys and the Python list of them, before the
-# lookup is made again and the int32 product ids gathered.  tracemalloc
-# measured up to 66 at first products of 3000 x 1, 300 x 300 and 60 x 60
-# terms on 20 to 36 axes (numpy 2.4); the factors that new pairs intern
-# stay in the table and are not counted
-_PRODUCT_ID_BYTES = 72
+# first time, the unmet keys, copied and sorted in place, before the store
+# is searched once more and the int32 product ids gathered.  tracemalloc
+# measured at most 27.3 over a whole product, first and repeated, of 3000 x
+# 1 and 300 x 300 terms on 20 axes, 60 x 60 on 36, 200 x 200 on 1 and 2 and
+# 100 x 100 on 64 (numpy 2.4)
+_PRODUCT_ID_BYTES = 32
 
 # elements in one chunk of term blocks that a residual call builds at once;
 # a term whose block is larger is built alone.  2^14 builds the classes on
@@ -156,6 +159,15 @@ class FactorMatrix:
         return out
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending: the first of each run once
+    ``keys`` is sorted in place."""
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 class FactorTable:
     """Interned tensor factors, addressed by integer id.  A factor is one
     row of the per-id columns below: the table keeps no ``FactorMatrix``,
@@ -178,10 +190,12 @@ class FactorTable:
     Products are stored as two arrays of equal length: the pair keys
     ``left << 32 | right`` in ascending order, and the product id of each.
     A lookup is one ``np.searchsorted`` of the broadcast keys and a gather.
-    The pairs not found are added in ascending (left, right) order, their
-    factor products interned in that order, and merged in; a pair with the
-    identity is stored with the other id ((0, b) gives b, (a, 0) gives a)
-    and interns nothing.  So the store grows with the distinct pairs met,
+    When pairs are not found, their keys are copied and sorted in place,
+    and the first of each run is kept: those distinct pairs are added in
+    ascending (left, right) order, their factor products interned in that
+    order, and merged in, and the store is searched once more.  A pair with
+    the identity is stored with the other id ((0, b) gives b, (a, 0) gives
+    a) and interns nothing.  So the store grows with the distinct pairs met,
     12 bytes each, not with the square of the table's size, as a
     capacity x capacity id matrix would (256 MB of int32 at 8192 rows).
 
@@ -291,15 +305,15 @@ class FactorTable:
         # is always a valid index
         hit = self._pair_keys[at] == keys
         if not hit.all():
-            self._add_products(sorted(set(keys[~hit].tolist())))
-            return self.products(left, right)
+            self._add_products(_distinct(keys[~hit]))
+            at = np.searchsorted(self._pair_keys, keys)
         return self._pair_ids[at]
 
-    def _add_products(self, keys: list[int]) -> None:
-        """Stores the products of the pair ``keys``, ascending and none
-        stored yet, interning the factor products in that order."""
+    def _add_products(self, keys: np.ndarray) -> None:
+        """Stores the products of the int64 pair ``keys``, ascending and
+        none stored yet, interning the factor products in that order."""
         ids = []
-        for key in keys:
+        for key in keys.tolist():
             a, b = key >> 32, key & 0xFFFFFFFF
             if a and b:
                 dim, db = int(self._dims[a]), int(self._deltas[b])

@@ -589,7 +589,7 @@ class TestVerify:
     def test_product_limit_exit_2(self, capsys, monkeypatch):
         # a product over the limit is refused as invalid input, with one
         # plain line, not a MemoryError (the first product of verify --fock
-        # 8 --trunc 4 would hold 27 GB)
+        # 8 --trunc 4 would count 12 GB)
         monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", 100)
         code, out, err = run(capsys, "verify", "--fock", "2", "--trunc", "4")
         assert (code, out) == (2, "")

@@ -1848,6 +1848,34 @@ class TestProductLimit:
         monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held)
         assert (a * b).scalars.tolist() == [0.5j, 2.0j]
 
+    def test_a_product_holds_no_more_than_it_counts(self, monkeypatch, rng):
+        # terms over the identity and four corner blocks, so every element's
+        # pair is unmet on the first product, and few pairs are distinct
+        for terms, f in [(60, 36), (200, 1)]:
+            table = FactorTable()
+            monkeypatch.setattr(qoperator, "FACTORS", table)
+            blocks = [t_block(i, j, Q, N) for i in (1, 2) for j in (1, 2)]
+            pool = np.array([0] + [table.intern(F) for F in blocks])
+            a, b = (
+                TensorOperator._of(
+                    f,
+                    N,
+                    rng.standard_normal(terms) + 1j * rng.standard_normal(terms),
+                    rng.choice(pool, size=(terms, f)).astype(np.int32),
+                )
+                for _ in range(2)
+            )
+            counted = terms * terms * (16 + qoperator._PRODUCT_ID_BYTES * f)
+            # the first product meets its pairs, the second finds them all
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    a * b
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= counted
+
     def test_an_empty_product_holds_nothing(self, monkeypatch):
         a, _, _ = self.operands()
         monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", 0)
