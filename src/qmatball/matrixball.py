@@ -317,8 +317,8 @@ class _Products:
 
 def _reports(prod: _Products, instances: Iterable[Instance]) -> list[RelationReport]:
     """The report of each instance, in order: the window residual of its two
-    sides, both built by ``prod``, on the window of its depth.  The one loop
-    of every relation checker."""
+    sides, both built by ``prod``, on the window of its depth: the one loop
+    of ``verify_relations`` and ``a_m_checks``."""
     return [
         RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
         for family, indices, lhs, rhs, depth in instances
