@@ -17,13 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import qoperator
 from .permgroup import Permutation, ReducedWord, _index, _real, reduced_word, twist_phases
 from .qoperator import (
-    FACTORS,
     TensorOperator,
     _check_dim,
     _check_q,
     _cmul,
+    _distinct,
     t_block_ids,
     vacuum_matrix_element,
 )
@@ -161,7 +162,10 @@ def evaluate_terms(
     each assigned axis, in assignment order, every scalar is multiplied by
     the character value of its term's factor on that axis, read from a table
     that ``_tags_value`` fills once per distinct id and axis; a term whose
-    product is 0 is dropped at the end.
+    product is 0 is dropped at the end.  The distinct ids come from
+    ``qoperator._distinct``, and their tags from the factor table bound to
+    ``qoperator.FACTORS`` at the call, so a table swapped in after import is
+    the one read.
 
     The bits are those of a per-term loop that computes ``scalar *= value``
     as Python complex numbers in assignment order and drops a term at its
@@ -180,9 +184,10 @@ def evaluate_terms(
     assigned = set(axes)
     keep = [axis for axis in range(f) if axis not in assigned]
     block = ids[:, axes]
-    distinct = np.unique(block)
+    distinct = _distinct(block.flatten())
+    tags = qoperator.FACTORS.tags
     table = np.array(
-        [[_tags_value(FACTORS.tags[tid], phi) for _, phi in ev.assignments]
+        [[_tags_value(tags[tid], phi) for _, phi in ev.assignments]
          for tid in distinct.tolist()],
         dtype=np.complex128,
     ).reshape(distinct.size, len(axes))

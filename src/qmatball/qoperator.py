@@ -160,8 +160,12 @@ class FactorMatrix:
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of ``keys``, ascending: the first of each run once
-    ``keys`` is sorted in place."""
+    """The distinct values of the 1-D ``keys``, ascending: the first of each
+    run once ``keys`` is sorted in place, so a caller passes a copy.  The one
+    way the package finds distinct ids, for ``FactorTable.products`` (unmet
+    pair keys), ``FactorTable.adjoints`` (ids without an adjoint yet),
+    ``TensorOperator.terms`` and ``qgrouprep.evaluate_terms``; unlike
+    ``np.unique``, it imports no ``numpy.ma``."""
     keys.sort()
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -190,14 +194,16 @@ class FactorTable:
     Products are stored as two arrays of equal length: the pair keys
     ``left << 32 | right`` in ascending order, and the product id of each.
     A lookup is one ``np.searchsorted`` of the broadcast keys and a gather.
-    When pairs are not found, their keys are copied and sorted in place,
-    and the first of each run is kept: those distinct pairs are added in
-    ascending (left, right) order, their factor products interned in that
-    order, and merged in, and the store is searched once more.  A pair with
-    the identity is stored with the other id ((0, b) gives b, (a, 0) gives
-    a) and interns nothing.  So the store grows with the distinct pairs met,
-    12 bytes each, not with the square of the table's size, as a
-    capacity x capacity id matrix would (256 MB of int32 at 8192 rows).
+    When pairs are not found, ``_distinct`` takes a copy of their keys:
+    those distinct pairs are added in ascending (left, right) order, their
+    factor products interned in that order, and merged in, and the store is
+    searched once more.  An adjoint lookup that misses finds its distinct
+    ids the same way, by ``_distinct``, and interns their adjoints in
+    ascending id order.  A pair with the identity is stored with the other
+    id ((0, b) gives b, (a, 0) gives a) and interns nothing.  So the store
+    grows with the distinct pairs met, 12 bytes each, not with the square
+    of the table's size, as a capacity x capacity id matrix would (256 MB
+    of int32 at 8192 rows).
 
     Columns, indexed by id: ``deltas`` (the shift), ``dims`` (the size, 0
     for the identity), ``lead`` (the first column ``c`` with ``amps[c] !=
@@ -340,7 +346,7 @@ class FactorTable:
         found = self._adjoint[ids]
         missing = found < 0
         if missing.any():
-            for tid in sorted(set(ids[missing].tolist())):
+            for tid in _distinct(ids[missing]).tolist():
                 delta, tags = int(self._deltas[tid]), self.tags[tid]
                 if tags is not None and all(t in _ADJOINT_TAG for t in tags):
                     tags = tuple(_ADJOINT_TAG[t] for t in reversed(tags))
@@ -351,9 +357,8 @@ class FactorTable:
                 # column leaves the truncation and the zero amplitude there
                 # cancels it
                 amps = np.roll(self._amps[tid, : self._dims[tid]], delta).conj()
-                # Python evaluates the right side first, so the column is
-                # written after intern, which may regrow it
-                self._adjoint[tid] = self.intern(FactorMatrix(-delta, amps, tags))
+                adjoint = self.intern(FactorMatrix(-delta, amps, tags))
+                self._adjoint[tid] = adjoint
             found = self._adjoint[ids]
         return found
 
@@ -534,9 +539,10 @@ class TensorOperator:
 
     @property
     def terms(self) -> tuple[TensorTerm, ...]:
-        """``TensorTerm`` objects sharing one snapshot per distinct factor id."""
+        """``TensorTerm`` objects sharing one snapshot per distinct factor
+        id, the ids found by ``_distinct`` and snapshotted in ascending order."""
         if self._terms is None:
-            factors = {tid: FACTORS[tid] for tid in np.unique(self.ids).tolist()}
+            factors = {tid: FACTORS[tid] for tid in _distinct(self.ids.flatten()).tolist()}
             terms = tuple(
                 TensorTerm(scalar, tuple(factors[tid] for tid in row))
                 for scalar, row in zip(self.scalars.tolist(), self.ids.tolist())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatball import matrixball
+from qmatball import matrixball, qoperator
 from qmatball.permgroup import (
     Permutation,
     ReducedWord,
@@ -27,6 +27,7 @@ from qmatball.qgrouprep import (
 from qmatball.qoperator import (
     FACTORS,
     FactorMatrix,
+    FactorTable,
     TensorOperator,
     residual_on_window,
     t_block,
@@ -289,6 +290,20 @@ class TestEvaluateTerms:
         op = TensorOperator.identity(2, N)
         with pytest.raises(ValueError, match="exceeds factor count 2"):
             apply_tau(op, FactorEvaluation(((3, 0.0),)))
+
+    def test_reads_the_factor_table_swapped_in(self, monkeypatch):
+        # a fresh table, padded past the process table's length, whose last
+        # factor is the straight arrow T12: its tag evaluates to 0, so no
+        # term is left; read in the process table, the id is out of range
+        table = FactorTable()
+        for k in range(len(FACTORS)):
+            table.intern(FactorMatrix(0, np.full(4, k + 1.0)))
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        arrow = table.intern(t_block(1, 2, 0.5, 4))
+        assert arrow >= len(FACTORS)
+        op = TensorOperator.from_ids(1, 4, [1.0], [[arrow]])
+        out = apply_tau(op, FactorEvaluation(((1, 0.7),)))
+        assert out.f == 0 and out.scalars.size == 0
 
 
 _PHASES = st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-10.0, 10.0)
