@@ -35,6 +35,7 @@ from .qoperator import (
     norm_bound,
     # unused here; kept because perfbench/tracing.py wraps matrixball.norm_estimate
     norm_estimate,  # noqa: F401
+    operator_products,
     residual_on_window,
 )
 from .relations import (
@@ -237,14 +238,25 @@ def rep_from_string(string: AdmissibleString, q: float, N: int) -> GeneratorImag
     return GeneratorImages(n, base.q, base.N, table, provenance=f"string{string.pairs()!r}")
 
 
+# most elements one chunk of relation instances builds at once, a term
+# counting its scalar and its f ids: the term pairs of the chunk's new word
+# products and the terms of its sides (see _Products.elements); one
+# instance that counts more is a chunk alone.  At 2^16 each part of
+# verify_relations at n = 4, N = 3 is one chunk, and n = 7, N = 3 peaks at
+# 74 MB, against 72 MB and 20-35% more time at 2^12, 78 MB at 2^18 and
+# 169 MB with one chunk per part (warm runs, 2 vCPUs, numpy 2.4)
+_BATCH_ELEMENTS = 1 << 16
+
+
 class _Products:
     """Named operators (adjoints and A_m) and products of two of them, each
     computed once, and the operators of relation sides, all built for the
     window of depth 2: the columns whose indices lie below N - 2 on every
-    axis.  Every relation side of ``relations`` is built here, so each
-    coefficient is evaluated at q in one place, and every word of a side,
-    an exchange left side z*_{b,beta} z_{a,alpha} included, is the one
-    cached entry of ``__call__``; ``forget_products`` empties that cache.
+    axis.  Every relation side of ``relations`` is built here, by
+    ``sides``, so each coefficient is evaluated at q in one place, and
+    every word of a side, an exchange left side z*_{b,beta} z_{a,alpha}
+    included, is one cached entry; ``forget_products`` empties that cache.
+    ``__call__`` and ``side`` are ``sides`` of one side.
 
     A product X Y is X times Y restricted to the window (``restrict``, held
     once per name): Y acts as its restriction on window columns, so X Y
@@ -279,36 +291,102 @@ class _Products:
                 self._named[name] = self.side(a_m_side(self.g.n, k))
         return self._named[name]
 
+    def _operands(self, word: tuple) -> tuple[TensorOperator, TensorOperator]:
+        """The two factors of a product word: the left name, and the right
+        one restricted to the window."""
+        left, right = word
+        if right not in self._on_window:
+            op = self.op(right)
+            self._on_window[right] = op.restrict(self.g.N - 2) if self._restrict else op
+        return self.op(left), self._on_window[right]
+
+    def _word(self, word: tuple) -> TensorOperator:
+        """The operator of a word, once its product, if it has one, is cached."""
+        if len(word) == 2:
+            return self._products[word]
+        return self.op(*word) if word else self.g.identity()
+
     def __call__(self, *word: _Name) -> TensorOperator:
         """The operator of a word; a product of two names is computed once,
         as the left name times the right one restricted to the window."""
-        if len(word) < 2:
-            return self.op(*word) if word else self.g.identity()
-        if word not in self._products:
-            left, right = word
-            if right not in self._on_window:
-                op = self.op(right)
-                self._on_window[right] = op.restrict(self.g.N - 2) if self._restrict else op
-            self._products[word] = self.op(left) * self._on_window[right]
-        return self._products[word]
+        return self.sides([[(_ONE, word)]])[0]
 
     def side(self, side: _Side) -> TensorOperator:
-        """The operator of one relation side: the sum of its terms ``c *
-        word`` in order, the one place where a coefficient is evaluated at q
-        (1 scales nothing).  The sum is built in one pass: each scaled
-        word's scalars are the one ``_cmul(complex(c), op.scalars)`` that
-        ``op.scale(c)`` computes, and the scalars and ids of all terms are
-        concatenated once, in the layout of the chain ``op.scale(c) + ...``,
-        so the result has that chain's terms bit for bit.  A side of a
-        single unscaled word is that word's operator."""
-        q = self.g.q
-        terms = [(None if c == _ONE else _lp_eval(c, q), self(*word)) for c, word in side]
-        if len(terms) == 1 and terms[0][0] is None:
-            return terms[0][1]
-        first = terms[0][1]
-        scalars = [op.scalars if c is None else _cmul(complex(c), op.scalars) for c, op in terms]
-        ids = np.concatenate([op.ids for _, op in terms])
-        return TensorOperator._of(first.f, first.dim, np.concatenate(scalars), ids)
+        """The operator of one relation side."""
+        return self.sides([side])[0]
+
+    def elements(self, sides: list[_Side], planned: dict) -> int:
+        """What building ``sides`` adds to a chunk whose new products are
+        ``planned``, in elements of ``_BATCH_ELEMENTS``: the term pairs of
+        each product word neither cached nor planned yet, which it plans,
+        and the terms of every word of the sides.  Builds the names that
+        the sides use, so every A_m is built before a product that uses it."""
+        terms = 0
+        for side in sides:
+            for _, word in side:
+                if len(word) < 2:
+                    terms += self.op(*word).scalars.size if word else 1
+                elif word in self._products:
+                    terms += self._products[word].scalars.size
+                else:
+                    if word not in planned:
+                        left, right = self._operands(word)
+                        planned[word] = left.scalars.size * right.scalars.size
+                        # once as a product, and below as terms of the side
+                        terms += planned[word]
+                    terms += planned[word]
+        return terms * (1 + self.g.f)
+
+    def sides(self, sides: list[_Side]) -> list[TensorOperator]:
+        """The operators of relation sides, in order.  First the product
+        words the sides use that are not cached yet are built by one
+        ``operator_products`` call, in order of first use, and cached.
+        Each side is then the sum of its terms ``c * word`` in order, the
+        one place where a coefficient is evaluated at q (1 scales nothing);
+        a side of a single unscaled word is that word's operator.  The
+        scalars and ids of the terms of all other sides are concatenated
+        once, and the scaled terms' scalars multiplied by their
+        coefficients with one ``_cmul``, which has the bits of the
+        ``_cmul(complex(c), op.scalars)`` of ``op.scale(c)`` for each.  So
+        each such side is a slice in the layout of the chain ``op.scale(c)
+        + ...``, with that chain's terms bit for bit."""
+        operands = {}
+        for side in sides:
+            for _, word in side:
+                if len(word) == 2 and word not in self._products:
+                    operands[word] = self._operands(word)
+        # the products of an A_m operand's own side are cached by now
+        new = [word for word in operands if word not in self._products]
+        if new:
+            self._products.update(zip(new, operator_products([operands[w] for w in new])))
+        out: list = []
+        spans, parts, scales = [], [], []
+        for side in sides:
+            terms = [(c, self._word(word)) for c, word in side]
+            if len(terms) == 1 and terms[0][0] == _ONE:
+                out.append(terms[0][1])
+                continue
+            spans.append((len(out), len(parts), len(parts) + len(terms)))
+            out.append(None)
+            for c, op in terms:
+                parts.append(op)
+                scales.append(None if c == _ONE else _lp_eval(c, self.g.q))
+        if parts:
+            sizes = [op.scalars.size for op in parts]
+            scalars = np.concatenate([op.scalars for op in parts])
+            ids = np.concatenate([op.ids for op in parts])
+            scaled = [c is not None for c in scales]
+            if any(scaled):
+                at = np.repeat(scaled, sizes)
+                by = np.array([c for c in scales if c is not None], dtype=np.complex128)
+                by = np.repeat(by, [size for size, s in zip(sizes, scaled) if s])
+                scalars[at] = _cmul(by, scalars[at])
+            offsets = list(itertools.accumulate(sizes, initial=0))
+            f, dim = parts[0].f, parts[0].dim
+            for k, first, stop in spans:
+                start, end = offsets[first], offsets[stop]
+                out[k] = TensorOperator._of(f, dim, scalars[start:end], ids[start:end])
+        return out
 
     def forget_products(self) -> None:
         """Drops the cached products and keeps the named operators."""
@@ -318,10 +396,38 @@ class _Products:
 def _reports(prod: _Products, instances: Iterable[Instance]) -> list[RelationReport]:
     """The report of each instance, in order: the window residual of its two
     sides, both built by ``prod``, on the window of its depth: the one loop
-    of ``verify_relations`` and ``a_m_checks``."""
+    of ``verify_relations`` and ``a_m_checks``.  The instances are taken in
+    chunks of consecutive ones that count at most ``_BATCH_ELEMENTS``
+    elements (see ``_Products.elements``), one instance alone if it counts
+    more; the sides of a chunk are built by one ``prod.sides`` call, its
+    new products with them, and each instance then makes one window
+    residual call.  A chunk holds its sides until its last residual, and,
+    while they are built, the gathered terms and id lookup of its new
+    products and the concatenated terms of its sides: at most 32 bytes per
+    element counted, 1 kB per operator made (new products and sides) and
+    4 kB besides, once the factor table holds its factor pairs (which it
+    keeps; tracemalloc read at most 15 bytes per element all told on the
+    chunks of over 4096 elements at n = 2 to 4)."""
+    reports: list[RelationReport] = []
+    chunk, planned, elements = [], {}, 0
+    for instance in instances:
+        count = prod.elements(instance[2:4], planned)
+        if chunk and elements + count > _BATCH_ELEMENTS:
+            reports += _chunk_reports(prod, chunk)
+            # counted again, now that the words the chunk built are cached
+            chunk, planned, elements = [], {}, 0
+            count = prod.elements(instance[2:4], planned)
+        chunk.append(instance)
+        elements += count
+    return reports + _chunk_reports(prod, chunk)
+
+
+def _chunk_reports(prod: _Products, chunk: list[Instance]) -> list[RelationReport]:
+    """The reports of one chunk of ``_reports``."""
+    built = prod.sides([side for instance in chunk for side in instance[2:4]])
     return [
-        RelationReport.of(family, indices, prod.side(lhs), prod.side(rhs), depth)
-        for family, indices, lhs, rhs, depth in instances
+        RelationReport.of(family, indices, lhs, rhs, depth)
+        for (family, indices, _, _, depth), lhs, rhs in zip(chunk, built[::2], built[1::2])
     ]
 
 

@@ -21,6 +21,7 @@ infinite-dimensional action.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ __all__ = [
     "FACTORS",
     "TensorTerm",
     "TensorOperator",
+    "operator_products",
     "shift",
     "c_q",
     "d_q",
@@ -59,13 +61,18 @@ MAX_RESIDUAL_WORK = 1 << 30
 
 # most bytes one operator product may hold at once, checked before any of
 # it is allocated: per pair of terms its complex128 scalar (16), and per
-# pair and axis ``_PRODUCT_ID_BYTES``; see TensorOperator.__mul__.  The
+# pair and axis ``_PRODUCT_ID_BYTES``; see operator_products.  The
 # largest product of verify at n = 6 (252 x 252 terms on 36 axes) counts
 # 74 MB; the first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64
-# axes) would count 12 GB.  Not counted: the factor rows that a product's
-# new pairs intern in the table, which stay there (one row per distinct new
-# pair; 6.9 MB against 0.6 MB counted for 100 x 100 terms on 1 axis over
-# 2000 distinct random factors)
+# axes) would count 12 GB.  A list of products is checked product by
+# product, all before any is computed.  A relation suite multiplies the new
+# products of a chunk of instances as one list, and the chunk bounds what
+# that list holds at once (see matrixball._BATCH_ELEMENTS): its gathered
+# operand terms and, per pair and axis, the two ids and the nonzero id of
+# a pair with the identity, beside the lookup of the other pairs.  Not
+# counted: the factor rows that a product's new pairs intern in the table,
+# which stay there (one row per distinct new pair; 6.9 MB against 0.6 MB
+# counted for 100 x 100 terms on 1 axis over 2000 distinct random factors)
 MAX_PRODUCT_BYTES = 1 << 30
 
 # bytes per pair of terms and axis that the id lookup
@@ -456,7 +463,9 @@ def _cmul(a: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Three call shapes are served: a Python complex times a vector
     (``scale``), a column (m, 1) times a row (1, n), giving (m, n)
-    (``__mul__``), and two vectors of one length (``evaluate_terms``).
+    (``operator_products`` of one pair), and two vectors of one length
+    (``evaluate_terms``, ``operator_products`` of more pairs, and the
+    scaled terms of ``matrixball._Products.sides``).
     Up to ``_PYTHON_PRODUCTS`` products are computed as Python complex
     numbers, one ``*`` each; more are computed by the array route, which
     evaluates each part with the formula CPython's complex multiply
@@ -581,22 +590,11 @@ class TensorOperator:
         return TensorOperator._of(self.f, self.dim, scalars, self.ids)
 
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        if not (self.scalars.size and other.scalars.size):
-            # what the lookup below would give, without it
-            return TensorOperator.zero(self.f, self.dim)
-        pairs = self.scalars.size * other.scalars.size
-        held = pairs * (16 + _PRODUCT_ID_BYTES * self.f)
-        if held > MAX_PRODUCT_BYTES:
-            raise ValueError(
-                f"product of {self.scalars.size} and {other.scalars.size} terms over "
-                f"{self.f} axes would hold {held} bytes ({pairs} term pairs), more "
-                f"than the limit {MAX_PRODUCT_BYTES}"
-            )
-        scalars = _cmul(self.scalars[:, None], other.scalars[None, :]).reshape(-1)
-        ids = FACTORS.products(self.ids[:, None, :], other.ids[None, :, :])
-        ids = ids.reshape(scalars.size, self.f)
-        return TensorOperator._of(self.f, self.dim, scalars, ids)
+        """The product, term ``a * len(other) + b`` being term a of self
+        times term b of other: ``operator_products`` of the one pair, so
+        refused as it refuses.  A relation suite multiplies a chunk of new
+        products as one list (``matrixball._reports``), not through here."""
+        return operator_products([(self, other)])[0]
 
     def restrict(self, window: int) -> "TensorOperator":
         """The operator without its terms that vanish on every column whose
@@ -640,6 +638,82 @@ class TensorOperator:
 _set_f, _set_dim, _set_scalars, _set_ids, _set_terms = (
     TensorOperator.__dict__[name].__set__ for name in TensorOperator.__slots__
 )
+
+
+def operator_products(
+    pairs: list[tuple[TensorOperator, TensorOperator]],
+) -> list[TensorOperator]:
+    """The operator ``a * b`` of each pair ``(a, b)``, in order, all computed
+    together: the one product code path, of which ``__mul__`` is the list
+    of one pair.
+
+    Every operand must have the first one's (f, dim), or ``ValueError``
+    names the first mismatch.  Each pair is refused with ``ValueError``
+    when its scalars and id lookup would hold more than
+    ``MAX_PRODUCT_BYTES``: 16 bytes per pair of terms and
+    ``_PRODUCT_ID_BYTES`` per pair and axis.  Both checks read every pair
+    before any array is made.  The term pairs of all products are then
+    laid end to end, product by product, left term by left term: one pair
+    is a column times a row, more are gathered by index.  All scalars are
+    one ``_cmul``, which gives CPython's bits on either route, and all ids
+    one ``FACTORS.products`` lookup, so the new factor pairs of the whole
+    list are interned in ascending key order; in a list of more pairs only
+    the pairs of two factors are looked up, a pair with the identity being
+    the other id, and a list without term pairs looks nothing up.  The
+    products are slices of those two arrays."""
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    f, dim = first.f, first.dim
+    for a, b in pairs:
+        first._check_compatible(a)
+        a._check_compatible(b)
+    sizes = []
+    for a, b in pairs:
+        count = a.scalars.size * b.scalars.size
+        held = count * (16 + _PRODUCT_ID_BYTES * f)
+        if held > MAX_PRODUCT_BYTES:
+            raise ValueError(
+                f"product of {a.scalars.size} and {b.scalars.size} terms over "
+                f"{f} axes would hold {held} bytes ({count} term pairs), more "
+                f"than the limit {MAX_PRODUCT_BYTES}"
+            )
+        sizes.append(count)
+    total = sum(sizes)
+    if not total:
+        scalars, ids = np.zeros(0, dtype=np.complex128), np.zeros((0, f), dtype=_ID)
+    elif len(pairs) == 1:
+        # broadcast, with no index arrays: gathered, a 20 x 3 product on 16
+        # axes took 53 us against 33 (timeit)
+        ((a, b),) = pairs
+        scalars = _cmul(a.scalars[:, None], b.scalars[None, :]).reshape(-1)
+        ids = FACTORS.products(a.ids[:, None, :], b.ids[None, :, :]).reshape(total, f)
+    else:
+        # the left and the right term of each pair, as indices into the
+        # operands laid end to end: the pairs of a left term start at
+        # ``ends - widths`` and take the right terms from ``firsts`` on
+        heights = [a.scalars.size for a, _ in pairs]
+        lengths = np.array([b.scalars.size for _, b in pairs])
+        widths = np.repeat(lengths, heights)
+        rows = np.repeat(np.arange(widths.size), widths)
+        firsts = np.repeat(np.cumsum(lengths) - lengths, heights)
+        ends = np.cumsum(widths)
+        cols = np.arange(total) + np.repeat(firsts - ends + widths, widths)
+        scalars = _cmul(
+            np.concatenate([a.scalars for a, _ in pairs])[rows],
+            np.concatenate([b.scalars for _, b in pairs])[cols],
+        )
+        left = np.concatenate([a.ids for a, _ in pairs])[rows]
+        right = np.concatenate([b.ids for _, b in pairs])[cols]
+        # a pair with the identity is the other id; only the pairs of two
+        # factors are looked up
+        ids = left | right
+        at = np.flatnonzero(np.logical_and(left, right))
+        ids.reshape(-1)[at] = FACTORS.products(left.reshape(-1)[at], right.reshape(-1)[at])
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    return [
+        TensorOperator._of(f, dim, scalars[s:e], ids[s:e]) for s, e in zip(cuts, cuts[1:])
+    ]
 
 
 def vacuum_matrix_element(op: TensorOperator) -> complex:

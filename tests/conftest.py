@@ -61,6 +61,20 @@ def from_terms(f: int, dim: int, terms) -> qoperator.TensorOperator:
     return qoperator.TensorOperator.from_ids(f, dim, scalars, ids)
 
 
+def dense_matrix(op):
+    """Full matrix of a tensor operator, the sum over terms of the Kronecker
+    products of their factors' matrices; oracle use only, tiny sizes."""
+    size = op.dim**op.f
+    mat = np.zeros((size, size), dtype=complex)
+    for term in op.terms:
+        block = np.array([[term.scalar]], dtype=complex)
+        for F in term.factors:
+            entries = np.eye(op.dim) if F is None else F.entries
+            block = np.kron(block, entries)
+        mat += block
+    return mat
+
+
 # the adjoint of each corner block: T11* = T22, T12* = T12, T21* = T21
 ADJOINT_TAG = {"T11": "T22", "T22": "T11", "T12": "T12", "T21": "T21"}
 

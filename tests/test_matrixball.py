@@ -5,6 +5,7 @@ import itertools
 import math
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from qmatball.qgrouprep import rep_generator
 from qmatball.qoperator import (
     MAX_RESIDUAL_ELEMENTS,
     TensorOperator,
+    operator_products,
     residual_on_window,
     vacuum_matrix_element,
 )
@@ -330,9 +332,12 @@ class TestRelations:
 
             return wrapper
 
-        monkeypatch.setattr(
-            TensorOperator, "__mul__", counted("mul", TensorOperator.__mul__)
-        )
+        # the suite builds its products in lists: count each product
+        def products(pairs):
+            calls["mul"] += len(pairs)
+            return operator_products(pairs)
+
+        monkeypatch.setattr(matrixball, "operator_products", products)
         monkeypatch.setattr(
             TensorOperator, "adjoint", counted("adjoint", TensorOperator.adjoint)
         )
@@ -453,6 +458,86 @@ class TestOnePassSides:
                         size = prod(*word).scalars.size
                         routes["array" if size > qoperator._PYTHON_PRODUCTS else "python"] += 1
         return routes
+
+
+class TestChunks:
+    """``_reports`` builds the products and sides of consecutive instances
+    in chunks of at most ``_BATCH_ELEMENTS`` elements, one ``sides`` call
+    per chunk."""
+
+    @pytest.mark.parametrize("budget", [1, 1 << 12, 1 << 40])
+    def test_the_chunk_size_moves_no_bit(self, monkeypatch, budget):
+        # one instance per chunk, several, and one chunk per part
+        g = fock_rep(3, 0.7, 5)
+        want = report_digest(verify_relations(g) + a_m_checks(g))
+        monkeypatch.setattr(matrixball, "_BATCH_ELEMENTS", budget)
+        assert report_digest(verify_relations(g) + a_m_checks(g)) == want
+
+    def test_a_chunk_holds_at_most_its_count(self, monkeypatch):
+        # every outermost sides call, measured apart from the names it
+        # needs and once the factor table holds every factor pair, which
+        # it keeps for the process: at most 32 bytes per element counted,
+        # 1 kB per operator made (new products and sides) and 4 kB besides
+        sizes = [(2, 5), (3, 5), (4, 3)]
+        for n, N in sizes:
+            verify_relations(fock_rep(n, Q, N))
+        monkeypatch.setattr(matrixball, "_BATCH_ELEMENTS", 1 << 12)
+        build = matrixball._Products.sides
+        calls = []
+
+        def measured(self, sides):
+            if calls and calls[-1] is None:
+                return build(self, sides)
+            calls.append(None)
+            elements = self.elements(sides, {})
+            products = len(self._products)
+            tracemalloc.start()
+            try:
+                out = build(self, sides)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            made = len(self._products) - products + len(sides)
+            calls[-1] = (len(sides), elements, made, peak)
+            return out
+
+        monkeypatch.setattr(matrixball._Products, "sides", measured)
+        for n, N in sizes:
+            g = fock_rep(n, Q, N)
+            verify_relations(g)
+            if N > relations.A_M_DEPTH:
+                a_m_checks(g)
+        chunks = [call for call in calls if call[0] > 2]
+        assert len(chunks) > 10
+        for sides, elements, made, peak in calls:
+            # a chunk of one instance may count more
+            assert elements <= 1 << 12 or sides <= 2
+            assert peak <= 32 * elements + 1024 * made + 4096
+
+    def test_a_product_over_the_limit_is_refused_before_the_chunk(self, monkeypatch):
+        g = fock_rep(4, Q, 4)
+        prod = matrixball._Products(g)
+        chunk = list(itertools.islice(relations.holomorphic_instances(4), 20))
+        sides = [side for instance in chunk for side in instance[2:4]]
+        planned = {}
+        elements = prod.elements(sides, planned)
+        assert len(planned) > 10
+        largest = max(planned.values())
+        held = largest * (16 + qoperator._PRODUCT_ID_BYTES * g.f)
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"would hold {held} bytes"):
+                prod.sides(sides)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no product was kept, and the scalars of the chunk's new products,
+        # 16 bytes per term pair, were never allocated
+        assert prod._products == {}
+        assert peak < 16 * sum(planned.values()) // 4
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held)
+        assert len(prod.sides(sides)) == len(sides)
 
 
 def full_product_relations(g):
@@ -730,15 +815,16 @@ class TestAmFamilies:
 
 
 def _recorded_sides(monkeypatch, run):
-    """Every side that ``_Products.side`` evaluates while ``run()`` runs."""
+    """Every side that ``_Products.sides``, which builds every side, a
+    single one included, evaluates while ``run()`` runs."""
     sides = []
-    evaluate = matrixball._Products.side
+    evaluate = matrixball._Products.sides
 
-    def recording(self, side):
-        sides.append(side)
-        return evaluate(self, side)
+    def recording(self, batch):
+        sides.extend(batch)
+        return evaluate(self, batch)
 
-    monkeypatch.setattr(matrixball._Products, "side", recording)
+    monkeypatch.setattr(matrixball._Products, "sides", recording)
     run()
     monkeypatch.undo()
     return sides

@@ -24,6 +24,7 @@ from qmatball.qoperator import (
     norm_bound,
     norm_estimate,
     operator_from_json,
+    operator_products,
     operator_to_json,
     residual_on_window,
     shift,
@@ -32,7 +33,7 @@ from qmatball.qoperator import (
     vacuum_matrix_element,
 )
 
-from conftest import factor_adjoint, factor_product, from_terms, vacuum
+from conftest import dense_matrix, factor_adjoint, factor_product, from_terms, vacuum
 
 Q, N = 0.5, 6
 
@@ -529,19 +530,6 @@ class TestAssociativity:
         lhs = ((A * B) * C).apply(v)
         rhs = (A * (B * C)).apply(v)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def dense_matrix(op):
-    """Full matrix of a tensor operator; oracle use only, tiny sizes."""
-    size = op.dim**op.f
-    mat = np.zeros((size, size), dtype=complex)
-    for term in op.terms:
-        block = np.array([[term.scalar]], dtype=complex)
-        for F in term.factors:
-            entries = np.eye(op.dim) if F is None else F.entries
-            block = np.kron(block, entries)
-        mat += block
-    return mat
 
 
 def dense_norm(op):
@@ -1882,6 +1870,191 @@ class TestProductLimit:
         assert (a * zero_like(a)).scalars.size == 0
         with pytest.raises(ValueError, match="more than the limit 0"):
             a * a
+
+
+def shift_operator(rng, f, dim, scalars):
+    """One term per scalar, each on f random untagged weighted shifts
+    (random shifts, about a third of the amplitudes zeroed, a quarter of
+    the factors the identity), interned in ``FACTORS`` as it is at call
+    time; no two built factors share an id."""
+    rows = []
+    for _ in scalars:
+        row = []
+        for _ in range(f):
+            if rng.random() < 0.25:
+                row.append(0)
+                continue
+            F = weighted_shift(rng, dim)
+            amps = np.where(rng.random(dim) < 0.3, 0, F.amps)
+            row.append(qoperator.FACTORS.intern(FactorMatrix(F.delta, amps)))
+        rows.append(row)
+    ids = np.array(rows, dtype=np.int32).reshape(len(scalars), f)
+    return TensorOperator.from_ids(f, dim, scalars, ids)
+
+
+def gaussian(rng, count):
+    return (rng.standard_normal(count) + 1j * rng.standard_normal(count)).tolist()
+
+
+class TestOperatorProducts:
+    """``operator_products``, the one product code path, against each pair
+    multiplied alone: scalars with the bits of CPython's ``x * y`` in term
+    order, ids those of a one-pair ``FactorTable.products`` lookup, and
+    values those of the dense Kronecker matrices."""
+
+    @staticmethod
+    def check(a, b, product, dense=False):
+        assert (product.f, product.dim) == (a.f, a.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = itertools.product(a.scalars.tolist(), b.scalars.tolist())
+            assert parts_bits(product.scalars.tolist()) == parts_bits(x * y for x, y in pairs)
+        lookup = qoperator.FACTORS.products(a.ids[:, None, :], b.ids[None, :, :])
+        assert product.ids.dtype == np.int32
+        assert product.ids.tolist() == lookup.reshape(product.scalars.size, a.f).tolist()
+        assert not (product.scalars.flags.writeable or product.ids.flags.writeable)
+        if dense:
+            want = dense_matrix(a) @ dense_matrix(b)
+            assert np.allclose(dense_matrix(product), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=6),
+        st.lists(any_complexes, min_size=40, max_size=40),
+    )
+    def test_each_product_has_the_bits_of_its_pair(self, seed, f, dim, shapes, drawn):
+        # every float for a scalar, non-finite and signed zeros included
+        rng = np.random.default_rng(seed)
+        values = itertools.cycle(drawn)
+        pairs = [
+            tuple(shift_operator(rng, f, dim, [next(values) for _ in range(k)]) for k in shape)
+            for shape in shapes
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = operator_products(pairs)
+        assert len(products) == len(pairs)
+        for (a, b), product in zip(pairs, products):
+            self.check(a, b, product)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 3),
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+    )
+    def test_dense_values_are_the_matrix_products(self, seed, f, dim, shapes):
+        rng = np.random.default_rng(seed)
+        pairs = [
+            tuple(shift_operator(rng, f, dim, gaussian(rng, k)) for k in shape)
+            for shape in shapes
+        ]
+        for (a, b), product in zip(pairs, operator_products(pairs)):
+            self.check(a, b, product, dense=True)
+
+    def test_edge_lists(self):
+        # empty operands, one term, and 32 and 33 term pairs, on either
+        # side of the Python route of _cmul, as one pair and as a list
+        rng = np.random.default_rng(4)
+        one = shift_operator(rng, 2, 3, [2.0 - 1.5j])
+        empty = TensorOperator.zero(2, 3)
+        ops = {k: shift_operator(rng, 2, 3, gaussian(rng, k)) for k in (3, 4, 8, 11)}
+        lists = [
+            [(ops[3], empty), (empty, ops[3]), (empty, empty)],
+            [(one, one)],
+            [(one, ops[3]), (empty, one), (ops[3], one)],
+            [(ops[4], ops[8])],
+            [(ops[3], ops[11])],
+            [(ops[4], ops[8]), (empty, ops[3])],
+            [(ops[3], ops[11]), (one, empty)],
+            [(one, one)] * LIMIT,
+            [(one, one)] * (LIMIT + 1),
+        ]
+        for pairs in lists:
+            for (a, b), product in zip(pairs, operator_products(pairs), strict=True):
+                self.check(a, b, product, dense=True)
+                # the list of one pair is the product
+                alone = a * b
+                assert alone.scalars.tobytes() == product.scalars.tobytes()
+                assert alone.ids.tobytes() == product.ids.tobytes()
+        assert operator_products([]) == []
+
+    def test_special_scalars(self):
+        # every pair of special parts, one pair of 100-term operators and
+        # 100 pairs of one-term operators
+        parts = [0.0, -0.0, 1.5, -2.25, 1e308, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
+        values = [complex(x, y) for x in parts for y in parts]
+        ops = [TensorOperator.from_ids(1, 2, [z], [[0]]) for z in values]
+        whole = TensorOperator.from_ids(1, 2, values, np.zeros((100, 1)))
+        pairs = [(whole, whole)] + list(zip(ops, reversed(ops)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = operator_products(pairs)
+        for (a, b), product in zip(pairs, products, strict=True):
+            self.check(a, b, product)
+
+    def test_new_factors_interned_in_ascending_key_order(self, monkeypatch):
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        rng = np.random.default_rng(6)
+        ops = [shift_operator(rng, 2, 4, gaussian(rng, k)) for k in (3, 2, 4, 1)]
+        pairs = [(ops[0], ops[1]), (ops[2], ops[0]), (ops[3], ops[2]), (ops[1], ops[1])]
+        size = len(table)
+        products = operator_products(pairs)
+        grown = len(table)
+        assert grown > size
+        met = sorted(
+            {
+                (x, y)
+                for a, b in pairs
+                for row, column in itertools.product(a.ids.tolist(), b.ids.tolist())
+                for x, y in zip(row, column)
+                if x and y
+            }
+        )
+        # one lookup over the whole list: each distinct pair of two factors
+        # interned once, in ascending (left, right) order
+        new = table.products(np.array([x for x, _ in met]), np.array([y for _, y in met]))
+        assert list(dict.fromkeys(t for t in new.tolist() if t >= size)) == list(range(size, grown))
+        assert len(table) == grown
+        for (a, b), product in zip(pairs, products):
+            self.check(a, b, product, dense=True)
+
+    def test_refused_before_any_array(self, monkeypatch):
+        # mixed shapes, in a pair or across pairs, and one pair over the
+        # limit: nothing is allocated, looked up or interned
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        rng = np.random.default_rng(8)
+        big = shift_operator(rng, 2, 4, gaussian(rng, 60))
+        ops = {(f, dim): shift_operator(rng, f, dim, [1.0]) for f in (2, 3) for dim in (4, 5)}
+        held = 60 * 60 * (16 + qoperator._PRODUCT_ID_BYTES * 2)
+        stored = (len(table), table._pair_keys.size)
+        refusals = [
+            ([(big, big), (ops[2, 4], ops[3, 4])], "shape mismatch: \\(2, 4\\) vs \\(3, 4\\)"),
+            ([(big, big), (ops[2, 5], ops[2, 5])], "shape mismatch: \\(2, 4\\) vs \\(2, 5\\)"),
+            ([(big, ops[2, 4]), (big, ops[2, 5])], "shape mismatch: \\(2, 4\\) vs \\(2, 5\\)"),
+            ([(big, ops[2, 4]), (big, big)], f"60 and 60 terms over 2 axes would hold {held}"),
+        ]
+        monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held - 1)
+
+        def refuse(*args):
+            raise AssertionError("computed before the checks")
+
+        monkeypatch.setattr(qoperator, "_cmul", refuse)
+        monkeypatch.setattr(table, "products", refuse)
+        for pairs, message in refusals:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=message):
+                    operator_products(pairs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the scalars of the first pair alone would take 57,600 bytes
+            assert peak < 60 * 60 * 16 // 4
+            assert (len(table), table._pair_keys.size) == stored
 
 
 class TestApplyDenseOracle:
