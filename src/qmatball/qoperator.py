@@ -5,8 +5,10 @@ factors (`delta`, amplitudes).  A `TensorOperator` stores its terms as two
 read-only arrays: a complex scalar vector of shape (T,) and an integer id
 matrix of shape (T, f).  Id 0 is the identity; every other id names one
 row of `FACTORS`, the process-wide factor table, which also caches the
-product id of each pair of ids and the adjoint id of each id.  A product of
-operators is then one sorted-key lookup over term pairs, an adjoint a
+product id of each pair of two factors and the adjoint id of each id.  A
+product of operators is then its term pairs gathered end to end, their
+scalars multiplied by one formula and their ids found by one sorted-key
+lookup, a pair with the identity being the other id; an adjoint is a
 gather from the table's adjoint column, and the window residual reads
 shift keys and amplitudes from the table by id.  Dense matrices and states
 appear only in ``entries`` and ``apply``, which test oracles compare
@@ -60,42 +62,47 @@ MAX_RESIDUAL_ELEMENTS = 64_000_000
 MAX_RESIDUAL_WORK = 1 << 30
 
 # most bytes one operator product may hold at once, checked before any of
-# it is allocated: per pair of terms its complex128 scalar (16), and per
-# pair and axis ``_PRODUCT_ID_BYTES``; see operator_products.  The
-# largest product of verify at n = 6 (252 x 252 terms on 36 axes) counts
-# 74 MB; the first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64
-# axes) would count 12 GB.  A list of products is checked product by
+# it is allocated: ``_PRODUCT_PAIR_BYTES`` per pair of terms and
+# ``_PRODUCT_ID_BYTES`` per pair and axis; see operator_products.  The
+# largest product of verify --fock 6 (252 x 126 terms on 36 axes, before
+# the residual limit refuses the run) counts 58 MB, the largest of --fock
+# 7 --trunc 4 (924 x 462 on 49) 1.04 GB, just under the limit, and the
+# first of verify --fock 8 --trunc 4 (3432 x 1716 terms on 64 axes) would
+# count 18.6 GB.  A list of products is checked product by
 # product, all before any is computed.  A relation suite multiplies the new
 # products of a chunk of instances as one list, and the chunk bounds what
-# that list holds at once (see matrixball._BATCH_ELEMENTS): its gathered
-# operand terms and, per pair and axis, the two ids and the nonzero id of
-# a pair with the identity, beside the lookup of the other pairs.  Not
-# counted: the factor rows that a product's new pairs intern in the table,
-# which stay there (one row per distinct new pair; 6.9 MB against 0.6 MB
+# that list holds at once (see matrixball._BATCH_ELEMENTS).  Not counted:
+# the factor rows that a product's new pairs intern in the table, which
+# stay there (one row per distinct new pair; 6.9 MB against 0.6 MB
 # counted for 100 x 100 terms on 1 axis over 2000 distinct random factors)
 MAX_PRODUCT_BYTES = 1 << 30
 
-# bytes per pair of terms and axis that the id lookup
-# ``FactorTable.products`` holds at once: the int64 pair key and store
-# position and the mask of pairs found, and, where pairs are met for the
-# first time, the unmet keys, copied and sorted in place, before the store
-# is searched once more and the int32 product ids gathered.  tracemalloc
-# measured at most 27.3 over a whole product, first and repeated, of 3000 x
-# 1 and 300 x 300 terms on 20 axes, 60 x 60 on 36, 200 x 200 on 1 and 2 and
-# 100 x 100 on 64 (numpy 2.4)
-_PRODUCT_ID_BYTES = 32
+# bytes per pair of terms that a product holds while ``_cmul`` runs: the
+# int64 left and right term indices, the two gathered operand scalars, the
+# complex128 product and three float64 parts.  tracemalloc measured 88.0
+# to 88.2 over a whole product of 200 x 200 to 3000 x 3000 terms on 1
+# axis, where the id lookup holds less; a few tens of kB that do not grow
+# with the product come on top (numpy 2.4)
+_PRODUCT_PAIR_BYTES = 88
+
+# bytes per pair of terms and axis that ``FactorTable.products`` holds at
+# once, beside the product's scalar and the two term indices (32 bytes per
+# pair): the gathered int32 left and right ids, their ``|`` and the mask of
+# pairs of two factors, and for those pairs their int64 positions, pair
+# keys, store positions and the mask of keys found, beside the keys read
+# at those positions or, on a first product, the copy of the unmet keys
+# that is sorted in place.  tracemalloc measured 46.0 to 46.1 over a first
+# product, and 45.0 over a repeated one, of 60 x 60 to 400 x 400 terms on
+# 2 to 64 axes whose factors were drawn without the identity, so that
+# every pair is looked up; about 33 to 35 with the identity drawn as often
+# as each factor (numpy 2.4)
+_PRODUCT_ID_BYTES = 48
 
 # elements in one chunk of term blocks that a residual call builds at once;
 # a term whose block is larger is built alone.  2^14 builds the classes on
 # 7 or 8 axes at window 3 (3^7 or 3^8 elements per term) seven or two
 # terms at a time, with one call per chunk instead of one per term
 _CHUNK_ELEMENTS = 1 << 14
-
-# most products ``_cmul`` computes as Python complex numbers: below about 32
-# a list of CPython products is faster than the six numpy calls of the array
-# route (about 4 us at any small size), above it slower (timeit, CPython
-# 3.11, numpy 2.4)
-_PYTHON_PRODUCTS = 32
 
 # dtype of factor ids; a table never nears 2^31 factors
 _ID = np.int32
@@ -194,23 +201,25 @@ class FactorTable:
     are never removed, so an id stays valid for every operator holding it;
     the table grows with the distinct factors put into operators and with
     the products and adjoints taken of them.  The product id of each pair of
-    ids and the adjoint id of each id are computed once, on first use, from
-    the operands' rows (see ``_add_products`` and ``adjoints``); a call
-    whose pairs and ids are all known runs no Python loop over them.
+    two factors and the adjoint id of each id are computed once, on first
+    use, from the operands' rows (see ``_add_products`` and ``adjoints``);
+    a call whose pairs and ids are all known runs no Python loop over them.
 
-    Products are stored as two arrays of equal length: the pair keys
-    ``left << 32 | right`` in ascending order, and the product id of each.
-    A lookup is one ``np.searchsorted`` of the broadcast keys and a gather.
-    When pairs are not found, ``_distinct`` takes a copy of their keys:
-    those distinct pairs are added in ascending (left, right) order, their
-    factor products interned in that order, and merged in, and the store is
-    searched once more.  An adjoint lookup that misses finds its distinct
-    ids the same way, by ``_distinct``, and interns their adjoints in
-    ascending id order.  A pair with the identity is stored with the other
-    id ((0, b) gives b, (a, 0) gives a) and interns nothing.  So the store
-    grows with the distinct pairs met, 12 bytes each, not with the square
-    of the table's size, as a capacity x capacity id matrix would (256 MB
-    of int32 at 8192 rows).
+    ``products`` alone knows that a pair with the identity is the other id
+    ((0, b) gives b, (a, 0) gives a): it returns ``left | right`` with the
+    pairs of two factors looked up, so a pair with the identity is neither
+    looked up nor stored and interns nothing.  The pairs of two factors are
+    stored as two arrays of equal length: the pair keys ``left << 32 |
+    right`` in ascending order, and the product id of each.  A lookup is
+    one ``np.searchsorted`` of the keys and a gather.  When pairs are not
+    found, ``_distinct`` takes a copy of their keys: those distinct pairs
+    are added in ascending (left, right) order, their factor products
+    interned in that order, and merged in, and the store is searched once
+    more.  An adjoint lookup that misses finds its distinct ids the same
+    way, by ``_distinct``, and interns their adjoints in ascending id order.
+    So the store grows with the distinct pairs met, 12 bytes each, not with
+    the square of the table's size, as a capacity x capacity id matrix
+    would (256 MB of int32 at 8192 rows).
 
     Columns, indexed by id: ``deltas`` (the shift), ``dims`` (the size, 0
     for the identity), ``lead`` (the first column ``c`` with ``amps[c] !=
@@ -311,37 +320,45 @@ class FactorTable:
 
     def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Ids of the factor products ``left[i] @ right[i]``, the two id
-        arrays broadcast against each other."""
-        keys = left.astype(np.int64) << 32 | right
-        at = np.searchsorted(self._pair_keys, keys)
-        # the last stored key is a sentinel above every pair key, so ``at``
-        # is always a valid index
-        hit = self._pair_keys[at] == keys
+        arrays broadcast against each other: ``left | right``, a pair with
+        the identity (id 0 on either side) being the other id, with the
+        pairs of two factors looked up in the store."""
+        # operator_products passes equal shapes; broadcast views of those
+        # too would add a few hundred bytes to every relation chunk
+        if left.shape != right.shape:
+            left, right = np.broadcast_arrays(left, right)
+        ids = left | right
+        at = np.flatnonzero(np.logical_and(left, right))
+        keys = left.reshape(-1)[at].astype(np.int64)
+        keys <<= 32
+        keys |= right.reshape(-1)[at]
+        found = np.searchsorted(self._pair_keys, keys)
+        # the last stored key is a sentinel above every pair key, so
+        # ``found`` is always a valid index
+        hit = self._pair_keys[found] == keys
         if not hit.all():
             self._add_products(_distinct(keys[~hit]))
-            at = np.searchsorted(self._pair_keys, keys)
-        return self._pair_ids[at]
+            found = np.searchsorted(self._pair_keys, keys)
+        ids.reshape(-1)[at] = self._pair_ids[found]
+        return ids
 
     def _add_products(self, keys: np.ndarray) -> None:
-        """Stores the products of the int64 pair ``keys``, ascending and
-        none stored yet, interning the factor products in that order."""
+        """Stores the products of the int64 pair ``keys``, ascending, none
+        stored yet and none with the identity, interning the factor
+        products in that order."""
         ids = []
         for key in keys.tolist():
             a, b = key >> 32, key & 0xFFFFFFFF
-            if a and b:
-                dim, db = int(self._dims[a]), int(self._deltas[b])
-                if dim != self._dims[b]:
-                    raise ValueError("factor dimension mismatch")
-                # column c of b lands on row c + db, where a's column amplitude
-                # applies; where c + db wraps around, b's own zero amplitude at
-                # c cancels it.  Read before intern, which may regrow the rows
-                amps = self._amps[b, :dim] * np.roll(self._amps[a, :dim], -db)
-                ta, tb = self.tags[a], self.tags[b]
-                tags = None if ta is None or tb is None else ta + tb
-                ids.append(self.intern(FactorMatrix(int(self._deltas[a]) + db, amps, tags)))
-            else:
-                # a pair with the identity (0 on either side) is the other id
-                ids.append(a | b)
+            dim, db = int(self._dims[a]), int(self._deltas[b])
+            if dim != self._dims[b]:
+                raise ValueError("factor dimension mismatch")
+            # column c of b lands on row c + db, where a's column amplitude
+            # applies; where c + db wraps around, b's own zero amplitude at
+            # c cancels it.  Read before intern, which may regrow the rows
+            amps = self._amps[b, :dim] * np.roll(self._amps[a, :dim], -db)
+            ta, tb = self.tags[a], self.tags[b]
+            tags = None if ta is None or tb is None else ta + tb
+            ids.append(self.intern(FactorMatrix(int(self._deltas[a]) + db, amps, tags)))
         # ascending keys get nondecreasing positions, and np.insert puts the
         # keys that share a position in the order given
         at = np.searchsorted(self._pair_keys, keys)
@@ -458,34 +475,19 @@ def t_block_ids(q: float, N: int) -> dict[tuple[int, int], int]:
 def _cmul(a: complex | np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise complex product of a Python complex or complex128 array
     and a complex128 array, computed as CPython computes ``complex *
-    complex`` (each part rounded after every operation, no fused
-    multiply-add), so that it does not depend on the loop numpy picks.
+    complex``, so that it does not depend on the loop numpy picks: each
+    part by CPython's formula, ``a.real * b.real - a.imag * b.imag`` and
+    ``a.real * b.imag + a.imag * b.real``, in float64 ufuncs that round
+    every operation, with no fused multiply-add.  A product has the bits of
+    CPython's, signed zeros and infinities included; a part is NaN exactly
+    when it is in CPython's, though a NaN made from two NaNs may take its
+    sign and payload from either operand, as it may between numpy's own
+    loops.
 
-    Three call shapes are served: a Python complex times a vector
-    (``scale``), a column (m, 1) times a row (1, n), giving (m, n)
-    (``operator_products`` of one pair), and two vectors of one length
-    (``evaluate_terms``, ``operator_products`` of more pairs, and the
-    scaled terms of ``matrixball._Products.sides``).
-    Up to ``_PYTHON_PRODUCTS`` products are computed as Python complex
-    numbers, one ``*`` each; more are computed by the array route, which
-    evaluates each part with the formula CPython's complex multiply
-    evaluates, ``a.real * b.real - a.imag * b.imag`` and ``a.real * b.imag
-    + a.imag * b.real``, in float64 ufuncs that round each operation.  Both
-    routes round the same operations in the same order, so a product has
-    the same bits on either, signed zeros and infinities included; a part
-    is NaN on one exactly when it is on the other, though a NaN made from
-    two NaNs may take its sign and payload from either, as it may between
-    numpy's own loops.  The route is picked by comparing sizes, before any
-    array is made."""
-    if a.__class__ is complex:
-        if b.size <= _PYTHON_PRODUCTS:
-            return np.array([a * z for z in b.tolist()], dtype=np.complex128)
-    elif a.ndim == 1:
-        if b.size <= _PYTHON_PRODUCTS:
-            return np.array([x * y for x, y in zip(a.tolist(), b.tolist())], dtype=np.complex128)
-    elif a.size * b.size <= _PYTHON_PRODUCTS:
-        products = [x * y for x in a.ravel().tolist() for y in b.ravel().tolist()]
-        return np.array(products, dtype=np.complex128).reshape(a.size, b.size)
+    The package calls it on a Python complex times a vector (``scale`` and
+    the scaled terms of ``matrixball._Products.sides``) and on two vectors
+    of one length (``operator_products`` and ``evaluate_terms``); operands
+    that broadcast against each other give the broadcast shape."""
     real = a.real * b.real - a.imag * b.imag
     out = np.empty(real.shape, dtype=np.complex128)
     out.real = real
@@ -592,8 +594,9 @@ class TensorOperator:
     def __mul__(self, other: "TensorOperator") -> "TensorOperator":
         """The product, term ``a * len(other) + b`` being term a of self
         times term b of other: ``operator_products`` of the one pair, so
-        refused as it refuses.  A relation suite multiplies a chunk of new
-        products as one list (``matrixball._reports``), not through here."""
+        refused as it refuses and gathered by index as a list's pairs are.
+        A relation suite multiplies a chunk of new products as one list
+        (``matrixball._reports``), not through here."""
         return operator_products([(self, other)])[0]
 
     def restrict(self, window: int) -> "TensorOperator":
@@ -649,17 +652,16 @@ def operator_products(
 
     Every operand must have the first one's (f, dim), or ``ValueError``
     names the first mismatch.  Each pair is refused with ``ValueError``
-    when its scalars and id lookup would hold more than
-    ``MAX_PRODUCT_BYTES``: 16 bytes per pair of terms and
-    ``_PRODUCT_ID_BYTES`` per pair and axis.  Both checks read every pair
+    when it would hold more than ``MAX_PRODUCT_BYTES``, counted as
+    ``_PRODUCT_PAIR_BYTES`` per pair of terms and ``_PRODUCT_ID_BYTES``
+    per pair and axis.  Both checks read every pair
     before any array is made.  The term pairs of all products are then
-    laid end to end, product by product, left term by left term: one pair
-    is a column times a row, more are gathered by index.  All scalars are
-    one ``_cmul``, which gives CPython's bits on either route, and all ids
-    one ``FACTORS.products`` lookup, so the new factor pairs of the whole
-    list are interned in ascending key order; in a list of more pairs only
-    the pairs of two factors are looked up, a pair with the identity being
-    the other id, and a list without term pairs looks nothing up.  The
+    laid end to end, product by product, left term by left term, and
+    gathered by index, whether the list holds one pair or many.  All
+    scalars are one ``_cmul``, with CPython's bits, and all ids one
+    ``FACTORS.products`` lookup, which looks up only the pairs of two
+    factors, so the new factor pairs of the whole list are interned in
+    ascending key order; a list without term pairs looks nothing up.  The
     products are slices of those two arrays."""
     if not pairs:
         return []
@@ -671,7 +673,7 @@ def operator_products(
     sizes = []
     for a, b in pairs:
         count = a.scalars.size * b.scalars.size
-        held = count * (16 + _PRODUCT_ID_BYTES * f)
+        held = count * (_PRODUCT_PAIR_BYTES + _PRODUCT_ID_BYTES * f)
         if held > MAX_PRODUCT_BYTES:
             raise ValueError(
                 f"product of {a.scalars.size} and {b.scalars.size} terms over "
@@ -682,12 +684,6 @@ def operator_products(
     total = sum(sizes)
     if not total:
         scalars, ids = np.zeros(0, dtype=np.complex128), np.zeros((0, f), dtype=_ID)
-    elif len(pairs) == 1:
-        # broadcast, with no index arrays: gathered, a 20 x 3 product on 16
-        # axes took 53 us against 33 (timeit)
-        ((a, b),) = pairs
-        scalars = _cmul(a.scalars[:, None], b.scalars[None, :]).reshape(-1)
-        ids = FACTORS.products(a.ids[:, None, :], b.ids[None, :, :]).reshape(total, f)
     else:
         # the left and the right term of each pair, as indices into the
         # operands laid end to end: the pairs of a left term start at
@@ -703,13 +699,10 @@ def operator_products(
             np.concatenate([a.scalars for a, _ in pairs])[rows],
             np.concatenate([b.scalars for _, b in pairs])[cols],
         )
-        left = np.concatenate([a.ids for a, _ in pairs])[rows]
-        right = np.concatenate([b.ids for _, b in pairs])[cols]
-        # a pair with the identity is the other id; only the pairs of two
-        # factors are looked up
-        ids = left | right
-        at = np.flatnonzero(np.logical_and(left, right))
-        ids.reshape(-1)[at] = FACTORS.products(left.reshape(-1)[at], right.reshape(-1)[at])
+        ids = FACTORS.products(
+            np.concatenate([a.ids for a, _ in pairs])[rows],
+            np.concatenate([b.ids for _, b in pairs])[cols],
+        )
     cuts = list(itertools.accumulate(sizes, initial=0))
     return [
         TensorOperator._of(f, dim, scalars[s:e], ids[s:e]) for s, e in zip(cuts, cuts[1:])

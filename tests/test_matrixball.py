@@ -427,24 +427,17 @@ class TestOnePassSides:
         "n,q,N", [(1, 0.3, 6), (2, 0.3, 5), (3, 0.7, 4), (4, 0.3, 3), (4, Q, 4)]
     )
     def test_fock_sides_have_the_chain_terms(self, n, q, N):
-        routes = self.check(fock_rep(n, q, N))
-        assert routes["python"]
-        if (n, N) == (4, 4):
-            # some scaled words there have more scalars than _cmul
-            # multiplies as Python complex numbers
-            assert routes["array"]
+        self.check(fock_rep(n, q, N))
 
     def test_string_sides_have_the_chain_terms(self):
         # complex scalars, from the phases of the light cells
         g = rep_from_string(AdmissibleString(3, (3, 2, 1), (0.0, 0.7, 2.1)), 0.3, 5)
-        assert self.check(g)["python"]
+        self.check(g)
 
     @staticmethod
     def check(g):
-        """Compares every side at ``g``; returns how many scaled words take
-        each route of ``_cmul``."""
+        """Compares every side at ``g``."""
         prod = matrixball._Products(g)
-        routes = collections.Counter()
         for family, indices, lhs, rhs, _ in relations.instances(g.n):
             sides = [lhs, rhs]
             if family.startswith("zaa4"):
@@ -453,11 +446,6 @@ class TestOnePassSides:
                 got, want = prod.side(side), chain_side(prod, side)
                 assert got.ids.tobytes() == want.ids.tobytes(), (family, indices)
                 assert got.scalars.tobytes() == want.scalars.tobytes(), (family, indices)
-                for c, word in side:
-                    if c != relations._ONE:
-                        size = prod(*word).scalars.size
-                        routes["array" if size > qoperator._PYTHON_PRODUCTS else "python"] += 1
-        return routes
 
 
 class TestChunks:
@@ -523,7 +511,7 @@ class TestChunks:
         elements = prod.elements(sides, planned)
         assert len(planned) > 10
         largest = max(planned.values())
-        held = largest * (16 + qoperator._PRODUCT_ID_BYTES * g.f)
+        held = largest * (qoperator._PRODUCT_PAIR_BYTES + qoperator._PRODUCT_ID_BYTES * g.f)
         monkeypatch.setattr(qoperator, "MAX_PRODUCT_BYTES", held - 1)
         tracemalloc.start()
         try:

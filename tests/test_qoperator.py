@@ -947,6 +947,26 @@ class TestFactorTable:
         assert np.array_equal(table.adjoints(ids), adjoints)
         assert len(table) == grown
 
+    def test_pairs_with_the_identity_never_reach_the_store(self, monkeypatch):
+        # every pair has the identity on one side, or on both: each is the
+        # other id, and nothing is interned, looked up or stored
+        table = FactorTable()
+        monkeypatch.setattr(qoperator, "FACTORS", table)
+        rng = np.random.default_rng(9)
+        a, b = (table.intern(weighted_shift(rng, 4)) for _ in range(2))
+        stored = (len(table), table._pair_keys.size)
+        left = np.array([0, a, 0, b, 0], dtype=np.int32)
+        right = np.array([b, 0, a, 0, 0], dtype=np.int32)
+        assert table.products(left, right).tolist() == [b, a, a, b, 0]
+        # broadcast: a column of factors times a row of identities
+        column, row = np.array([[a], [b]], dtype=np.int32), np.zeros((1, 3), dtype=np.int32)
+        assert table.products(column, row).tolist() == [[a] * 3, [b] * 3]
+        # and a one-pair ``*`` whose factors never meet on an axis
+        x = TensorOperator.from_ids(2, 4, [1.0, 2.0], [[a, 0], [b, 0]])
+        y = TensorOperator.from_ids(2, 4, [3.0], [[0, b]])
+        assert (x * y).ids.tolist() == [[a, b], [b, b]]
+        assert (len(table), table._pair_keys.size) == stored
+
     def test_product_with_no_terms(self, monkeypatch):
         monkeypatch.setattr(qoperator, "FACTORS", FactorTable())
         A = random_operator(np.random.default_rng(2), 3, 4, 5)
@@ -971,9 +991,9 @@ class TestFactorTable:
 any_parts = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
 any_complexes = st.builds(complex, any_parts, any_parts)
 
-# product counts on both sides of the route threshold of ``_cmul``
-LIMIT = qoperator._PYTHON_PRODUCTS
-SIZES = [0, 1, LIMIT, LIMIT + 1, 2 * LIMIT]
+# product counts from none to 64
+LIMIT = 32
+SIZES = [0, 1, 32, 33, 64]
 
 
 def parts_bits(values) -> list[tuple[str, str]]:
@@ -992,8 +1012,7 @@ def vector(values) -> np.ndarray:
 class TestScalarProducts:
     """``_cmul``, which computes the scalars of ``scale``, of products and
     of ``evaluate_terms``, against CPython's ``complex * complex``, bit for
-    bit (``parts_bits``), on each of its two routes: Python complex numbers
-    up to ``_PYTHON_PRODUCTS`` products, float64 arrays above."""
+    bit (``parts_bits``), at every size from 0 to 64 products."""
 
     @settings(max_examples=25, deadline=None)
     @given(any_complexes, st.lists(any_complexes, min_size=SIZES[-1], max_size=SIZES[-1]))
@@ -1016,7 +1035,8 @@ class TestScalarProducts:
         st.lists(any_complexes, min_size=8, max_size=8),
     )
     def test_column_times_row(self, drawn_left, drawn_right):
-        # the call ``__mul__`` makes, from 1 to 8 * (LIMIT + 1) products
+        # a column times a row, broadcast, and ``*`` of the same operands,
+        # from 1 to 8 * (LIMIT + 1) products
         for m, n in [(1, 1), (1, 8), (4, 8), (LIMIT + 1, 1), (5, 7), (8, 8), (LIMIT + 1, 8)]:
             left, right = drawn_left[:m], drawn_right[:n]
             A = TensorOperator.from_ids(1, 2, left, np.zeros((m, 1)))
@@ -1043,14 +1063,11 @@ class TestScalarProducts:
             assert out.shape == (size,)
             assert parts_bits(out.tolist()) == parts_bits(x * y for x, y in zip(left, right))
 
-    @pytest.mark.parametrize("limit", [0, 10**9])
-    def test_each_route_alone_keeps_the_bits(self, monkeypatch, limit):
-        # every pair of special parts, through the array route only (limit
-        # 0) and the Python route only, in all three call shapes
+    def test_special_parts_keep_the_bits(self):
+        # every pair of special parts, in all three call shapes
         parts = [0.0, -0.0, 1.5, -2.25, 1e308, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
         values = [complex(x, y) for x in parts for y in parts]
         a = vector(values)
-        monkeypatch.setattr(qoperator, "_PYTHON_PRODUCTS", limit)
         with np.errstate(over="ignore", invalid="ignore"):
             for c in values:
                 assert parts_bits(qoperator._cmul(c, a).tolist()) == parts_bits(c * z for z in values)
@@ -1819,8 +1836,8 @@ class TestProductLimit:
     def operands(self):
         a = single(0.5, [t_block(1, 1, Q, N), None]) + single(2.0, [None, t_block(2, 2, Q, N)])
         b = single(1.0j, [t_block(1, 2, Q, N), t_block(2, 1, Q, N)])
-        # 2 x 1 pairs of terms, each a scalar and 2 ids
-        return a, b, 2 * (16 + qoperator._PRODUCT_ID_BYTES * 2)
+        # 2 x 1 pairs of terms on 2 axes
+        return a, b, 2 * (qoperator._PRODUCT_PAIR_BYTES + qoperator._PRODUCT_ID_BYTES * 2)
 
     def test_refused_one_byte_past_the_limit(self, monkeypatch):
         table = FactorTable()
@@ -1837,13 +1854,15 @@ class TestProductLimit:
         assert (a * b).scalars.tolist() == [0.5j, 2.0j]
 
     def test_a_product_holds_no_more_than_it_counts(self, monkeypatch, rng):
-        # terms over the identity and four corner blocks, so every element's
-        # pair is unmet on the first product, and few pairs are distinct
-        for terms, f in [(60, 36), (200, 1)]:
+        # terms over the four corner blocks, with the identity and without
+        # it, so every element's pair is unmet on the first product, and
+        # few pairs are distinct; without the identity every pair is
+        # looked up, the lookup's worst case
+        for (terms, f), identity in itertools.product([(60, 36), (200, 1)], [[0], []]):
             table = FactorTable()
             monkeypatch.setattr(qoperator, "FACTORS", table)
             blocks = [t_block(i, j, Q, N) for i in (1, 2) for j in (1, 2)]
-            pool = np.array([0] + [table.intern(F) for F in blocks])
+            pool = np.array(identity + [table.intern(F) for F in blocks])
             a, b = (
                 TensorOperator._of(
                     f,
@@ -1853,7 +1872,8 @@ class TestProductLimit:
                 )
                 for _ in range(2)
             )
-            counted = terms * terms * (16 + qoperator._PRODUCT_ID_BYTES * f)
+            per_pair = qoperator._PRODUCT_PAIR_BYTES + qoperator._PRODUCT_ID_BYTES * f
+            counted = terms * terms * per_pair
             # the first product meets its pairs, the second finds them all
             for _ in range(2):
                 tracemalloc.start()
@@ -1955,8 +1975,8 @@ class TestOperatorProducts:
             self.check(a, b, product, dense=True)
 
     def test_edge_lists(self):
-        # empty operands, one term, and 32 and 33 term pairs, on either
-        # side of the Python route of _cmul, as one pair and as a list
+        # empty operands, one term, and lists of 32 and 33 one-term pairs,
+        # each product alone and in its list
         rng = np.random.default_rng(4)
         one = shift_operator(rng, 2, 3, [2.0 - 1.5j])
         empty = TensorOperator.zero(2, 3)
@@ -2029,7 +2049,7 @@ class TestOperatorProducts:
         rng = np.random.default_rng(8)
         big = shift_operator(rng, 2, 4, gaussian(rng, 60))
         ops = {(f, dim): shift_operator(rng, f, dim, [1.0]) for f in (2, 3) for dim in (4, 5)}
-        held = 60 * 60 * (16 + qoperator._PRODUCT_ID_BYTES * 2)
+        held = 60 * 60 * (qoperator._PRODUCT_PAIR_BYTES + qoperator._PRODUCT_ID_BYTES * 2)
         stored = (len(table), table._pair_keys.size)
         refusals = [
             ([(big, big), (ops[2, 4], ops[3, 4])], "shape mismatch: \\(2, 4\\) vs \\(3, 4\\)"),
