@@ -1063,20 +1063,31 @@ class TestScalarProducts:
             assert out.shape == (size,)
             assert parts_bits(out.tolist()) == parts_bits(x * y for x, y in zip(left, right))
 
-    def test_special_parts_keep_the_bits(self):
-        # every pair of special parts, in all three call shapes
+    @pytest.mark.parametrize("limit", [0, 10**9])
+    def test_each_route_alone_keeps_the_bits(self, limit):
+        # every pair of special parts, on each of the three call shapes the
+        # package routes to ``_cmul``, with the first ``limit`` of them as
+        # the vector operands: none (empty vectors, and a 0 x 0 outer
+        # product) or all
         parts = [0.0, -0.0, 1.5, -2.25, 1e308, -5e-324, math.inf, -math.inf, math.nan, -math.nan]
-        values = [complex(x, y) for x in parts for y in parts]
+        special = [complex(x, y) for x in parts for y in parts]
+        values = special[:limit]
         a = vector(values)
         with np.errstate(over="ignore", invalid="ignore"):
-            for c in values:
-                assert parts_bits(qoperator._cmul(c, a).tolist()) == parts_bits(c * z for z in values)
+            for c in special:
+                out = qoperator._cmul(c, a)
+                assert out.shape == (len(values),)
+                assert parts_bits(out.tolist()) == parts_bits(c * z for z in values)
             rolled = np.roll(a, 7)
-            want = parts_bits(x * y for x, y in zip(values, rolled.tolist()))
-            assert parts_bits(qoperator._cmul(a, rolled).tolist()) == want
-            outer = qoperator._cmul(a[:, None], a[None, :]).reshape(-1)
+            out = qoperator._cmul(a, rolled)
+            assert out.shape == (len(values),)
+            assert parts_bits(out.tolist()) == parts_bits(
+                x * y for x, y in zip(values, rolled.tolist())
+            )
+            outer = qoperator._cmul(a[:, None], a[None, :])
+            assert outer.shape == (len(values), len(values))
             want = parts_bits(x * y for x, y in itertools.product(values, repeat=2))
-            assert parts_bits(outer.tolist()) == want
+            assert parts_bits(outer.reshape(-1).tolist()) == want
 
 
 def reference_to_json(op: TensorOperator) -> dict:
